@@ -16,6 +16,16 @@ norm of an OLS projection of mu2_t on the scores, yields a supremum-type and
 an exponential-type statistic over sampled (h, rho).  Their null
 distributions depend on nuisance parameters, so significance is assessed by
 a parametric bootstrap from the fitted linear model.
+
+One criteria kernel serves the data and the bootstrap.  It takes k
+standardized series at once, fits the AR(1) null to each in closed form and
+evaluates every nuisance draw together: because h[1] = 0, the quadratic term
+and the score path are one matrix product each, the rho-weighted cross term
+is one recursion over time, and the projection is one rank-aware QR per
+series.  The B bootstrap samples pass through the kernel in chunks whose
+size is a fixed function of (T, draws), and each series is computed
+independently of the others in its chunk, so every result depends only on
+``(seed, B, draws)``.
 """
 
 from __future__ import annotations
@@ -31,6 +41,10 @@ from ._seeding import DOMAIN_BOOTSTRAP, DOMAIN_NUISANCE, substream
 logger = logging.getLogger(__name__)
 
 RHO_BOUND = 0.7
+
+#: Bootstrap chunks hold about this many (time, sample, draw) elements, so
+#: each working array of the kernel stays near 1 MB.
+_CHUNK_ELEMENTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -85,22 +99,58 @@ def standardize_series(y: np.ndarray) -> np.ndarray:
     sample, which makes the reported statistics exactly invariant to affine
     transformations of the observations.
     """
-    y = np.asarray(y, dtype=float)
-    sd = y.std()
-    if sd <= 0.0:
+    return _standardize_rows(np.asarray(y, dtype=float)[None, :])[0]
+
+
+def _standardize_rows(Y: np.ndarray) -> np.ndarray:
+    """``standardize_series`` applied to every row of a (k, T) block."""
+    sd = Y.std(axis=1, keepdims=True)
+    if np.any(sd <= 0.0):
         raise ValueError("cannot standardize a constant series")
-    return (y - y.mean()) / sd
+    return (Y - Y.mean(axis=1, keepdims=True)) / sd
 
 
-def _ols_ar1_ml(y: np.ndarray) -> tuple[float, float, float, np.ndarray]:
-    """OLS intercept/slope with the 1/n residual-variance divisor, which
-    zeroes all three score sums at the fitted point."""
-    n = len(y) - 1
-    X = np.column_stack([np.ones(n), y[:-1]])
-    beta, *_ = np.linalg.lstsq(X, y[1:], rcond=None)
-    resid = y[1:] - X @ beta
-    sigma2 = float(resid @ resid / n)
-    return float(beta[0]), float(beta[1]), sigma2, resid
+def _ar1_fit(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form OLS intercept/slope of every row of a (k, T) block, with
+    the 1/n residual-variance divisor, which zeroes all three score sums at
+    the fitted point.  Returns c, phi, s2 as (k, 1) columns and the (k, n)
+    residuals."""
+    if Y.shape[1] < 10:
+        raise ValueError("need at least 10 observations")
+    x, z = Y[:, :-1], Y[:, 1:]
+    xm = x.mean(axis=1, keepdims=True)
+    zm = z.mean(axis=1, keepdims=True)
+    xc = x - xm
+    sxx = (xc * xc).sum(axis=1, keepdims=True)
+    if np.any(sxx <= 0.0):
+        raise ValueError("degenerate regression: constant lagged series")
+    phi = (xc * (z - zm)).sum(axis=1, keepdims=True) / sxx
+    c = zm - phi * xm
+    eps = z - c - phi * x
+    s2 = (eps * eps).sum(axis=1, keepdims=True) / x.shape[1]
+    if not np.all(np.isfinite(s2) & (s2 > 0.0)):
+        raise ValueError("degenerate regression: zero residual variance")
+    return c, phi, s2, eps
+
+
+def _score_columns(eps: np.ndarray, ylag: np.ndarray, s2: np.ndarray) -> list[np.ndarray]:
+    """The three per-observation scores d l_t / d(c, phi, s2)."""
+    return [eps / s2, eps * ylag / s2, -0.5 / s2 + eps**2 / (2.0 * s2**2)]
+
+
+def _hessian_entries(
+    eps: np.ndarray, ylag: np.ndarray, s2: np.ndarray
+) -> dict[tuple[int, int], np.ndarray]:
+    """The upper-triangle entries (i, j) of the per-observation Hessian
+    d2 l_t / d(c, phi, s2)^2."""
+    return {
+        (0, 0): -1.0 / s2,
+        (0, 1): -ylag / s2,
+        (0, 2): -eps / s2**2,
+        (1, 1): -(ylag**2) / s2,
+        (1, 2): -eps * ylag / s2**2,
+        (2, 2): 0.5 / s2**2 - eps**2 / s2**3,
+    }
 
 
 def null_score_panel(y: np.ndarray, r: int = 1) -> NullScorePanel:
@@ -112,85 +162,132 @@ def null_score_panel(y: np.ndarray, r: int = 1) -> NullScorePanel:
     if r != 1:
         raise ValueError("the benchmark tests are implemented for the AR(1) null only")
     y = np.asarray(y, dtype=float)
-    if len(y) < 10:
-        raise ValueError("need at least 10 observations")
-    c, phi, s2, eps = _ols_ar1_ml(y)
-    if s2 <= 0.0 or not np.isfinite(s2):
-        raise ValueError("degenerate regression: zero residual variance")
+    c, phi, s2, eps = _ar1_fit(y[None, :])
+    s2, eps = float(s2[0, 0]), eps[0]
     ylag = y[:-1]
-    n = len(eps)
 
-    scores = np.column_stack(
-        [eps / s2, eps * ylag / s2, -0.5 / s2 + eps**2 / (2.0 * s2**2)]
+    scores = np.column_stack(_score_columns(eps, ylag, s2))
+    hess = np.empty((len(eps), 3, 3))
+    for (i, j), h_ij in _hessian_entries(eps, ylag, s2).items():
+        hess[:, i, j] = hess[:, j, i] = h_ij
+    return NullScorePanel(
+        scores=scores, hessians=hess, theta0_hat=(float(c[0, 0]), float(phi[0, 0]), s2), T=len(y)
     )
-    hess = np.empty((n, 3, 3))
-    hess[:, 0, 0] = -1.0 / s2
-    hess[:, 0, 1] = hess[:, 1, 0] = -ylag / s2
-    hess[:, 0, 2] = hess[:, 2, 0] = -eps / s2**2
-    hess[:, 1, 1] = -(ylag**2) / s2
-    hess[:, 1, 2] = hess[:, 2, 1] = -eps * ylag / s2**2
-    hess[:, 2, 2] = 0.5 / s2**2 - eps**2 / s2**3
-    return NullScorePanel(scores=scores, hessians=hess, theta0_hat=(c, phi, s2), T=len(y))
 
 
-def _mu2_paths(panel: NullScorePanel, H: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """mu2_t for a batch of draws; shape (n, d).
+# ---------------------------------------------------------------------------
+# The criteria kernel.  A block holds k series: time-major scores and
+# curvature, (n, k, 3), and an orthonormal basis of each series' score
+# columns, (k, n, p).  mu2 paths are (n, k, d) for d nuisance draws.
 
-    The rho-weighted cross term uses the running accumulator
-    ``a_t = rho (a_{t-1} + g_{t-1})`` with ``g_t = h' l1_t``, so the cost is
-    linear in the sample size.
+
+def _curvature(scores: np.ndarray, h00, h02, h22) -> np.ndarray:
+    """The entries of l2_t + l1_t l1_t' that h' . h reads when h[1] = 0:
+    (0, 0), (0, 2) and (2, 2), stacked on the last axis."""
+    s0, sv = scores[..., 0], scores[..., 2]
+    return np.stack([h00 + s0 * s0, h02 + s0 * sv, h22 + sv * sv], axis=-1)
+
+
+def _score_basis(X: np.ndarray) -> np.ndarray:
+    """Orthonormal bases (k, n, p) of the column spaces of k regressor
+    matrices (k, n, p), for OLS projections without an intercept.
+
+    Collinear columns, detected from the diagonal of R in a QR
+    factorization, are dropped (and logged) and their basis columns set to
+    zero; projections are unaffected by which basis of the column space
+    survives.
     """
-    g = panel.scores @ H.T                                   # (n, d)
-    quad = np.einsum("tij,di,dj->td", panel.hessians, H, H)  # h' l2_t h
-    n, d = g.shape
-    a = np.zeros((n, d))
+    Q, R = np.linalg.qr(X)
+    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    tol = diag.max(axis=1, keepdims=True) * max(X.shape[1:]) * np.finfo(float).eps
+    for i in np.flatnonzero((diag <= tol).any(axis=1)):
+        keep = diag[i] > tol[i]
+        logger.warning(
+            "projection regressors rank deficient; dropped columns %s",
+            np.flatnonzero(~keep).tolist(),
+        )
+        Q[i] = 0.0
+        Q[i][:, : keep.sum()] = np.linalg.qr(X[i][:, keep])[0]
+    return Q
+
+
+def _series_block(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block of the AR(1) fits to the rows of a (k, T) array of
+    standardized series."""
+    _, _, s2, eps = _ar1_fit(Y)
+    X = np.stack(_score_columns(eps, Y[:, :-1], s2), axis=-1)
+    scores = X.transpose(1, 0, 2)
+    h = _hessian_entries(eps, Y[:, :-1], s2)
+    curv = _curvature(scores, h[0, 0].T, h[0, 2].T, h[2, 2].T)
+    return scores, curv, _score_basis(X)
+
+
+def _panel_block(panel: NullScorePanel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A score panel as a one-series block."""
+    scores = panel.scores[:, None, :]
+    hs = panel.hessians[:, None]
+    curv = _curvature(scores, hs[..., 0, 0], hs[..., 0, 2], hs[..., 2, 2])
+    return scores, curv, _score_basis(panel.scores[None])
+
+
+def _mu2_block(
+    scores: np.ndarray, curv: np.ndarray, H: np.ndarray, rhos: np.ndarray,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """mu2_t for every series and draw; shape (n, k, d).
+
+    With h[1] = 0, g_t = h' l1_t needs the scores' columns 0 and 2, and
+    h' l2_t h + g_t^2 the three curvature entries, so both are one matrix
+    product.  The rho-weighted cross term uses the running accumulator
+    ``a_t = rho (a_{t-1} + g_{t-1})``, so the cost is linear in the sample
+    size; the recursion runs in the rows that end up holding mu2, so no
+    separate (n, k, d) accumulator array is built.  ``work`` is scratch of
+    shape (2, >= n k d); mu2 is a view of its second row.
+    """
+    n, k, _ = scores.shape
+    size = n * k * len(rhos)
+    if work is None:
+        work = np.empty((2, size))
+    h0, h2 = H[:, 0], H[:, 2]
+    g, mu2 = work[0, :size].reshape(n, k, -1), work[1, :size].reshape(n, k, -1)
+    np.matmul(scores[..., [0, 2]].reshape(n * k, 2), np.stack([h0, h2]), out=g.reshape(n * k, -1))
+    # the accumulator runs in mu2's rows, which then take the cross term g_t a_t
+    mu2[0] = 0.0
     for t in range(1, n):
-        a[t] = rhos * (a[t - 1] + g[t - 1])
-    return 0.5 * (quad + g**2 + 2.0 * g * a)
+        np.add(mu2[t - 1], g[t - 1], out=mu2[t])
+        mu2[t] *= rhos
+    mu2 *= g
+    # g is spent: its row takes the quadratic term 1/2 (h' l2_t h + g_t^2)
+    np.matmul(
+        curv.reshape(n * k, 3), np.stack([0.5 * h0 * h0, h0 * h2, 0.5 * h2 * h2]),
+        out=g.reshape(n * k, -1),
+    )
+    mu2 += g
+    return mu2
 
 
-def gamma_star(panel: NullScorePanel, d: NuisanceDraw) -> tuple[float, np.ndarray]:
-    """Gamma = sum_t mu2_t / sqrt(T) and the mu2 path for one draw."""
-    mu2 = _mu2_paths(panel, d.h[None, :], np.array([d.rho]))[:, 0]
-    return float(mu2.sum() / np.sqrt(panel.T)), mu2
-
-
-def projection_residuals(mu2_path: np.ndarray, panel: NullScorePanel) -> np.ndarray:
-    """Residuals of an OLS regression of the mu2 path on the three scores.
-
-    The scores each sum to zero at the fitted point, so no intercept is
-    added.  Collinear score columns are dropped (and logged); the residuals
-    are unaffected by which basis of the column space survives.
-    """
-    X = panel.scores
-    rank = np.linalg.matrix_rank(X)
-    if rank < X.shape[1]:
-        # greedy column selection to an independent subset
-        keep: list[int] = []
-        for j in range(X.shape[1]):
-            trial = keep + [j]
-            if np.linalg.matrix_rank(X[:, trial]) == len(trial):
-                keep.append(j)
-        dropped = sorted(set(range(X.shape[1])) - set(keep))
-        logger.warning("projection regressors rank deficient; dropped columns %s", dropped)
-        X = X[:, keep]
-    coef, *_ = np.linalg.lstsq(X, mu2_path, rcond=None)
-    return mu2_path - X @ coef
-
-
-def _criteria_for_draws(
-    panel: NullScorePanel, H: np.ndarray, rhos: np.ndarray
+def _criteria_kernel(
+    scores: np.ndarray, curv: np.ndarray, Q: np.ndarray, T: int, H: np.ndarray,
+    rhos: np.ndarray, work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-draw supremum criterion and exponential weight Psi."""
-    mu2 = _mu2_paths(panel, H, rhos)
-    Gam = mu2.sum(axis=0) / np.sqrt(panel.T)
-    # project all mu2 columns on the scores at once
-    Q, _ = np.linalg.qr(panel.scores)
-    resid = mu2 - Q @ (Q.T @ mu2)
-    ss = np.einsum("td,td->d", resid, resid)
+    """Per-draw supremum criterion and exponential weight Psi for every
+    series of a block; two (k, d) arrays.  ``work`` is as for ``_mu2_block``;
+    reusing it across calls spares the page faults of fresh large arrays."""
+    n, k, _ = scores.shape
+    if work is None:
+        work = np.empty((2, n * k * len(rhos)))
+    mu2 = _mu2_block(scores, curv, H, rhos, work)
+    Gam = mu2.sum(axis=0) / np.sqrt(T)
+    paths = mu2.transpose(1, 0, 2)
+    # residuals of the projections on the scores, squared in place in the
+    # scratch row that held g
+    resid = work[0, : mu2.size].reshape(paths.shape)
+    np.matmul(Q, Q.transpose(0, 2, 1) @ paths, out=resid)
+    np.subtract(paths, resid, out=resid)
+    ss = np.square(resid, out=resid).sum(axis=1)
+    total = np.square(paths, out=resid).sum(axis=1)
     # a path (numerically) inside the score span has no residual variation to
     # standardize by; such draws contribute 0 to the sup and weight 1
-    total = np.einsum("td,td->d", mu2, mu2)
     nonzero = ss > 1.0e-24 * total
     gnorm = np.zeros_like(Gam)
     gnorm[nonzero] = Gam[nonzero] / np.sqrt(ss[nonzero])
@@ -208,6 +305,37 @@ def _psi_weight(g: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(g, dtype=float) - 1.0
     return np.sqrt(np.pi / 2.0) * erfcx(-x / np.sqrt(2.0))
+
+
+# ---------------------------------------------------------------------------
+# Single-panel views of the kernel.
+
+
+def gamma_star(panel: NullScorePanel, d: NuisanceDraw) -> tuple[float, np.ndarray]:
+    """Gamma = sum_t mu2_t / sqrt(T) and the mu2 path for one draw."""
+    scores, curv, _ = _panel_block(panel)
+    mu2 = _mu2_block(scores, curv, d.h[None, :], np.array([d.rho]))[:, 0, 0]
+    return float(mu2.sum() / np.sqrt(panel.T)), mu2
+
+
+def projection_residuals(mu2_path: np.ndarray, panel: NullScorePanel) -> np.ndarray:
+    """Residuals of an OLS regression of the mu2 path on the three scores.
+
+    The scores each sum to zero at the fitted point, so no intercept is
+    added.  Collinear score columns are dropped (and logged); the residuals
+    are unaffected by which basis of the column space survives.
+    """
+    path = np.asarray(mu2_path, dtype=float)
+    Q = _score_basis(panel.scores[None])[0]
+    return path - Q @ (Q.T @ path)
+
+
+def _criteria_for_draws(
+    panel: NullScorePanel, H: np.ndarray, rhos: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-draw supremum criterion and exponential weight Psi."""
+    sup_criteria, psi = _criteria_kernel(*_panel_block(panel), panel.T, H, rhos)
+    return sup_criteria[0], psi[0]
 
 
 def sample_nuisance_draws(count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -237,19 +365,55 @@ def exp_ts(panel: NullScorePanel, draws: int, rng: np.random.Generator) -> float
     return float(psi.mean())
 
 
-def _simulate_ar1(
-    c: float, phi: float, sigma2: float, T: int, rng: np.random.Generator, y1_fallback: float
+# ---------------------------------------------------------------------------
+# Parametric bootstrap.
+
+
+def _bootstrap_paths(
+    theta: tuple[float, float, float], T: int, B: int, master_seed: int, y1_fallback: float
 ) -> np.ndarray:
-    """Linear AR(1) path with a stationary initial draw."""
-    y = np.empty(T)
-    if abs(phi) < 1.0 - 1e-8:
-        y[0] = c / (1.0 - phi) + np.sqrt(sigma2 / (1.0 - phi**2)) * rng.standard_normal()
-    else:
-        y[0] = y1_fallback  # near-unit-root fit: no stationary distribution
-    innov = rng.standard_normal(T - 1) * np.sqrt(sigma2)
+    """B linear AR(1) paths with a stationary initial draw, time-major
+    (T, B).  Sample b draws from its own stream, first y_1 and then the
+    T - 1 innovations, and one recursion over time advances all B paths."""
+    c, phi, sigma2 = theta
+    stationary = abs(phi) < 1.0 - 1e-8
+    Y = np.empty((T, B))
+    innov = np.empty((T - 1, B))
+    for b in range(B):
+        rng = substream(master_seed, DOMAIN_BOOTSTRAP, b)
+        if stationary:
+            Y[0, b] = c / (1.0 - phi) + np.sqrt(sigma2 / (1.0 - phi**2)) * rng.standard_normal()
+        else:
+            Y[0, b] = y1_fallback  # near-unit-root fit: no stationary distribution
+        innov[:, b] = rng.standard_normal(T - 1) * np.sqrt(sigma2)
     for t in range(1, T):
-        y[t] = c + phi * y[t - 1] + innov[t - 1]
-    return y
+        Y[t] = c + phi * Y[t - 1] + innov[t - 1]
+    return Y
+
+
+def _chunk_size(T: int, draws: int) -> int:
+    """Bootstrap samples per kernel call: a fixed function of (T, draws)."""
+    return max(1, _CHUNK_ELEMENTS // ((T - 1) * draws))
+
+
+def _bootstrap_statistics(
+    panel: NullScorePanel, y1: float, B: int, H: np.ndarray, rhos: np.ndarray,
+    master_seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """supTS and expTS of the B bootstrap samples drawn from the panel's fit,
+    ``_chunk_size(T, draws)`` samples per kernel call."""
+    T = panel.T
+    chunk = _chunk_size(T, len(rhos))
+    paths = _bootstrap_paths(panel.theta0_hat, T, B, master_seed, y1)
+    work = np.empty((2, (T - 1) * min(chunk, B) * len(rhos)))
+    sup_b, exp_b = np.empty(B), np.empty(B)
+    for b0 in range(0, B, chunk):
+        rows = slice(b0, b0 + chunk)
+        Y = _standardize_rows(np.ascontiguousarray(paths[:, rows].T))
+        sup_criteria, psi = _criteria_kernel(*_series_block(Y), T, H, rhos, work)
+        sup_b[rows] = sup_criteria.max(axis=1)
+        exp_b[rows] = psi.mean(axis=1)
+    return sup_b, exp_b
 
 
 def chp_bootstrap_test(
@@ -267,6 +431,8 @@ def chp_bootstrap_test(
     y = np.asarray(y, dtype=float)
     if B < 2:
         raise ValueError("B must be at least 2")
+    if draws < 1:
+        raise ValueError("need at least one nuisance draw")
     H, rhos = sample_nuisance_draws(draws, substream(master_seed, DOMAIN_NUISANCE))
 
     ys = standardize_series(y)
@@ -275,16 +441,9 @@ def chp_bootstrap_test(
     sup0 = float(sup_data.max())
     exp0 = float(psi_data.mean())
 
-    c, phi, s2 = panel.theta0_hat
-    T = panel.T
-    n_sup = 0
-    n_exp = 0
-    for b in range(B):
-        rng = substream(master_seed, DOMAIN_BOOTSTRAP, b)
-        yb = _simulate_ar1(c, phi, s2, T, rng, y1_fallback=ys[0])
-        sup_b, psi_b = _criteria_for_draws(null_score_panel(standardize_series(yb)), H, rhos)
-        n_sup += float(sup_b.max()) >= sup0
-        n_exp += float(psi_b.mean()) >= exp0
+    sup_b, exp_b = _bootstrap_statistics(panel, ys[0], B, H, rhos, master_seed)
+    n_sup = int(np.count_nonzero(sup_b >= sup0))
+    n_exp = int(np.count_nonzero(exp_b >= exp0))
     return CHPReport(
         supTS=sup0,
         expTS=exp0,

@@ -9,7 +9,8 @@ Subcommands:
 * ``simulate``  emit a switching-autoregression path
 
 Every run prints a config echo (key=value lines) that, together with the
-seed, fully determines its outputs.
+seed, fully determines its outputs.  It goes to stdout, except for
+``simulate`` writing its path to stdout, where it goes to stderr.
 """
 
 from __future__ import annotations
@@ -96,11 +97,11 @@ def _series_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--transform", choices=("none", "logdiff100"), default="none")
 
 
-def _echo(args: dict) -> str:
+def _echo(args: dict, file=None) -> str:
     digest = config_digest(args.items())
     for key in sorted(args):
-        print(f"# {key}={args[key]}")
-    print(f"# config_sha={digest}")
+        print(f"# {key}={args[key]}", file=file)
+    print(f"# config_sha={digest}", file=file)
     return digest
 
 
@@ -198,13 +199,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     s1, s2 = (float(x) for x in args.sigma.split(","))
     p11, p22 = (float(x) for x in args.p.split(","))
     phi = tuple(float(x) for x in args.phi.split(",") if x.strip())
+    out = args.out or "-"
+    # a path written to stdout must stay a clean series, so the echo goes to stderr
     _echo(
         {"command": "simulate", "T": args.T, "mu": args.mu, "sigma": args.sigma,
-         "p": args.p, "phi": args.phi, "seed": args.seed}
+         "p": args.p, "phi": args.phi, "seed": args.seed},
+        file=sys.stderr if out == "-" else None,
     )
     spec = MSARSpec(RegimeParams(mu1, mu2, s1, s2), TransitionMatrix(p11, p22), phi)
     y = simulate_msar(spec, args.T, substream(args.seed, 0))
-    out = args.out or "-"
     if out == "-":
         for v in y:
             print(repr(float(v)))

@@ -101,15 +101,16 @@ def ingest_series(path: str | Path, transformation: str = "none") -> SeriesDatas
         raise ValueError(f"unknown transformation {transformation!r}")
     path = Path(path)
     labels: list[str] = []
+    keys: list[int | str] = []  # line numbers of single-column rows compare as integers
     values: list[float] = []
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) == 1:
-                label, raw = str(lineno), row[0]
+                key, raw = lineno, row[0]
             elif len(row) == 2:
-                label, raw = row[0].strip(), row[1]
+                key, raw = row[0].strip(), row[1]
             else:
                 raise ValueError(f"{path}:{lineno}: expected 1 or 2 columns, got {len(row)}")
             raw = raw.strip()
@@ -119,9 +120,12 @@ def ingest_series(path: str | Path, transformation: str = "none") -> SeriesDatas
                 raise ValueError(f"{path}:{lineno}: missing value")
             if not _is_number(raw):
                 raise ValueError(f"{path}:{lineno}: could not parse value {raw!r}")
-            labels.append(label)
+            if keys and type(key) is not type(keys[0]):
+                raise ValueError(f"{path}:{lineno}: mixes one- and two-column rows")
+            keys.append(key)
+            labels.append(str(key))
             values.append(float(raw))
-    if labels != sorted(labels) or len(set(labels)) != len(labels):
+    if keys != sorted(keys) or len(set(keys)) != len(keys):
         raise ValueError(f"{path}: period labels must be strictly increasing")
     data = np.asarray(values)
     if transformation == "logdiff100":

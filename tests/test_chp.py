@@ -1,13 +1,30 @@
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
-from regimetest._seeding import substream
+import chp_oracle
+from regimetest._seeding import (
+    DOMAIN_BOOTSTRAP,
+    DOMAIN_CELL,
+    DOMAIN_DGP,
+    DOMAIN_NUISANCE,
+    derive_seed,
+    substream,
+)
 from regimetest.chp import (
+    NullScorePanel,
     NuisanceDraw,
+    _bootstrap_paths,
+    _bootstrap_statistics,
+    _chunk_size,
     _criteria_for_draws,
+    _criteria_kernel,
     _psi_weight,
+    _series_block,
+    _standardize_rows,
     chp_bootstrap_test,
     exp_ts,
     gamma_star,
@@ -17,7 +34,11 @@ from regimetest.chp import (
     standardize_series,
     sup_ts,
 )
+from regimetest.harness import default_study_grid
 from regimetest.msar import MSARSpec, RegimeParams, TransitionMatrix, simulate_msar
+
+#: Bootstrap samples per oracle comparison; every one of them is compared.
+ORACLE_B = 50
 
 
 def _ar1_path(phi: float, T: int, seed: int, c: float = 0.2, sigma: float = 1.0) -> np.ndarray:
@@ -249,3 +270,104 @@ class TestBootstrapTest:
             rej_exp += rep.bootstrap_p_exp <= 0.05
         assert rej_sup / trials > 0.5
         assert rej_exp / trials > 0.5
+
+
+def _desk_case(cell: int, seed: int):
+    """Config, series and CHP master seed of replication 0 of a desk study
+    cell, derived as the study harness derives them."""
+    cfg = default_study_grid("desk")[cell]
+    y = simulate_msar(cfg.dgp, cfg.T, substream(seed, DOMAIN_DGP, cell, 0))
+    return cfg, y, derive_seed(seed, DOMAIN_CELL, cell, 0)
+
+
+class TestBatchedBootstrap:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_sample_oracle_on_desk_cells(self, seed):
+        for cell in range(len(default_study_grid("desk"))):
+            cfg, y, rep_seed = _desk_case(cell, seed)
+            rep = chp_bootstrap_test(y, B=ORACLE_B, draws=cfg.chp_draws, master_seed=rep_seed)
+            (sup0, exp0), p_values, (sup_b, exp_b) = chp_oracle.bootstrap_test(
+                y, ORACLE_B, cfg.chp_draws, rep_seed
+            )
+            assert rep.supTS == pytest.approx(sup0, rel=1e-12, abs=0.0)
+            assert rep.expTS == pytest.approx(exp0, rel=1e-12, abs=0.0)
+            assert (rep.bootstrap_p_sup, rep.bootstrap_p_exp) == p_values
+            # every bootstrap statistic agrees, not only the counts behind the
+            # p-values; small ones to 1e-12 of the largest
+            ys = standardize_series(y)
+            H, rhos = sample_nuisance_draws(cfg.chp_draws, substream(rep_seed, DOMAIN_NUISANCE))
+            got_sup, got_exp = _bootstrap_statistics(
+                null_score_panel(ys), ys[0], ORACLE_B, H, rhos, rep_seed
+            )
+            for got, want in ((got_sup, sup_b), (got_exp, exp_b)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
+
+    @pytest.mark.parametrize("phi", [0.4, 1.0])
+    def test_paths_bit_identical_to_scalar_simulation(self, phi):
+        theta, T, B, seed = (0.2, phi, 0.8), 60, 7, 31
+        paths = _bootstrap_paths(theta, T, B, seed, y1_fallback=-0.5)
+        for b in range(B):
+            rng = substream(seed, DOMAIN_BOOTSTRAP, b)
+            np.testing.assert_array_equal(
+                paths[:, b], chp_oracle.simulate_ar1(*theta, T, rng, y1_fallback=-0.5)
+            )
+
+    @pytest.mark.parametrize("cell", [0, 10, 20, 30])  # T = 100 and 200, phi = 0.1 and 0.9
+    def test_criteria_bit_identical_across_chunk_sizes(self, cell):
+        cfg, y, seed = _desk_case(cell, 3)
+        B, T = 13, cfg.T  # a prime, so chunks of 3 and the production chunk end short
+        ys = standardize_series(y)
+        panel = null_score_panel(ys)
+        H, rhos = sample_nuisance_draws(cfg.chp_draws, substream(seed, DOMAIN_NUISANCE))
+        paths = _bootstrap_paths(panel.theta0_hat, T, B, seed, ys[0])
+        Y = _standardize_rows(np.ascontiguousarray(paths.T))
+
+        def in_chunks(chunk):
+            parts = [
+                _criteria_kernel(*_series_block(Y[b0 : b0 + chunk]), T, H, rhos)
+                for b0 in range(0, B, chunk)
+            ]
+            return tuple(np.concatenate([p[i] for p in parts]) for i in (0, 1))
+
+        whole = in_chunks(B)
+        for chunk in (1, 3):
+            for got, want in zip(in_chunks(chunk), whole):
+                np.testing.assert_array_equal(got, want)
+        assert B % _chunk_size(T, cfg.chp_draws) != 0
+        sup_b, exp_b = _bootstrap_statistics(panel, ys[0], B, H, rhos, seed)
+        np.testing.assert_array_equal(sup_b, whole[0].max(axis=1))
+        np.testing.assert_array_equal(exp_b, whole[1].mean(axis=1))
+
+
+class TestRankDeficientPanel:
+    """A score panel with a duplicated column spans the same space as the
+    panel without it, so projections and criteria must not change."""
+
+    @staticmethod
+    def _panels():
+        panel = null_score_panel(standardize_series(_ar1_path(0.3, 80, seed=20)))
+        duplicated = NullScorePanel(
+            scores=np.column_stack([panel.scores, panel.scores[:, 0]]),
+            hessians=panel.hessians,
+            theta0_hat=panel.theta0_hat,
+            T=panel.T,
+        )
+        return panel, duplicated
+
+    def test_duplicated_column_leaves_criteria_unchanged(self, caplog):
+        panel, duplicated = self._panels()
+        H, rhos = sample_nuisance_draws(60, substream(6, 6))
+        with caplog.at_level(logging.WARNING, logger="regimetest.chp"):
+            got = _criteria_for_draws(duplicated, H, rhos)
+        assert "dropped columns [3]" in caplog.text
+        want = _criteria_for_draws(panel, H, rhos)
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0.0)
+
+    def test_duplicated_column_leaves_residuals_unchanged(self):
+        panel, duplicated = self._panels()
+        path = substream(7, 7).standard_normal(panel.scores.shape[0])
+        np.testing.assert_allclose(
+            projection_residuals(path, duplicated), projection_residuals(path, panel),
+            rtol=0.0, atol=1e-12,
+        )

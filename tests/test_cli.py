@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from importlib.resources import files
 
+import numpy as np
 import pytest
 
 from regimetest.cli import main
@@ -76,3 +77,27 @@ def test_fit_table_subcommand_rejects_tiny_draw_counts(tmp_path):
     with pytest.raises(ValueError):
         main(["fit-table", "--sizes", "50", "--draws", "100",
               "--out", str(tmp_path / "t.csv")])
+
+
+def test_simulate_stdout_is_a_clean_series(capsys):
+    assert main(["simulate", "--T", "30", "--phi", "0.3", "--seed", "4"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 30
+    for line in lines:
+        float(line)
+    assert "# config_sha=" in captured.err
+
+
+def test_simulate_file_reads_back_through_ingest_series(tmp_path):
+    from regimetest._seeding import substream
+    from regimetest.harness import ingest_series
+    from regimetest.msar import MSARSpec, RegimeParams, TransitionMatrix, simulate_msar
+
+    out = tmp_path / "path.csv"
+    main(["simulate", "--T", "30", "--mu", "0,2", "--phi", "0.3", "--seed", "4",
+          "--out", str(out)])
+    dataset = ingest_series(out)
+    spec = MSARSpec(RegimeParams(0.0, 2.0, 1.0, 1.0), TransitionMatrix(0.9, 0.9), (0.3,))
+    np.testing.assert_array_equal(dataset.values, simulate_msar(spec, 30, substream(4, 0)))
+    assert dataset.labels == tuple(str(line) for line in range(2, 32))

@@ -43,6 +43,21 @@ class TestIngestSeries:
         path.write_text("1.0\n2.0\n3.0\n")
         np.testing.assert_allclose(ingest_series(path).values, [1.0, 2.0, 3.0])
 
+    def test_single_column_labels_are_line_numbers(self, tmp_path):
+        # with 10 or more rows, line numbers that compared as strings ("10" < "9")
+        # looked out of order
+        path = tmp_path / "series.csv"
+        path.write_text("value\n" + "".join(f"{v}\n" for v in range(12)))
+        ds = ingest_series(path)
+        np.testing.assert_array_equal(ds.values, np.arange(12.0))
+        assert ds.labels == tuple(str(line) for line in range(2, 14))
+
+    def test_mixed_layouts_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("1999Q1,100\n101\n")
+        with pytest.raises(ValueError, match=":2: mixes"):
+            ingest_series(path)
+
     def test_vendored_sample_sizes(self):
         data = files("regimetest").joinpath("data")
         ham = ingest_series(str(data / "gnp_hamilton_levels.csv"), "logdiff100")
