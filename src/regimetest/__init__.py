@@ -48,6 +48,7 @@ from .linearity import (
     ols_ar_fit,
     ar_filter,
     mc_mixture_test,
+    linearity_tests,
     lmc_test,
     build_grid,
     mmc_test,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 # Domain tags keep streams for different purposes disjoint.
+DOMAIN_SIMULATE = 0    # the path emitted by the ``simulate`` command
 DOMAIN_REPLICATE = 1   # null replicate vectors of an MC ensemble
 DOMAIN_TIEBREAK = 2    # uniform tie-breakers attached to ensemble members
 DOMAIN_DGP = 3         # simulated data paths in study cells

@@ -19,7 +19,7 @@ import argparse
 import sys
 
 from . import __version__
-from ._seeding import substream
+from ._seeding import DOMAIN_SIMULATE, substream
 from .chp import chp_bootstrap_test
 from .harness import (
     PROFILES,
@@ -207,7 +207,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         file=sys.stderr if out == "-" else None,
     )
     spec = MSARSpec(RegimeParams(mu1, mu2, s1, s2), TransitionMatrix(p11, p22), phi)
-    y = simulate_msar(spec, args.T, substream(args.seed, 0))
+    y = simulate_msar(spec, args.T, substream(args.seed, DOMAIN_SIMULATE))
     if out == "-":
         for v in y:
             print(repr(float(v)))

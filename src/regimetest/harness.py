@@ -4,7 +4,10 @@ application pipeline, and coefficient-table regeneration.
 All stochastic work is keyed on a master seed through documented derivation
 paths (see ``_seeding``), and study replications are independent tasks whose
 results are reduced in replication order, so numeric outputs are identical
-for any worker count.
+for any worker count.  A study replication and an empirical report compute
+all their LMC/MMC methods in one linearity pass
+(:func:`~regimetest.linearity.linearity_tests`): one OLS fit, at most one
+nuisance grid and one null ensemble per series.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from ._seeding import DOMAIN_CELL, DOMAIN_DGP, DOMAIN_TABLE, derive_seed, substream
 from .chp import chp_bootstrap_test
-from .linearity import lmc_test, mmc_test
+from .linearity import METHODS as LINEARITY_METHODS, linearity_tests
 from .mctest import STATISTICS, LogisticCoeffTable, fit_logistic_cdf
 from .moments import quartet_matrix
 from .msar import MSARSpec, RegimeParams, TransitionMatrix, simulate_msar
@@ -149,20 +152,19 @@ def _is_number(s: str) -> bool:
 
 def _study_rep(args: tuple) -> dict[str, float]:
     """One study replication: simulate the DGP, run every requested method,
-    return p-values keyed by method.  Top level so process pools can pick it."""
+    return p-values keyed by method.  The LMC/MMC methods share one
+    linearity pass.  Top level so process pools can pick it."""
     (cell_seed, cell_index, rep, dgp, T, N, methods, B, chp_draws, mmc_points) = args
     rng = substream(cell_seed, DOMAIN_DGP, cell_index, rep)
     y = simulate_msar(dgp, T, rng)
     rep_seed = derive_seed(cell_seed, DOMAIN_CELL, cell_index, rep)
     out: dict[str, float] = {}
-    for method in methods:
-        if method.startswith("LMC_"):
-            out[method] = lmc_test(y, dgp.r, N=N, method=method[4:], master_seed=rep_seed).p_value
-        elif method.startswith("MMC_"):
-            out[method] = mmc_test(
-                y, dgp.r, N=N, method=method[4:], master_seed=rep_seed,
-                points_per_dim=mmc_points,
-            ).p_value
+    linear = [m for m in methods if m in LINEARITY_METHODS]
+    if linear:
+        reports = linearity_tests(
+            y, dgp.r, linear, N=N, master_seed=rep_seed, points_per_dim=mmc_points
+        )
+        out.update((report.method, report.p_value) for report in reports)
     if "supTS" in methods or "expTS" in methods:
         report = chp_bootstrap_test(y, B=B, draws=chp_draws, master_seed=rep_seed)
         out["supTS"] = report.bootstrap_p_sup
@@ -290,32 +292,24 @@ def run_empirical(
 ) -> list[EmpiricalRow]:
     """Linearity-test report for a single series: one row per method with the
     p-value, the coefficients at the report point, and the smallest root
-    modulus of the AR polynomial."""
+    modulus of the AR polynomial.  All methods come from one linearity pass
+    (one OLS fit, one grid, one null ensemble)."""
     y = series.values if isinstance(series, SeriesDataset) else np.asarray(series, float)
-    rows: list[EmpiricalRow] = []
-    for method in methods:
-        kind, _, combine = method.partition("_")
-        if kind == "LMC":
-            rep = lmc_test(y, r, N=N, method=combine, master_seed=master_seed)
-        elif kind == "MMC":
-            rep = mmc_test(
-                y, r, N=N, method=combine, master_seed=master_seed,
-                points_per_dim=grid_points,
-            )
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        rows.append(
-            EmpiricalRow(
-                method=method,
-                p_value=rep.p_value,
-                phi=rep.phi_at_report,
-                min_root_modulus=rep.min_root_modulus,
-                N=N,
-                seed=master_seed,
-                grid_points=rep.grid_points_evaluated,
-            )
+    reports = linearity_tests(
+        y, r, methods, N=N, master_seed=master_seed, points_per_dim=grid_points
+    )
+    return [
+        EmpiricalRow(
+            method=rep.method,
+            p_value=rep.p_value,
+            phi=rep.phi_at_report,
+            min_root_modulus=rep.min_root_modulus,
+            N=N,
+            seed=master_seed,
+            grid_points=rep.grid_points_evaluated,
         )
-    return rows
+        for rep in reports
+    ]
 
 
 def regenerate_coeff_table(

@@ -13,6 +13,14 @@ Two procedures deal with the unknown AR coefficients:
 * the maximized (MMC) test maximizes it over a stationarity-filtered grid
   spanning two standard errors around the estimate, holding the simulated
   replicate vectors fixed across the whole grid.
+
+Both are computed in one pass (:func:`linearity_tests`): the OLS point and
+the grid points are the rows of one coefficient matrix, filtered together,
+reduced by one ``quartet_matrix`` call and ranked against one null ensemble
+with one set of tie-breakers.  The LMC p-value is the p-value of the OLS row,
+so MMC >= LMC holds exactly whenever the OLS point survives the
+stationarity filter.  ``lmc_test``, ``mmc_test`` and ``mc_mixture_test`` are
+thin wrappers over the same rank core.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from .mctest import (
     simulate_null_quartets,
     tie_breaker_uniforms,
 )
-from .moments import compute_quartet, demean, quartet_matrix
+from .moments import quartet_matrix, raise_if_degenerate
 from .msar import min_root_modulus
 
 __all__ = [
@@ -42,6 +50,7 @@ __all__ = [
     "ar_filter",
     "min_root_modulus",
     "mc_mixture_test",
+    "linearity_tests",
     "lmc_test",
     "build_grid",
     "mmc_test",
@@ -121,22 +130,53 @@ def ols_ar_fit(y: np.ndarray, r: int) -> ARFit:
 
 def ar_filter(y: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Filtered observations ``z_t = y_t - sum_k phi_k y_{t-k}`` for
-    t = r+1 ... T (length T - r)."""
+    t = r+1 ... T (length T - r).
+
+    An ``(n, r)`` coefficient matrix filters once per row and returns an
+    ``(n, T - r)`` array; every row equals the filter at that row's
+    coefficients bit for bit.
+    """
     y = np.asarray(y, dtype=float)
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    r = len(phi)
+    phi = np.asarray(phi, dtype=float)
+    P = np.atleast_2d(phi)
+    r = P.shape[1]
     if len(y) <= r:
         raise ValueError("series too short for the requested filter")
-    z = y[r:].copy()
+    Z = np.repeat(y[None, r:], len(P), axis=0)
     for k in range(1, r + 1):
-        z -= phi[k - 1] * y[r - k : len(y) - k]
-    return z
+        Z -= P[:, k - 1 : k] * y[r - k : len(y) - k]
+    return Z if phi.ndim == 2 else Z[0]
 
 
-def _combined_data_stat(z: np.ndarray, table: LogisticCoeffTable, method: str) -> float:
-    q = compute_quartet(demean(z))
-    G = approx_pvalue_matrix(np.asarray(q)[None, :], table, len(z))
-    return float(combine_matrix(G, method)[0])
+def _ranked_rows(
+    Z: np.ndarray, N: int, rules, table: LogisticCoeffTable | None, master_seed: int
+) -> tuple[dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]], int]:
+    """Exact MC p-values of every row of ``Z`` under each combination rule.
+
+    All rows and rules share one null ensemble of ``N - 1`` replicates and
+    one set of tie-breakers, both drawn from ``master_seed``.  Returns
+    ``{rule: (row statistics, replicate statistics, row p-values)}`` and the
+    degenerate-resample count.  A degenerate data row raises
+    :class:`DegenerateSampleError`.
+    """
+    if N < 2:
+        raise ValueError("N must be at least 2")
+    if table is None:
+        table = LogisticCoeffTable.default()
+    Tz = Z.shape[1]
+    if Tz < 4:
+        raise ValueError("need at least 4 observations for the statistic quartet")
+    Qz = quartet_matrix(Z)
+    raise_if_degenerate(Qz)
+    Q, resampled = simulate_null_quartets(Tz, N, master_seed)
+    u = tie_breaker_uniforms(N, master_seed)
+    Gz = approx_pvalue_matrix(Qz, table, Tz)
+    Gs = approx_pvalue_matrix(Q, table, Tz)
+    out = {}
+    for rule in rules:
+        f0, fs = combine_matrix(Gz, rule), combine_matrix(Gs, rule)
+        out[rule] = (f0, fs, rank_pvalues(f0, fs, u[0], u[1:]))
+    return out, resampled
 
 
 def mc_mixture_test(
@@ -156,26 +196,77 @@ def mc_mixture_test(
     replicates are resampled (and counted in the report).
     """
     z = np.asarray(z, dtype=float)
-    if N < 2:
-        raise ValueError("N must be at least 2")
-    if table is None:
-        table = LogisticCoeffTable.default()
-    T = len(z)
-    f0 = _combined_data_stat(z, table, method)
-    Q, resampled = simulate_null_quartets(T, N, master_seed)
-    fs = combine_matrix(approx_pvalue_matrix(Q, table, T), method)
-    u = tie_breaker_uniforms(N, master_seed)
-    below = (fs < f0) | ((fs == f0) & (u[1:] < u[0]))
-    rank = 1 + int(below.sum())
+    ranked, resampled = _ranked_rows(z[None, :], N, (method,), table, master_seed)
+    f0, fs, p = ranked[method]
     return MCTestReport(
-        statistic_value=f0,
-        rank=rank,
-        p_value=(N + 1 - rank) / N,
+        statistic_value=float(f0[0]),
+        rank=N + 1 - int(round(N * p[0])),
+        p_value=float(p[0]),
         N=N,
         seed=master_seed,
-        tie_breaker_used=bool(np.any(fs == f0)),
+        tie_breaker_used=bool(np.any(fs == f0[0])),
         degenerate_resamples=resampled,
     )
+
+
+def linearity_tests(
+    y: np.ndarray,
+    r: int,
+    methods=METHODS,
+    N: int = 100,
+    table: LogisticCoeffTable | None = None,
+    grid: NuisanceBox | None = None,
+    master_seed: int = 0,
+    points_per_dim: int | None = None,
+) -> list[LinearityReport]:
+    """LMC and MMC reports for a series, one per entry of ``methods``, in
+    that order, from a single pass.
+
+    The OLS point is row 0 and the nuisance grid (built once, and only when
+    an MMC method is requested) follows.  Every row is filtered, reduced to
+    its statistic quartet and ranked against one null ensemble, so the LMC
+    p-value is row 0's and the MMC p-value is the largest over the grid rows
+    (the first maximizer in row-major grid order).  The grid defaults to 41
+    points for one lag and 9 points per dimension otherwise.  Unknown
+    methods are rejected before any work.
+    """
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; use {', '.join(METHODS)}")
+    requested = [(method, *method.split("_")) for method in methods]
+    if grid is not None and grid.points.shape[1] != r:
+        raise ValueError("grid dimension does not match the lag order")
+    y = np.asarray(y, dtype=float)
+    fit = ols_ar_fit(y, r)
+    rows = fit.phi[None, :]
+    if any(kind == "MMC" for _, kind, _ in requested):
+        if grid is None:
+            if points_per_dim is None:
+                points_per_dim = 41 if r == 1 else 9
+            grid = build_grid(fit, points_per_dim)
+        if len(grid.points) == 0:
+            raise ValueError("nuisance grid is empty")
+        rows = np.vstack([rows, grid.points])
+    rules = dict.fromkeys(rule for _, _, rule in requested)
+    ranked, resampled = _ranked_rows(ar_filter(y, rows), N, rules, table, master_seed)
+
+    reports = []
+    for method, kind, rule in requested:
+        p = ranked[rule][2]
+        best = 0 if kind == "LMC" else 1 + int(np.argmax(p[1:]))
+        reports.append(
+            LinearityReport(
+                method=method,
+                p_value=float(p[best]),
+                phi_at_report=rows[best].copy(),
+                min_root_modulus=min_root_modulus(rows[best]),
+                N=N,
+                seed=master_seed,
+                grid_points_evaluated=1 if kind == "LMC" else len(rows) - 1,
+                degenerate_resamples=resampled,
+            )
+        )
+    return reports
 
 
 def lmc_test(
@@ -188,19 +279,9 @@ def lmc_test(
 ) -> LinearityReport:
     """Local MC linearity test at the OLS point estimate of the AR
     coefficients."""
-    fit = ols_ar_fit(y, r)
-    z = ar_filter(y, fit.phi)
-    report = mc_mixture_test(z, N=N, method=method, table=table, master_seed=master_seed)
-    return LinearityReport(
-        method=f"LMC_{method}",
-        p_value=report.p_value,
-        phi_at_report=fit.phi.copy(),
-        min_root_modulus=min_root_modulus(fit.phi),
-        N=N,
-        seed=master_seed,
-        grid_points_evaluated=1,
-        degenerate_resamples=report.degenerate_resamples,
-    )
+    return linearity_tests(
+        y, r, (f"LMC_{method}",), N=N, table=table, master_seed=master_seed
+    )[0]
 
 
 def build_grid(
@@ -255,47 +336,6 @@ def build_grid(
     )
 
 
-def mmc_grid_pvalues(
-    y: np.ndarray,
-    grid: NuisanceBox,
-    N: int = 100,
-    method: str = "min",
-    table: LogisticCoeffTable | None = None,
-    master_seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-grid-point MC p-values with one shared replicate set.
-
-    The ``N - 1`` simulated vectors (and all tie-breakers) are drawn once
-    from ``master_seed``; because replicates are demeaned standard-normal
-    vectors their statistics do not depend on the grid point, so only the
-    data-side statistic is recomputed along the grid.
-
-    Returns (points, p-values, degenerate-resample count).
-    """
-    if table is None:
-        table = LogisticCoeffTable.default()
-    y = np.asarray(y, dtype=float)
-    points = grid.points
-    r = points.shape[1]
-    Tz = len(y) - r
-
-    # data statistic at every grid point: z(phi) = y_t - sum_k phi_k y_{t-k}
-    lags = np.stack([y[r - k : len(y) - k] for k in range(1, r + 1)])
-    Z = y[r:][None, :] - points @ lags
-    Qz = quartet_matrix(Z)
-    if np.isnan(Qz).any():
-        bad = np.nonzero(np.isnan(Qz).any(axis=1))[0][0]
-        # surface the data-path degeneracy through the scalar code path
-        compute_quartet(demean(Z[bad]))
-    f0 = combine_matrix(approx_pvalue_matrix(Qz, table, Tz), method)
-
-    Q, resampled = simulate_null_quartets(Tz, N, master_seed)
-    fs = combine_matrix(approx_pvalue_matrix(Q, table, Tz), method)
-    u = tie_breaker_uniforms(N, master_seed)
-    pvals = rank_pvalues(f0, fs, u[0], u[1:])
-    return points, pvals, resampled
-
-
 def mmc_test(
     y: np.ndarray,
     r: int,
@@ -313,29 +353,7 @@ def mmc_test(
     reported alongside their minimum AR-polynomial root modulus.  Defaults:
     41 points for one lag, 9 points per dimension otherwise.
     """
-    y = np.asarray(y, dtype=float)
-    if grid is None:
-        fit = ols_ar_fit(y, r)
-        if points_per_dim is None:
-            points_per_dim = 41 if r == 1 else 9
-        grid = build_grid(fit, points_per_dim)
-    elif grid.points.shape[1] != r:
-        raise ValueError("grid dimension does not match the lag order")
-    if len(grid.points) == 0:
-        raise ValueError("nuisance grid is empty")
-
-    points, pvals, resampled = mmc_grid_pvalues(
-        y, grid, N=N, method=method, table=table, master_seed=master_seed
-    )
-    best = int(np.argmax(pvals))  # first maximizer in row-major order
-    phi_best = points[best]
-    return LinearityReport(
-        method=f"MMC_{method}",
-        p_value=float(pvals[best]),
-        phi_at_report=phi_best.copy(),
-        min_root_modulus=min_root_modulus(phi_best),
-        N=N,
-        seed=master_seed,
-        grid_points_evaluated=len(points),
-        degenerate_resamples=resampled,
-    )
+    return linearity_tests(
+        y, r, (f"MMC_{method}",), N=N, table=table, grid=grid,
+        master_seed=master_seed, points_per_dim=points_per_dim,
+    )[0]

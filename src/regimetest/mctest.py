@@ -17,7 +17,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
-from importlib.resources import files
+from importlib.resources import as_file, files
 from pathlib import Path
 from typing import Mapping
 
@@ -129,41 +129,27 @@ class LogisticCoeffTable:
     def default(cls) -> "LogisticCoeffTable":
         """The packaged coefficient table (cached)."""
         if cls._default is None:
-            resource = files("regimetest").joinpath("data/logistic_coeffs.csv")
-            entries: dict[tuple[str, int], LogisticCoeffs] = {}
-            with resource.open(newline="") as fh:
-                for row in csv.DictReader(fh):
-                    stat = row["statistic"].strip()
-                    T = int(row["T"])
-                    entries[(stat, T)] = LogisticCoeffs(
-                        float(row["gamma0"]), float(row["gamma1"]), stat, T
-                    )
-            cls._default = cls(entries)
+            with as_file(files("regimetest").joinpath("data/logistic_coeffs.csv")) as path:
+                cls._default = cls.from_csv(path)
         return cls._default
 
 
 def logistic_cdf(x, c: LogisticCoeffs):
     """Evaluate the logistic approximation, safely for large |g0 + g1 x|."""
-    z = c.gamma0 + c.gamma1 * np.asarray(x, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+    out = _logistic(c.gamma0 + c.gamma1 * np.asarray(x, dtype=float))
     return out if out.ndim else float(out)
 
 
-def _survival(z):
-    """1 - logistic(z) without cancellation for large positive z."""
+def _logistic(z):
+    """exp(z) / (1 + exp(z)), without overflow for large |z|; at ``-z`` it is
+    the survival function 1 - logistic(z), without cancellation."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(z >= 0.0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
+        return np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
 
 
 def approx_pvalues(quartet, table: LogisticCoeffTable, T: int) -> np.ndarray:
     """Approximate marginal p-values (G_M, G_V, G_S, G_K) = 1 - F(statistic)."""
-    q = np.asarray(quartet, dtype=float)
-    out = np.empty(4)
-    for j, stat in enumerate(STATISTICS):
-        c = table.coeffs_for(stat, T)
-        out[j] = _survival(c.gamma0 + c.gamma1 * q[j])
-    return out
+    return approx_pvalue_matrix(np.asarray(quartet, dtype=float)[None, :], table, T)[0]
 
 
 def approx_pvalue_matrix(Q: np.ndarray, table: LogisticCoeffTable, T: int) -> np.ndarray:
@@ -172,27 +158,25 @@ def approx_pvalue_matrix(Q: np.ndarray, table: LogisticCoeffTable, T: int) -> np
     G = np.empty_like(Q)
     for j, stat in enumerate(STATISTICS):
         c = table.coeffs_for(stat, T)
-        G[:, j] = _survival(c.gamma0 + c.gamma1 * Q[:, j])
+        G[:, j] = _logistic(-(c.gamma0 + c.gamma1 * Q[:, j]))
     return G
 
 
 def combine_min(pvals) -> float:
     """Combined statistic 1 - min(p): large when any p-value is small."""
-    p = np.asarray(pvals, dtype=float)
-    _check_unit_interval(p)
-    return float(1.0 - p.min())
+    return _combine(pvals, "min")
 
 
 def combine_prod(pvals) -> float:
     """Combined statistic 1 - prod(p): large when p-values are jointly small."""
+    return _combine(pvals, "prod")
+
+
+def _combine(pvals, method: str) -> float:
     p = np.asarray(pvals, dtype=float)
-    _check_unit_interval(p)
-    return float(1.0 - p.prod())
-
-
-def _check_unit_interval(p: np.ndarray) -> None:
     if np.any((p < 0.0) | (p > 1.0)):
         raise ValueError("p-values must lie in [0, 1]")
+    return float(combine_matrix(p[None, :], method)[0])
 
 
 def combine_matrix(G: np.ndarray, method: str) -> np.ndarray:
@@ -244,13 +228,10 @@ def mc_pvalue(ens: MCEnsemble, rng: np.random.Generator, seed: int | None = None
     """
     N = ens.N
     u = rng.uniform(size=N)
-    u0, us = u[0], u[1:]
-    below = (ens.xi_sim < ens.xi0) | ((ens.xi_sim == ens.xi0) & (us < u0))
-    rank = 1 + int(below.sum())
-    p = (N + 1 - rank) / N
+    p = float(rank_pvalues(ens.xi0, ens.xi_sim, u[0], u[1:])[0])
     return MCTestReport(
         statistic_value=float(ens.xi0),
-        rank=rank,
+        rank=N + 1 - int(round(N * p)),
         p_value=p,
         N=N,
         seed=seed,
@@ -261,9 +242,9 @@ def mc_pvalue(ens: MCEnsemble, rng: np.random.Generator, seed: int | None = None
 def rank_pvalues(xi0: np.ndarray, xi_sim: np.ndarray, u0: float, us: np.ndarray) -> np.ndarray:
     """MC p-values for many data statistics against one replicate set.
 
-    Vectorized version of :func:`mc_pvalue` used by the maximized procedure:
-    the replicate values ``xi_sim`` and all tie-breakers stay fixed while the
-    data statistic varies.
+    The one implementation of the rank rule (:func:`mc_pvalue` and the
+    linearity tests call it): the replicate values ``xi_sim`` and all
+    tie-breakers stay fixed while the data statistic varies.
     """
     xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))
     N = len(xi_sim) + 1
@@ -325,10 +306,7 @@ def fit_logistic_cdf(
     start, *_ = np.linalg.lstsq(A, np.log(grid / (1.0 - grid)), rcond=None)
 
     def residuals(g):
-        z = g[0] + g[1] * xq
-        with np.errstate(over="ignore"):
-            F = np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
-        return F - grid
+        return _logistic(g[0] + g[1] * xq) - grid
 
     sol = least_squares(residuals, x0=start, method="lm")
     if not sol.success:

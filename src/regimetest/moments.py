@@ -8,6 +8,11 @@ which is what makes their null distribution simulable without unknowns.
 Partition boundaries use strict inequalities: residuals exactly equal to zero
 (for M) or with squared value exactly equal to the sample variance (for V)
 belong to neither partition.  Sample variances use the 1/T divisor.
+
+One kernel computes the four statistics over a batch of demeaned rows;
+``quartet_matrix`` demeans and calls it, and the scalar helpers
+(``compute_quartet``, ``stat_m`` ... ``stat_k``) call it on a single row
+and turn an undefined statistic into :class:`DegenerateSampleError`.
 """
 
 from __future__ import annotations
@@ -55,58 +60,23 @@ def stat_m(e: np.ndarray) -> float:
     ``M = |m2 - m1| / sqrt(s2^2 + s1^2)`` where (m2, s2^2) are the mean and
     variance of the residuals above zero and (m1, s1^2) of those below.
     """
-    e = np.asarray(e, dtype=float)
-    pos = e > 0
-    neg = e < 0
-    n2, n1 = int(pos.sum()), int(neg.sum())
-    if n2 == 0:
-        raise DegenerateSampleError("M", "no residuals above the mean")
-    if n1 == 0:
-        raise DegenerateSampleError("M", "no residuals below the mean")
-    m2 = e[pos].mean()
-    m1 = e[neg].mean()
-    s22 = ((e[pos] - m2) ** 2).mean()
-    s12 = ((e[neg] - m1) ** 2).mean()
-    if s22 + s12 <= _dispersion_floor(np.abs(e).max()):
-        raise DegenerateSampleError("M", "both partitions have zero dispersion")
-    return abs(m2 - m1) / np.sqrt(s22 + s12)
+    return _statistic(e, 0)
 
 
 def stat_v(e: np.ndarray) -> float:
     """Ratio of the average squared residual above the sample variance to the
     average below it; exceeds one on any non-degenerate sample."""
-    e = np.asarray(e, dtype=float)
-    e2 = e**2
-    sig2 = e2.mean()
-    big = e2 > sig2
-    small = e2 < sig2
-    if not big.any():
-        raise DegenerateSampleError("V", "no squared residuals above the sample variance")
-    if not small.any():
-        raise DegenerateSampleError("V", "no squared residuals below the sample variance")
-    v2 = e2[big].mean()
-    v1 = e2[small].mean()
-    if v1 <= _dispersion_floor(np.abs(e).max()):
-        raise DegenerateSampleError("V", "lower partition has zero average square")
-    return v2 / v1
+    return _statistic(e, 1)
 
 
 def stat_s(e: np.ndarray) -> float:
     """Absolute skewness coefficient |sum e^3 / (T sigma^3)|."""
-    e = np.asarray(e, dtype=float)
-    sig2 = (e**2).mean()
-    if sig2 <= 0.0:
-        raise DegenerateSampleError("S", "zero sample variance")
-    return abs((e**3).mean() / sig2**1.5)
+    return _statistic(e, 2)
 
 
 def stat_k(e: np.ndarray) -> float:
     """Absolute excess-kurtosis coefficient |sum e^4 / (T sigma^4) - 3|."""
-    e = np.asarray(e, dtype=float)
-    sig2 = (e**2).mean()
-    if sig2 <= 0.0:
-        raise DegenerateSampleError("K", "zero sample variance")
-    return abs((e**4).mean() / sig2**2 - 3.0)
+    return _statistic(e, 3)
 
 
 def compute_quartet(e: np.ndarray) -> StatQuartet:
@@ -114,7 +84,30 @@ def compute_quartet(e: np.ndarray) -> StatQuartet:
     e = np.asarray(e, dtype=float)
     if len(e) < 4:
         raise ValueError("need at least 4 observations for the statistic quartet")
-    return StatQuartet(stat_m(e), stat_v(e), stat_s(e), stat_k(e))
+    q = _quartets(e[None, :])
+    raise_if_degenerate(q)
+    return StatQuartet(*map(float, q[0]))
+
+
+def raise_if_degenerate(Q: np.ndarray) -> None:
+    """Raise :class:`DegenerateSampleError` if a row of a quartet matrix holds
+    an undefined (NaN) statistic, naming the first one in the first such row."""
+    bad = np.argwhere(np.isnan(Q))
+    if len(bad):
+        raise _degenerate(bad[0][-1])
+
+
+def _statistic(e: np.ndarray, column: int) -> float:
+    value = float(_quartets(np.asarray(e, dtype=float)[None, :])[0, column])
+    if np.isnan(value):
+        raise _degenerate(column)
+    return value
+
+
+def _degenerate(column: int) -> DegenerateSampleError:
+    return DegenerateSampleError(
+        "MVSK"[column], "undefined on this sample (empty partition or zero dispersion)"
+    )
 
 
 def quartet_matrix(X: np.ndarray) -> np.ndarray:
@@ -125,8 +118,13 @@ def quartet_matrix(X: np.ndarray) -> np.ndarray:
     can detect and resample them.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    T = X.shape[1]
-    E = X - X.mean(axis=1, keepdims=True)
+    return _quartets(X - X.mean(axis=1, keepdims=True))
+
+
+def _quartets(E: np.ndarray) -> np.ndarray:
+    """The statistic kernel: row-wise (M, V, S, K) of already-demeaned rows,
+    NaN where a statistic is undefined."""
+    T = E.shape[1]
     pos = E > 0
     neg = E < 0
     n2 = pos.sum(axis=1)

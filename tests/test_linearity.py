@@ -1,21 +1,26 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import linearity_oracle
+from regimetest.harness import default_study_grid
 from regimetest.linearity import (
+    METHODS,
     ar_filter,
     build_grid,
+    linearity_tests,
     lmc_test,
     mc_mixture_test,
     min_root_modulus,
-    mmc_grid_pvalues,
     mmc_test,
     ols_ar_fit,
 )
 from regimetest.moments import DegenerateSampleError
 from regimetest.msar import MSARSpec, RegimeParams, TransitionMatrix, simulate_msar
-from regimetest._seeding import substream
+from regimetest._seeding import DOMAIN_DGP, substream
 
 
 def _ar1_path(phi: float, T: int, seed: int) -> np.ndarray:
@@ -57,6 +62,14 @@ class TestArFilter:
 
     def test_hand_value(self):
         np.testing.assert_allclose(ar_filter([1.0, 2.0, 3.0, 4.0], [0.5]), [1.5, 2.0, 2.5])
+
+    def test_coefficient_matrix_rows_match_single_filter_bitwise(self):
+        y = _ar1_path(0.4, 120, seed=2)
+        P = substream(3, 4).uniform(-0.5, 0.5, size=(7, 3))
+        Z = ar_filter(y, P)
+        assert Z.shape == (7, 117)
+        for row, phi in zip(Z, P):
+            np.testing.assert_array_equal(row, ar_filter(y, phi))
 
     def test_filtered_series_is_white_at_true_coefficient(self):
         y = _ar1_path(0.6, 20_000, seed=3)
@@ -195,20 +208,26 @@ class TestMmcTest:
     def test_replicate_set_is_fixed_across_grid(self, hamilton_growth):
         fit = ols_ar_fit(hamilton_growth, 4)
         box = build_grid(fit, points_per_dim=3)
-        _, pa, _ = mmc_grid_pvalues(hamilton_growth, box, master_seed=9)
-        _, pb, _ = mmc_grid_pvalues(hamilton_growth, box, master_seed=9)
-        np.testing.assert_array_equal(pa, pb)
-        # the p-value at the grid center equals the local test's p-value
-        center_idx = int(np.flatnonzero((box.points == fit.phi).all(axis=1))[0])
-        assert pa[center_idx] == lmc_test(hamilton_growth, 4, master_seed=9).p_value
+        a = linearity_tests(hamilton_growth, 4, grid=box, master_seed=9)
+        b = linearity_tests(hamilton_growth, 4, grid=box, master_seed=9)
+        assert [rep.p_value for rep in a] == [rep.p_value for rep in b]
+        # a grid holding only the center gives the local test's p-value
+        center = build_grid(fit, points_per_dim=1)
+        np.testing.assert_array_equal(center.points, fit.phi[None, :])
+        assert (mmc_test(hamilton_growth, 4, grid=center, master_seed=9).p_value
+                == lmc_test(hamilton_growth, 4, master_seed=9).p_value)
 
     def test_argmax_is_first_in_row_major_order(self):
         y = _ar1_path(0.2, 120, seed=8)
         # N=2 coarsens p-values to {1/2, 1} so the grid has many tied maxima
         rep = mmc_test(y, 1, N=2, method="min", master_seed=4, points_per_dim=21)
-        fit = ols_ar_fit(y, 1)
-        box = build_grid(fit, points_per_dim=21)
-        _, pvals, _ = mmc_grid_pvalues(y, box, N=2, method="min", master_seed=4)
+        box = build_grid(ols_ar_fit(y, 1), points_per_dim=21)
+        pvals = np.array([
+            mmc_test(y, 1, N=2, method="min", master_seed=4,
+                     grid=replace(box, points=box.points[i : i + 1])).p_value
+            for i in range(len(box.points))
+        ])
+        assert 1 < np.count_nonzero(pvals == pvals.max()) < len(pvals)
         first = int(np.flatnonzero(pvals == pvals.max())[0])
         np.testing.assert_array_equal(rep.phi_at_report, box.points[first])
 
@@ -224,3 +243,79 @@ class TestMmcTest:
         box = build_grid(fit, points_per_dim=3)
         with pytest.raises(ValueError, match="dimension"):
             mmc_test(hamilton_growth, 2, grid=box)
+
+
+class TestSinglePass:
+    """The one-pass LMC/MMC reports equal the per-method reference path
+    (``linearity_oracle``: one null ensemble per method, scalar statistics,
+    matrix-product grid filter)."""
+
+    @staticmethod
+    def _check(y, r, methods, seed, points_per_dim=11):
+        reports = linearity_tests(y, r, methods, master_seed=seed, points_per_dim=points_per_dim)
+        assert [rep.method for rep in reports] == list(methods)
+        for rep in reports:
+            p, phi, root, points = linearity_oracle.report(
+                y, r, rep.method, 100, seed, points_per_dim
+            )
+            assert rep.p_value == p, rep.method
+            np.testing.assert_array_equal(rep.phi_at_report, phi)
+            assert rep.min_root_modulus == root
+            assert rep.grid_points_evaluated == points
+        return reports
+
+    @pytest.mark.parametrize("rep", range(3))
+    def test_matches_per_method_oracle_on_desk_cells(self, rep):
+        for cell, cfg in enumerate(default_study_grid("desk", methods=METHODS)):
+            y = simulate_msar(cfg.dgp, cfg.T, substream(rep, DOMAIN_DGP, cell))
+            self._check(y, cfg.dgp.r, METHODS, seed=1000 * cell + rep)
+
+    def test_lag_order_zero_lmc_only(self):
+        y = _ar1_path(0.1, 100, seed=31)
+        reports = self._check(y, 0, ("LMC_prod", "LMC_min"), seed=5)
+        assert reports[0].phi_at_report.shape == (0,)
+
+    def test_nonstationary_ols_center(self):
+        # explosive path whose OLS estimate lies outside the stationary region:
+        # LMC is still reported there, MMC uses the kept grid points only
+        e = substream(16, 77).standard_normal(100)
+        y = np.zeros(100)
+        for t in range(1, 100):
+            y[t] = 1.02 * y[t - 1] + e[t]
+        assert ols_ar_fit(y, 1).phi[0] > 1.0
+        lmc, mmc = self._check(y, 1, ("LMC_min", "MMC_min"), seed=6)
+        assert lmc.min_root_modulus < 1.0 < mmc.min_root_modulus
+        assert 0 < mmc.grid_points_evaluated < 11
+
+    @pytest.mark.parametrize(
+        "methods", [("MMC_prod", "LMC_min"), ("MMC_min",), ("LMC_prod", "MMC_min", "LMC_min")]
+    )
+    def test_method_subsets_in_any_order(self, methods):
+        self._check(_ar1_path(0.9, 200, seed=32), 1, methods, seed=7)
+
+    def test_degenerate_data_raises(self):
+        y = np.array([-1.0, -1.0, 1.0, 1.0] * 10)
+        for method in ("LMC_min", "LMC_prod"):
+            with pytest.raises(DegenerateSampleError, match="M"):
+                linearity_oracle.report(y, 0, method, 100, 3, 11)
+        with pytest.raises(DegenerateSampleError, match="M"):
+            linearity_tests(y, 0, ("LMC_min", "LMC_prod"), master_seed=3)
+
+    def test_unknown_method_rejected_before_any_work(self):
+        with pytest.raises(ValueError, match="unknown method 'MMC_max'"):
+            linearity_tests(np.ones(3), 4, ("LMC_min", "MMC_max"))
+
+    def test_one_null_ensemble_and_one_grid_per_series(self, monkeypatch):
+        import regimetest.linearity as lin
+
+        calls = {"simulate_null_quartets": 0, "build_grid": 0}
+        for name in calls:
+            real = getattr(lin, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(lin, name, counted)
+        linearity_tests(_ar1_path(0.3, 100, seed=33), 1, METHODS, master_seed=8)
+        assert calls == {"simulate_null_quartets": 1, "build_grid": 1}

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import ks_2samp
 
+import moments_oracle
 from regimetest.moments import (
     DegenerateSampleError,
     compute_quartet,
@@ -186,8 +187,30 @@ class TestQuartetMatrix:
         Q = quartet_matrix(X)
         for i in range(40):
             np.testing.assert_allclose(
-                Q[i], np.array(compute_quartet(demean(X[i]))), rtol=1e-12
+                Q[i], moments_oracle.compute_quartet(demean(X[i])), rtol=1e-12
             )
+
+    def test_scalar_wrappers_match_oracle(self):
+        # finite values to the kernel tolerance; undefined ones raise naming
+        # the same statistic as the scalar formulas
+        rng = np.random.default_rng(13)
+        samples = [demean(rng.standard_normal(T)) for T in (4, 7, 30, 200)] + [
+            np.array([-1.0, -1.0, 1.0, 1.0]),
+            np.array([1.0, 2.0, 3.0, 4.0]),
+            np.array([-1.0, 1.0, -1.0, 1.0]),
+            np.zeros(6),
+        ]
+        wrappers = (stat_m, stat_v, stat_s, stat_k)
+        for e in samples:
+            for wrapper, oracle in zip(wrappers, moments_oracle.STATS):
+                try:
+                    expected = oracle(e)
+                except DegenerateSampleError as err:
+                    with pytest.raises(DegenerateSampleError) as got:
+                        wrapper(e)
+                    assert got.value.statistic == err.statistic
+                else:
+                    assert wrapper(e) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_degenerate_rows_become_nan(self):
         X = np.vstack([np.ones(10), np.random.default_rng(0).standard_normal(10)])
