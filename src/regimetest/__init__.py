@@ -15,6 +15,7 @@ from .msar import (
     filtered_mixture_components,
     four_state_transition,
     min_root_modulus,
+    root_moduli,
 )
 from .moments import (
     DegenerateSampleError,

@@ -125,7 +125,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
     header = f"{'method':<10} {'p-value':>8} " + " ".join(f"{f'phi_{k+1}':>7}" for k in range(r)) + "    |z|"
     print(header)
     for row in rows:
-        phis = " ".join(f"{p:7.2f}" for p in row.phi)
+        phis = " ".join(f"{p:7.2f}" for p in row.phi_at_report)
         print(f"{row.method:<10} {row.p_value:8.2f} {phis} {row.min_root_modulus:6.2f}")
     if args.out:
         write_empirical_csv(rows, args.out, header_meta=_meta(digest, args.seed))

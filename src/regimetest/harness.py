@@ -25,7 +25,7 @@ import numpy as np
 
 from ._seeding import DOMAIN_CELL, DOMAIN_DGP, DOMAIN_TABLE, derive_seed, substream
 from .chp import chp_bootstrap_test
-from .linearity import METHODS as LINEARITY_METHODS, linearity_tests
+from .linearity import METHODS as LINEARITY_METHODS, LinearityReport, linearity_tests
 from .mctest import STATISTICS, LogisticCoeffTable, fit_logistic_cdf
 from .moments import quartet_matrix
 from .msar import MSARSpec, RegimeParams, TransitionMatrix, simulate_msar
@@ -33,6 +33,9 @@ from .msar import MSARSpec, RegimeParams, TransitionMatrix, simulate_msar
 logger = logging.getLogger(__name__)
 
 STUDY_METHODS = ("LMC_min", "LMC_prod", "MMC_min", "MMC_prod", "supTS", "expTS")
+
+#: Null draws reduced per ``quartet_matrix`` call when refitting the table.
+_TABLE_BATCH = 50_000
 
 #: The desk profile trades replication counts for runtime; the full profile
 #: uses the reference experiment sizes.
@@ -63,7 +66,6 @@ class ExperimentConfig:
     methods: tuple[str, ...] = STUDY_METHODS
     master_seed: int = 0
     label: str = ""
-    output_path: str | None = None
     B: int = 200
     chp_draws: int = 200
     mmc_points: int = 41
@@ -269,19 +271,6 @@ def default_study_grid(
     return configs
 
 
-@dataclass
-class EmpiricalRow:
-    """One line of the empirical report."""
-
-    method: str
-    p_value: float
-    phi: np.ndarray
-    min_root_modulus: float
-    N: int
-    seed: int
-    grid_points: int
-
-
 def run_empirical(
     series: SeriesDataset | np.ndarray,
     r: int = 4,
@@ -289,34 +278,21 @@ def run_empirical(
     methods: Sequence[str] = ("LMC_min", "LMC_prod", "MMC_min", "MMC_prod"),
     master_seed: int = 0,
     grid_points: int | None = None,
-) -> list[EmpiricalRow]:
-    """Linearity-test report for a single series: one row per method with the
-    p-value, the coefficients at the report point, and the smallest root
+) -> list[LinearityReport]:
+    """Linearity-test report for a single series: one report per method with
+    the p-value, the coefficients at the report point, and the smallest root
     modulus of the AR polynomial.  All methods come from one linearity pass
     (one OLS fit, one grid, one null ensemble)."""
     y = series.values if isinstance(series, SeriesDataset) else np.asarray(series, float)
-    reports = linearity_tests(
+    return linearity_tests(
         y, r, methods, N=N, master_seed=master_seed, points_per_dim=grid_points
     )
-    return [
-        EmpiricalRow(
-            method=rep.method,
-            p_value=rep.p_value,
-            phi=rep.phi_at_report,
-            min_root_modulus=rep.min_root_modulus,
-            N=N,
-            seed=master_seed,
-            grid_points=rep.grid_points_evaluated,
-        )
-        for rep in reports
-    ]
 
 
 def regenerate_coeff_table(
     T_list: Sequence[int],
     draws: int = 1_000_000,
     master_seed: int = 0,
-    batch: int = 50_000,
 ) -> LogisticCoeffTable:
     """Refit the logistic coefficient table from simulated null statistics.
 
@@ -332,7 +308,7 @@ def regenerate_coeff_table(
         Q = np.empty((draws, 4))
         done = 0
         while done < draws:
-            m = min(batch, draws - done)
+            m = min(_TABLE_BATCH, draws - done)
             Q[done : done + m] = quartet_matrix(rng.standard_normal((m, T)))
             done += m
         if np.isnan(Q).any():  # degenerate draws are impossible in practice
@@ -385,9 +361,11 @@ def read_study_csv(path: str | Path) -> list[StudyRow]:
     return rows
 
 
-def write_empirical_csv(rows: Sequence[EmpiricalRow], path: str | Path, header_meta: str = "") -> None:
+def write_empirical_csv(
+    rows: Sequence[LinearityReport], path: str | Path, header_meta: str = ""
+) -> None:
     """Write an empirical report: method, p-value, phi_1..phi_r, |z|."""
-    r = max((len(row.phi) for row in rows), default=0)
+    r = max((len(row.phi_at_report) for row in rows), default=0)
     with open(path, "w", newline="") as fh:
         if header_meta:
             fh.write(f"# {header_meta}\n")
@@ -399,6 +377,6 @@ def write_empirical_csv(rows: Sequence[EmpiricalRow], path: str | Path, header_m
         for row in rows:
             writer.writerow(
                 [row.method, repr(row.p_value)]
-                + [repr(float(p)) for p in row.phi]
-                + [repr(row.min_root_modulus), row.N, row.seed, row.grid_points]
+                + [repr(float(p)) for p in row.phi_at_report]
+                + [repr(row.min_root_modulus), row.N, row.seed, row.grid_points_evaluated]
             )

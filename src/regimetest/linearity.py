@@ -12,7 +12,8 @@ Two procedures deal with the unknown AR coefficients:
 * the local (LMC) test evaluates the p-value at the OLS point estimate;
 * the maximized (MMC) test maximizes it over a stationarity-filtered grid
   spanning two standard errors around the estimate, holding the simulated
-  replicate vectors fixed across the whole grid.
+  replicate vectors fixed across the whole grid.  The grid keeps the points
+  whose AR roots all lie outside the unit circle (one ``root_moduli`` call).
 
 Both are computed in one pass (:func:`linearity_tests`): the OLS point and
 the grid points are the rows of one coefficient matrix, filtered together,
@@ -25,7 +26,6 @@ thin wrappers over the same rank core.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +40,7 @@ from .mctest import (
     tie_breaker_uniforms,
 )
 from .moments import quartet_matrix, raise_if_degenerate
-from .msar import min_root_modulus
+from .msar import min_root_modulus, root_moduli
 
 __all__ = [
     "ARFit",
@@ -72,13 +72,9 @@ class ARFit:
 
 @dataclass(frozen=True)
 class NuisanceBox:
-    """Hyper-rectangle of admissible AR coefficients with an explicit
-    stationarity-filtered point list."""
+    """The nuisance grid: stationary AR coefficient points, one per row, in
+    row-major grid order."""
 
-    center: np.ndarray
-    half_width: np.ndarray
-    points_per_dim: int
-    stationarity_filter: bool
     points: np.ndarray = field(repr=False)
 
 
@@ -284,14 +280,9 @@ def lmc_test(
     )[0]
 
 
-def build_grid(
-    fit: ARFit,
-    points_per_dim: int,
-    stationarity_filter: bool = True,
-    half_width: np.ndarray | None = None,
-) -> NuisanceBox:
-    """Uniform grid on the box ``phi_hat_k +/- half_width_k`` (default two
-    standard errors), optionally keeping only stationary points.
+def build_grid(fit: ARFit, points_per_dim: int) -> NuisanceBox:
+    """Uniform grid on the box ``phi_hat_k +/- 2 se_k``, keeping only the
+    stationary points (every AR root outside the unit circle).
 
     ``points_per_dim`` must be odd so that the grid contains the center
     exactly.
@@ -299,7 +290,9 @@ def build_grid(
     Raises
     ------
     ValueError
-        If every grid point is filtered out; a smaller box is then advisable.
+        If the fit's standard errors are not finite (no residual degrees of
+        freedom), or if every grid point is filtered out; a user grid over
+        a smaller box is then advisable.
     """
     if points_per_dim < 1 or points_per_dim % 2 == 0:
         raise ValueError("points_per_dim must be odd and at least 1")
@@ -307,9 +300,12 @@ def build_grid(
     r = len(center)
     if r == 0:
         raise ValueError("cannot build a nuisance grid for an AR(0) fit")
-    hw = 2.0 * fit.phi_se if half_width is None else np.asarray(half_width, dtype=float)
-    if hw.shape != center.shape:
-        raise ValueError("half_width must have one entry per AR coefficient")
+    if not np.all(np.isfinite(fit.phi_se)):
+        raise ValueError(
+            "AR coefficient standard errors are not finite (the fit has no "
+            "residual degrees of freedom); cannot size the nuisance grid"
+        )
+    hw = 2.0 * fit.phi_se
 
     if points_per_dim == 1:
         offsets = np.zeros(1)
@@ -317,23 +313,15 @@ def build_grid(
         offsets = np.linspace(-1.0, 1.0, points_per_dim)
         offsets[(points_per_dim - 1) // 2] = 0.0  # center must be exact
     axes = [center[k] + offsets * hw[k] for k in range(r)]
-    points = np.array(list(itertools.product(*axes)))  # row-major order
-
-    if stationarity_filter:
-        keep = np.array([min_root_modulus(p) > 1.0 for p in points])
-        points = points[keep]
-        if len(points) == 0:
-            raise ValueError(
-                "all grid points violate stationarity; shrink the box "
-                "(smaller half_width) or lower points_per_dim"
-            )
-    return NuisanceBox(
-        center=center,
-        half_width=hw,
-        points_per_dim=points_per_dim,
-        stationarity_filter=stationarity_filter,
-        points=points,
-    )
+    # row-major order: the first maximizer of the MMC p-value depends on it
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, r)
+    points = points[root_moduli(points) > 1.0]
+    if len(points) == 0:
+        raise ValueError(
+            "all grid points violate stationarity; pass a grid over a smaller "
+            "box (grid=NuisanceBox(points)) or change the lag order"
+        )
+    return NuisanceBox(points=points)
 
 
 def mmc_test(

@@ -32,6 +32,7 @@ logger = logging.getLogger(__name__)
 STATISTICS = ("M", "V", "S", "K")
 
 _QUANTILE_GRID = np.arange(1, 1000) / 1000.0  # 0.001 ... 0.999
+_MAX_RESAMPLE_ATTEMPTS = 100  # resampling rounds for degenerate null replicates
 
 
 @dataclass(frozen=True)
@@ -277,12 +278,7 @@ def bonferroni_decision(pvals, alphas) -> bool:
     return bool(np.any(p <= a))
 
 
-def fit_logistic_cdf(
-    samples: np.ndarray,
-    statistic: str = "?",
-    T: int = 0,
-    quantile_grid: np.ndarray | None = None,
-) -> LogisticCoeffs:
+def fit_logistic_cdf(samples: np.ndarray, statistic: str = "?", T: int = 0) -> LogisticCoeffs:
     """Fit (gamma0, gamma1) to the empirical distribution of statistic draws.
 
     Non-linear least squares on the empirical quantile function: minimizes
@@ -298,15 +294,14 @@ def fit_logistic_cdf(
     samples = np.asarray(samples, dtype=float)
     if len(samples) < 10_000:
         raise ValueError(f"need at least 10^4 samples to fit, got {len(samples)}")
-    grid = _QUANTILE_GRID if quantile_grid is None else np.asarray(quantile_grid)
-    xq = np.quantile(samples, grid)
+    xq = np.quantile(samples, _QUANTILE_GRID)
 
     # logit-linear start: log(q / (1 - q)) ~ g0 + g1 x_q
     A = np.column_stack([np.ones_like(xq), xq])
-    start, *_ = np.linalg.lstsq(A, np.log(grid / (1.0 - grid)), rcond=None)
+    start, *_ = np.linalg.lstsq(A, np.log(_QUANTILE_GRID / (1.0 - _QUANTILE_GRID)), rcond=None)
 
     def residuals(g):
-        return _logistic(g[0] + g[1] * xq) - grid
+        return _logistic(g[0] + g[1] * xq) - _QUANTILE_GRID
 
     sol = least_squares(residuals, x0=start, method="lm")
     if not sol.success:
@@ -320,12 +315,7 @@ def fit_logistic_cdf(
     return LogisticCoeffs(g0, g1, statistic=statistic, T=int(T))
 
 
-def simulate_null_quartets(
-    T: int,
-    N: int,
-    master_seed: int,
-    max_attempts: int = 100,
-) -> tuple[np.ndarray, int]:
+def simulate_null_quartets(T: int, N: int, master_seed: int) -> tuple[np.ndarray, int]:
     """Quartets of N - 1 demeaned standard-normal vectors of length ``T``.
 
     Replicate ``i`` is generated from the stream derived from
@@ -344,7 +334,7 @@ def simulate_null_quartets(
     attempt = 0
     while bad.any():
         attempt += 1
-        if attempt > max_attempts:
+        if attempt > _MAX_RESAMPLE_ATTEMPTS:
             raise RuntimeError("could not draw a non-degenerate replicate")
         idx = np.nonzero(bad)[0]
         resampled += len(idx)

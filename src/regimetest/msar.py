@@ -8,6 +8,10 @@ The observation equation is
 with ``e_t`` i.i.d. standard normal, independent of the two-state chain
 ``s_t``.  Marginally (for the no-lag model) each observation is a two-component
 normal mixture weighted by the chain's ergodic probabilities.
+
+Stationarity is one rule over coefficient matrices: :func:`root_moduli`
+gives the smallest AR-root modulus of every row, and ``min_root_modulus``
+is its one-row wrapper.
 """
 
 from __future__ import annotations
@@ -148,19 +152,14 @@ def simulate_chain(P: TransitionMatrix, T: int, rng: np.random.Generator) -> np.
     return states
 
 
-def simulate_msar(
-    spec: MSARSpec,
-    T: int,
-    rng: np.random.Generator,
-    burn_in: int | None = None,
-) -> np.ndarray:
+def simulate_msar(spec: MSARSpec, T: int, rng: np.random.Generator) -> np.ndarray:
     """Simulate an observation path of length ``T`` from the switching model.
 
     The state-mean deviations follow the linear AR recursion driven by
     regime-scaled Gaussian noise, so the path is built by filtering the noise
     and adding back the state means.  A burn-in of ``100 + 10 r`` observations
-    (by default) is discarded; initial lagged deviations are set to zero and
-    the initial state is drawn from the ergodic distribution.
+    is discarded; initial lagged deviations are set to zero and the initial
+    state is drawn from the ergodic distribution.
 
     Raises
     ------
@@ -175,8 +174,7 @@ def simulate_msar(
             "phi defines a non-stationary autoregression "
             "(root of the AR polynomial on or inside the unit circle)"
         )
-    if burn_in is None:
-        burn_in = 100 + 10 * r
+    burn_in = 100 + 10 * r
     n = T + burn_in
     states = simulate_chain(spec.transition, n, rng)
     eps = rng.standard_normal(n)
@@ -249,17 +247,32 @@ def four_state_transition(P: TransitionMatrix) -> np.ndarray:
     return np.array([row_a, row_b, row_a, row_b])
 
 
-def min_root_modulus(phi: np.ndarray) -> float:
-    """Smallest modulus of the roots of ``1 - phi_1 z - ... - phi_r z^r``.
+def root_moduli(P: np.ndarray) -> np.ndarray:
+    """Smallest root modulus of ``1 - phi_1 z - ... - phi_r z^r`` for every
+    row ``phi`` of an ``(n, r)`` coefficient matrix.
 
-    Returns ``inf`` for an empty or all-zero coefficient vector.  The
-    autoregression is stationary iff the returned value exceeds one.
+    A row is stationary iff its value exceeds one; an all-zero row (or a
+    zero-width matrix) gives ``inf``.  Trailing zero coefficients add no
+    roots, so rows are grouped by their order once those are dropped, and
+    each group's companion matrices (the ones ``np.roots`` builds for
+    ``[-phi_q, ..., -phi_1, 1]``) go through one stacked eigenvalue call.
+    Every value equals the ``np.roots`` result bit for bit.
     """
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    # drop trailing zero coefficients; they do not add roots
-    nz = np.nonzero(phi)[0]
-    if len(nz) == 0:
-        return float("inf")
-    phi = phi[: nz[-1] + 1]
-    roots = np.roots(np.r_[-phi[::-1], 1.0])
-    return float(np.min(np.abs(roots)))
+    P = np.asarray(P, dtype=float)
+    order = np.where(P != 0, np.arange(1, P.shape[1] + 1), 0).max(axis=1, initial=0)
+    out = np.full(len(P), np.inf)
+    for q in np.unique(order[order > 0]):
+        rows = np.nonzero(order == q)[0]
+        p = np.concatenate([-P[rows, q - 1 :: -1], np.ones((len(rows), 1))], axis=1)
+        A = np.zeros((len(rows), q, q))
+        A[:, 0, :] = -p[:, 1:] / p[:, :1]
+        A[:, np.arange(1, q), np.arange(q - 1)] = 1.0
+        out[rows] = np.abs(np.linalg.eigvals(A)).min(axis=1)
+    return out
+
+
+def min_root_modulus(phi: np.ndarray) -> float:
+    """Smallest modulus of the roots of ``1 - phi_1 z - ... - phi_r z^r``
+    (one row of :func:`root_moduli`; ``inf`` for an empty or all-zero
+    vector).  The autoregression is stationary iff it exceeds one."""
+    return float(root_moduli(np.reshape(phi, (1, -1)))[0])

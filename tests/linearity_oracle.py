@@ -3,16 +3,20 @@
 This is the path the single linearity pass in ``regimetest.linearity``
 replaced: every method draws its own null ensemble, LMC reduces the filtered
 series with the scalar statistic formulas of ``moments_oracle`` and ranks it
-inline, and MMC filters the grid with one matrix product.  Tests compare the
-pass against it.
+inline, and MMC filters the grid with one matrix product.  The grid is
+built as a list of ``itertools.product`` tuples and filtered point by point
+with the ``np.roots`` stationarity rule that ``regimetest.msar.root_moduli``
+replaced.  Tests compare the pass against it.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from moments_oracle import compute_quartet
-from regimetest.linearity import build_grid, ols_ar_fit
+from regimetest.linearity import ols_ar_fit
 from regimetest.mctest import (
     LogisticCoeffTable,
     approx_pvalue_matrix,
@@ -22,7 +26,32 @@ from regimetest.mctest import (
     tie_breaker_uniforms,
 )
 from regimetest.moments import demean, quartet_matrix
-from regimetest.msar import min_root_modulus
+
+
+def min_root_modulus(phi: np.ndarray) -> float:
+    """Smallest modulus of the roots of ``1 - phi_1 z - ... - phi_r z^r``
+    from ``np.roots``, after dropping trailing zero coefficients."""
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    nz = np.nonzero(phi)[0]
+    if len(nz) == 0:
+        return float("inf")
+    phi = phi[: nz[-1] + 1]
+    return float(np.min(np.abs(np.roots(np.r_[-phi[::-1], 1.0]))))
+
+
+def grid_candidates(fit, points_per_dim: int) -> np.ndarray:
+    """Every point of the +/- 2 se box, in row-major order, before filtering."""
+    offsets = np.zeros(1) if points_per_dim == 1 else np.linspace(-1.0, 1.0, points_per_dim)
+    offsets[(points_per_dim - 1) // 2] = 0.0
+    hw = 2.0 * fit.phi_se
+    axes = [fit.phi[k] + offsets * hw[k] for k in range(len(fit.phi))]
+    return np.array(list(itertools.product(*axes)))
+
+
+def grid_points(fit, points_per_dim: int) -> np.ndarray:
+    """The stationary grid points, kept one point at a time."""
+    points = grid_candidates(fit, points_per_dim)
+    return points[np.array([min_root_modulus(p) > 1.0 for p in points])]
 
 
 def _replicate_statistics(Tz: int, N: int, rule: str, seed: int):
@@ -46,7 +75,7 @@ def lmc(y: np.ndarray, r: int, N: int, rule: str, seed: int):
 
 def mmc(y: np.ndarray, r: int, N: int, rule: str, seed: int, points_per_dim: int):
     """(p-value, phi at report, min root modulus, grid points evaluated)."""
-    points = build_grid(ols_ar_fit(y, r), points_per_dim).points
+    points = grid_points(ols_ar_fit(y, r), points_per_dim)
     lags = np.stack([y[r - k : len(y) - k] for k in range(1, r + 1)])
     Z = y[r:][None, :] - points @ lags
     Tz = Z.shape[1]

@@ -312,7 +312,7 @@ def test_criterion_11_worker_count_invariance(hamilton_growth):
                           master_seed=7, grid_points=3)
     reports_equal = all(
         a.method == b.method and a.p_value == b.p_value
-        and np.array_equal(a.phi, b.phi) and a.min_root_modulus == b.min_root_modulus
+        and np.array_equal(a.phi_at_report, b.phi_at_report) and a.min_root_modulus == b.min_root_modulus
         for a, b in zip(rep_a, rep_b)
     )
     check(11, identical and reports_equal,

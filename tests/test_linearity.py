@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from regimetest.linearity import (
     ols_ar_fit,
 )
 from regimetest.moments import DegenerateSampleError
-from regimetest.msar import MSARSpec, RegimeParams, TransitionMatrix, simulate_msar
+from regimetest.msar import MSARSpec, RegimeParams, TransitionMatrix, root_moduli, simulate_msar
 from regimetest._seeding import DOMAIN_DGP, substream
 
 
@@ -98,6 +100,54 @@ class TestMinRootModulus:
             assert value == pytest.approx(candidates.min(), rel=1e-9)
 
 
+def _same_bits(a, b) -> bool:
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def _gnp_fits(hamilton_growth, extended_growth):
+    """(fit, default points per dimension) for both GNP series at r = 1..4."""
+    return [
+        (ols_ar_fit(y, r), 41 if r == 1 else 9)
+        for y in (hamilton_growth, extended_growth)
+        for r in range(1, 5)
+    ]
+
+
+class TestRootModuli:
+    """The batched kernel equals the per-point ``np.roots`` rule bit for bit."""
+
+    @staticmethod
+    def _check(P):
+        expected = np.array([linearity_oracle.min_root_modulus(p) for p in P], dtype=float)
+        assert _same_bits(root_moduli(P), expected)
+
+    def test_unfiltered_gnp_grids(self, hamilton_growth, extended_growth):
+        for fit, points_per_dim in _gnp_fits(hamilton_growth, extended_growth):
+            self._check(linearity_oracle.grid_candidates(fit, points_per_dim))
+
+    def test_mixed_orders_and_zero_rows(self):
+        rng = substream(5, 6)
+        P = rng.uniform(-1.5, 1.5, size=(3000, 5))
+        P[rng.uniform(size=P.shape) < 0.35] = 0.0
+        P[::50] = 0.0
+        orders = {int(np.max(np.nonzero(row)[0], initial=-1)) + 1 for row in P}
+        assert orders == set(range(6))
+        self._check(P)
+
+    def test_zero_width_matrix(self):
+        assert np.array_equal(root_moduli(np.zeros((3, 0))), np.full(3, np.inf))
+        assert root_moduli(np.zeros((0, 2))).shape == (0,)
+
+    def test_dyadic_grid(self):
+        axis = np.linspace(-2.0, 2.0, 9)
+        P = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 4)
+        self._check(P)
+
+    def test_scalar_helper_is_one_row(self):
+        phi = np.array([0.31, 0.13, -0.12, -0.09])
+        assert _same_bits(min_root_modulus(phi), root_moduli(phi[None, :])[0])
+
+
 class TestBuildGrid:
     @staticmethod
     def _fit(phi, se):
@@ -126,6 +176,20 @@ class TestBuildGrid:
     def test_even_points_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             build_grid(self._fit(0.5, 0.1), points_per_dim=4)
+
+    def test_kept_points_match_oracle(self, hamilton_growth, extended_growth):
+        for fit, points_per_dim in _gnp_fits(hamilton_growth, extended_growth):
+            kept = build_grid(fit, points_per_dim).points
+            assert _same_bits(kept, linearity_oracle.grid_points(fit, points_per_dim))
+
+    def test_undefined_standard_errors_fail_loudly(self):
+        # r=3, T=7: four regressors on four observations leave no residual
+        # degrees of freedom, so the standard errors are NaN
+        y = substream(7, 0).standard_normal(7)
+        assert np.isnan(ols_ar_fit(y, 3).phi_se).all()
+        with pytest.raises(ValueError, match="standard errors are not finite"):
+            mmc_test(y, 3, N=20)
+        assert 0 < lmc_test(y, 3, N=20).p_value <= 1
 
     def test_four_dimensional_filtering(self, hamilton_growth):
         fit = ols_ar_fit(hamilton_growth, 4)
@@ -319,3 +383,16 @@ class TestSinglePass:
             monkeypatch.setattr(lin, name, counted)
         linearity_tests(_ar1_path(0.3, 100, seed=33), 1, METHODS, master_seed=8)
         assert calls == {"simulate_null_quartets": 1, "build_grid": 1}
+
+
+def test_readme_quickstart_pvalues(hamilton_growth):
+    """The README quickstart's LMC/MMC lines print exactly what it says."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = re.findall(r"^(?:lmc|mmc) = .*$", readme, flags=re.M)
+    assert len(lines) == 2
+    assert "# 0.56 and 1.0" in readme
+    scope = {"growth": hamilton_growth, "lmc_test": lmc_test, "mmc_test": mmc_test}
+    for line in lines:
+        exec(line, scope)
+    assert scope["lmc"].p_value == 0.56
+    assert scope["mmc"].p_value == 1.0

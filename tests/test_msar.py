@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regimetest.msar import (
@@ -221,11 +221,16 @@ class TestFilteredMixtureComponents:
         st.floats(-0.99, 0.99).filter(lambda p: abs(p) > 1e-6),
     )
     @settings(max_examples=200)
+    @example(mu1=0.0, mu2=3.6783867378194687e-06, phi=3.6783867378194687e-06)
     def test_distinct_count_cases(self, mu1, mu2, phi):
         if abs(mu1 - mu2) < 1e-6:
             return
         values = filtered_mixture_components(mu1, mu2, phi)
-        assert len({round(v, 10) for v in values}) == 4
+        # the pairwise gaps are |dmu| times 1, |phi|, 1 - phi and 1 + phi
+        gap = 0.5 * abs(mu2 - mu1) * min(abs(phi), 1.0 - abs(phi))
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert abs(values[i] - values[j]) >= gap
 
 
 class TestFourStateTransition:
