@@ -13,6 +13,14 @@ One kernel computes the four statistics over a batch of demeaned rows;
 ``quartet_matrix`` demeans and calls it, and the scalar helpers
 (``compute_quartet``, ``stat_m`` ... ``stat_k``) call it on a single row
 and turn an undefined statistic into :class:`DegenerateSampleError`.
+
+The kernel forms the skewness and kurtosis sums from products, ``E2 * E``
+and ``E2 * E2``, of the squares the V statistic already needs.  numpy
+evaluates ``E**3`` and ``E**4`` through libm ``pow`` (it special-cases only
+``**2``), and those two calls were about 80% of the kernel's time.  The
+products move S and K by rounding only (at most 2e-15 in absolute terms,
+a few 1e-12 relative where S is near zero); M and V are unchanged bit for
+bit.
 """
 
 from __future__ import annotations
@@ -148,8 +156,9 @@ def _quartets(E: np.ndarray) -> np.ndarray:
         v1 = np.where(ns > 0, (E2 * small).sum(axis=1) / ns, np.nan)
         v = v2 / np.where(v1 > floor, v1, np.nan)
 
-        s = np.abs((E**3).sum(axis=1) / (T * sig2**1.5))
-        k = np.abs((E**4).sum(axis=1) / (T * sig2**2) - 3.0)
+        # products of E2, not E**3 / E**4: libm pow was about 80% of this kernel
+        s = np.abs((E2 * E).sum(axis=1) / (T * sig2**1.5))
+        k = np.abs((E2 * E2).sum(axis=1) / (T * sig2**2) - 3.0)
 
     Q = np.column_stack([m, v, s, k])
     Q[~np.isfinite(Q)] = np.nan

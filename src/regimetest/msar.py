@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 
 @dataclass(frozen=True)
@@ -184,6 +183,9 @@ def simulate_msar(spec: MSARSpec, T: int, rng: np.random.Generator) -> np.ndarra
     if r == 0:
         dev = sigma * eps
     else:
+        # imported here: scipy.signal is most of the package's import time
+        from scipy.signal import lfilter
+
         # d_t = sum_k phi_k d_{t-k} + sigma_{s_t} e_t with zero initial lags
         dev = lfilter([1.0], np.r_[1.0, -np.asarray(spec.phi)], sigma * eps)
     return (mu + dev)[burn_in:]

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -211,6 +214,72 @@ class TestQuartetMatrix:
                     assert got.value.statistic == err.statistic
                 else:
                     assert wrapper(e) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    def test_m_and_v_columns_are_bitwise_the_pow_kernel(self):
+        rng = np.random.default_rng(14)
+        rows = [rng.standard_normal(33) for _ in range(200)]
+        rows += [rng.standard_t(3, 33), rng.exponential(size=33), rng.uniform(-1, 1, 33)]
+        # dyadic rows with mean exactly zero, so demeaning leaves them exact:
+        # squares exactly equal to the 1/T variance (in neither V partition;
+        # sum of squares 11, T 11) and exact zeros (in neither M partition)
+        rows.append(np.tile([-2.0, 2.0, -1.0, 1.0, -0.5, 0.5, -0.5, 0.5, 0.0, 0.0, 0.0], 3))
+        quarters = rng.integers(1, 20, 11) / 4.0
+        rows.append(np.concatenate([quarters, -quarters, np.zeros(11)]))
+        # degenerate: constant, no V partition, zero M dispersion
+        rows += [np.full(33, 1.5), np.tile([-1.0, 1.0, 0.0], 11), np.repeat([-1.0, 1.0], [16, 17])]
+        X = np.vstack(rows)
+        E = X - X.mean(axis=1, keepdims=True)
+        assert (E[-5:-3] == 0.0).sum() == 20 and (E[-5] ** 2 == 1.0).sum() == 6
+        Q = quartet_matrix(X)
+        ref = moments_oracle.pow_quartets(E)
+        np.testing.assert_array_equal(np.isnan(Q), np.isnan(ref))
+        np.testing.assert_array_equal(Q[:, :2].view(np.int64), ref[:, :2].view(np.int64))
+        # the tie row is defined; each degenerate row has an undefined statistic
+        assert np.isfinite(Q[-5]).all()
+        assert np.isnan(Q[-3:]).any(axis=1).all()
+
+    @staticmethod
+    def _exact_s_k(e):
+        # |sum e^3| / (T sig2^1.5) and |sum e^4 / (T sig2^2) - 3| in exact
+        # rational arithmetic, then 40 significant digits for the roots
+        T = len(e)
+        f = [Fraction(x) for x in e]
+        sig2 = sum(x * x for x in f) / T
+        m3 = abs(sum(x**3 for x in f)) / T
+        m4 = sum(x**4 for x in f) / T
+        with localcontext() as ctx:
+            ctx.prec = 40
+            root = (Decimal(sig2.numerator) / Decimal(sig2.denominator)).sqrt()
+            s = Decimal(m3.numerator) / Decimal(m3.denominator) / root**3
+        k = abs(m4 / sig2**2 - 3)
+        return float(s), float(k)
+
+    def test_s_and_k_within_a_few_ulps_of_exact(self):
+        rng = np.random.default_rng(15)
+        half = rng.standard_normal(60)
+        symmetric = np.concatenate([half, -half]) + 1e-9 * rng.standard_normal(120)
+        rows = [
+            symmetric,
+            rng.standard_normal(120),
+            rng.exponential(size=120),
+            rng.standard_t(4, 120),
+            rng.uniform(-1, 1, 120),
+        ]
+        X = np.vstack(rows)
+        E = X - X.mean(axis=1, keepdims=True)
+        Q = quartet_matrix(X)
+        eps = np.finfo(float).eps
+        for e, (s, k) in zip(E, Q[:, 2:]):
+            T = len(e)
+            sig2 = (e**2).mean()
+            # error bound on the standardized scale: T eps times the
+            # standardized absolute moment that the sum accumulates
+            a3 = (np.abs(e) ** 3).mean() / sig2**1.5
+            a4 = (e**4).mean() / sig2**2
+            s_exact, k_exact = self._exact_s_k(e)
+            assert abs(s - s_exact) <= 4 * T * eps * a3
+            assert abs(k - k_exact) <= 4 * T * eps * a4
+        assert self._exact_s_k(E[0])[0] < 1e-8  # the near-symmetric row
 
     def test_degenerate_rows_become_nan(self):
         X = np.vstack([np.ones(10), np.random.default_rng(0).standard_normal(10)])
