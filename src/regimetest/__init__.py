@@ -16,6 +16,7 @@ from .msar import (
     four_state_transition,
     min_root_modulus,
     root_moduli,
+    stationary_rows,
 )
 from .moments import (
     DegenerateSampleError,

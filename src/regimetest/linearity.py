@@ -13,14 +13,17 @@ Two procedures deal with the unknown AR coefficients:
 * the maximized (MMC) test maximizes it over a stationarity-filtered grid
   spanning two standard errors around the estimate, holding the simulated
   replicate vectors fixed across the whole grid.  The grid keeps the points
-  whose AR roots all lie outside the unit circle (one ``root_moduli`` call).
+  whose AR roots all lie strictly outside the unit circle, as the exact
+  step-down rule ``stationary_rows`` decides.
 
 Both are computed in one pass (:func:`linearity_tests`): the OLS point and
-the grid points are the rows of one coefficient matrix, filtered together,
-reduced by one ``quartet_matrix`` call and ranked against one null ensemble
-with one set of tie-breakers.  The LMC p-value is the p-value of the OLS row,
-so MMC >= LMC holds exactly whenever the OLS point survives the
-stationarity filter.  ``lmc_test``, ``mmc_test`` and ``mc_mixture_test`` are
+the grid points are the rows of one coefficient matrix, filtered and reduced
+to their statistic quartets in row-major blocks of a fixed element budget
+(so the temporaries stay in cache and memory stays bounded at any grid
+size; every row's quartet is independent of its block), and ranked against
+one null ensemble with one set of tie-breakers.  The LMC p-value is the
+p-value of the OLS row, so MMC >= LMC holds exactly whenever the OLS point
+survives the stationarity filter.  ``lmc_test``, ``mmc_test`` and ``mc_mixture_test`` are
 thin wrappers over the same rank core.
 """
 
@@ -40,7 +43,7 @@ from .mctest import (
     tie_breaker_uniforms,
 )
 from .moments import quartet_matrix, raise_if_degenerate
-from .msar import min_root_modulus, root_moduli
+from .msar import min_root_modulus, stationary_rows
 
 __all__ = [
     "ARFit",
@@ -58,6 +61,10 @@ __all__ = [
 
 METHODS = ("LMC_min", "LMC_prod", "MMC_min", "MMC_prod")
 
+# elements of one block of filtered rows in the single pass: about 1 MB, so
+# the kernel's temporaries stay in cache
+_BLOCK_ELEMENTS = 2**17
+
 
 @dataclass(frozen=True)
 class ARFit:
@@ -73,7 +80,8 @@ class ARFit:
 @dataclass(frozen=True)
 class NuisanceBox:
     """The nuisance grid: stationary AR coefficient points, one per row, in
-    row-major grid order."""
+    row-major grid order.  A grid passed as ``grid=`` must hold finite,
+    stationary rows; the first row that is not raises ``ValueError``."""
 
     points: np.ndarray = field(repr=False)
 
@@ -144,10 +152,25 @@ def ar_filter(y: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return Z if phi.ndim == 2 else Z[0]
 
 
+def _filtered_quartets(y: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``quartet_matrix(ar_filter(y, rows))``, bit for bit, computed over
+    row-major blocks of about ``_BLOCK_ELEMENTS`` filtered observations."""
+    step = max(1, _BLOCK_ELEMENTS // (len(y) - rows.shape[1]))
+    return np.vstack([
+        quartet_matrix(ar_filter(y, rows[i : i + step])) for i in range(0, len(rows), step)
+    ])
+
+
+def _require_quartet_length(Tz: int) -> None:
+    if Tz < 4:
+        raise ValueError("need at least 4 observations for the statistic quartet")
+
+
 def _ranked_rows(
-    Z: np.ndarray, N: int, rules, table: LogisticCoeffTable | None, master_seed: int
+    Qz: np.ndarray, Tz: int, N: int, rules, table: LogisticCoeffTable | None, master_seed: int
 ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]], int]:
-    """Exact MC p-values of every row of ``Z`` under each combination rule.
+    """Exact MC p-values of every data row, given as its statistic quartet
+    (a row of ``Qz``) over ``Tz`` observations, under each combination rule.
 
     All rows and rules share one null ensemble of ``N - 1`` replicates and
     one set of tie-breakers, both drawn from ``master_seed``.  Returns
@@ -159,10 +182,6 @@ def _ranked_rows(
         raise ValueError("N must be at least 2")
     if table is None:
         table = LogisticCoeffTable.default()
-    Tz = Z.shape[1]
-    if Tz < 4:
-        raise ValueError("need at least 4 observations for the statistic quartet")
-    Qz = quartet_matrix(Z)
     raise_if_degenerate(Qz)
     Q, resampled = simulate_null_quartets(Tz, N, master_seed)
     u = tie_breaker_uniforms(N, master_seed)
@@ -192,7 +211,10 @@ def mc_mixture_test(
     replicates are resampled (and counted in the report).
     """
     z = np.asarray(z, dtype=float)
-    ranked, resampled = _ranked_rows(z[None, :], N, (method,), table, master_seed)
+    _require_quartet_length(len(z))
+    ranked, resampled = _ranked_rows(
+        quartet_matrix(z[None, :]), len(z), N, (method,), table, master_seed
+    )
     f0, fs, p = ranked[method]
     return MCTestReport(
         statistic_value=float(f0[0]),
@@ -230,8 +252,8 @@ def linearity_tests(
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; use {', '.join(METHODS)}")
     requested = [(method, *method.split("_")) for method in methods]
-    if grid is not None and grid.points.shape[1] != r:
-        raise ValueError("grid dimension does not match the lag order")
+    if grid is not None:
+        _check_grid(grid.points, r)
     y = np.asarray(y, dtype=float)
     fit = ols_ar_fit(y, r)
     rows = fit.phi[None, :]
@@ -244,7 +266,10 @@ def linearity_tests(
             raise ValueError("nuisance grid is empty")
         rows = np.vstack([rows, grid.points])
     rules = dict.fromkeys(rule for _, _, rule in requested)
-    ranked, resampled = _ranked_rows(ar_filter(y, rows), N, rules, table, master_seed)
+    _require_quartet_length(len(y) - r)
+    ranked, resampled = _ranked_rows(
+        _filtered_quartets(y, rows), len(y) - r, N, rules, table, master_seed
+    )
 
     reports = []
     for method, kind, rule in requested:
@@ -265,6 +290,19 @@ def linearity_tests(
     return reports
 
 
+def _check_grid(points, r: int) -> None:
+    """Reject a user grid that is not an ``(n, r)`` matrix of finite,
+    stationary coefficient rows, naming the first offending row."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != r:
+        raise ValueError("grid dimension does not match the lag order")
+    for bad, what in ((~np.isfinite(points).all(axis=1), "is not finite"),
+                      (~stationary_rows(points), "is not stationary")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"grid row {i} {points[i].tolist()} {what}")
+
+
 def lmc_test(
     y: np.ndarray,
     r: int,
@@ -282,7 +320,9 @@ def lmc_test(
 
 def build_grid(fit: ARFit, points_per_dim: int) -> NuisanceBox:
     """Uniform grid on the box ``phi_hat_k +/- 2 se_k``, keeping only the
-    stationary points (every AR root outside the unit circle).
+    stationary points (every AR root strictly outside the unit circle, as
+    :func:`~regimetest.msar.stationary_rows` decides; a root on the circle
+    counts as non-stationary).
 
     ``points_per_dim`` must be odd so that the grid contains the center
     exactly.
@@ -315,7 +355,7 @@ def build_grid(fit: ARFit, points_per_dim: int) -> NuisanceBox:
     axes = [center[k] + offsets * hw[k] for k in range(r)]
     # row-major order: the first maximizer of the MMC p-value depends on it
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, r)
-    points = points[root_moduli(points) > 1.0]
+    points = points[stationary_rows(points)]
     if len(points) == 0:
         raise ValueError(
             "all grid points violate stationarity; pass a grid over a smaller "

@@ -9,14 +9,20 @@ with ``e_t`` i.i.d. standard normal, independent of the two-state chain
 ``s_t``.  Marginally (for the no-lag model) each observation is a two-component
 normal mixture weighted by the chain's ergodic probabilities.
 
-Stationarity is one rule over coefficient matrices: :func:`root_moduli`
-gives the smallest AR-root modulus of every row, and ``min_root_modulus``
-is its one-row wrapper.
+Stationarity is one rule over coefficient matrices: :func:`stationary_rows`
+runs the Levinson step-down recursion (the inverse of the partial
+autocorrelation map of Barndorff-Nielsen & Schou, 1973) over every row and
+keeps the rows whose reflection coefficients all lie strictly inside
+(-1, 1).  Rows that rounding cannot decide are settled in exact rational
+arithmetic, so a root on the unit circle always counts as non-stationary.
+``min_root_modulus`` reports the smallest AR-root modulus of one vector by
+``np.roots``; ``root_moduli`` applies it row by row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -168,7 +174,7 @@ def simulate_msar(spec: MSARSpec, T: int, rng: np.random.Generator) -> np.ndarra
     if T < 1:
         raise ValueError("T must be at least 1")
     r = spec.r
-    if r >= 1 and min_root_modulus(np.asarray(spec.phi)) <= 1.0:
+    if not stationary_rows(np.reshape(spec.phi, (1, r)))[0]:
         raise ValueError(
             "phi defines a non-stationary autoregression "
             "(root of the AR polynomial on or inside the unit circle)"
@@ -249,32 +255,100 @@ def four_state_transition(P: TransitionMatrix) -> np.ndarray:
     return np.array([row_a, row_b, row_a, row_b])
 
 
-def root_moduli(P: np.ndarray) -> np.ndarray:
-    """Smallest root modulus of ``1 - phi_1 z - ... - phi_r z^r`` for every
-    row ``phi`` of an ``(n, r)`` coefficient matrix.
+# unit roundoff of float64
+_U = np.finfo(float).eps / 2
 
-    A row is stationary iff its value exceeds one; an all-zero row (or a
-    zero-width matrix) gives ``inf``.  Trailing zero coefficients add no
-    roots, so rows are grouped by their order once those are dropped, and
-    each group's companion matrices (the ones ``np.roots`` builds for
-    ``[-phi_q, ..., -phi_1, 1]``) go through one stacked eigenvalue call.
-    Every value equals the ``np.roots`` result bit for bit.
+
+def stationary_rows(P: np.ndarray) -> np.ndarray:
+    """Which rows ``phi`` of an ``(n, r)`` coefficient matrix define a
+    stationary autoregression (every root of ``1 - phi_1 z - ... - phi_r z^r``
+    strictly outside the unit circle).
+
+    The Levinson step-down recursion takes ``a_k = phi_k^(k)`` and
+    ``phi_j^(k-1) = (phi_j^(k) + a_k phi_{k-j}^(k)) / (1 - a_k^2)`` from
+    ``k = r`` down to 1; a row is stationary iff every ``|a_k| < 1``.  The
+    decision is exact for the rational numbers a row's floats hold: a row
+    whose rounded ``|a_k|`` lies within the recursion's error bound of one
+    is re-run in ``Fraction`` arithmetic.  Rows with a non-finite entry are
+    non-stationary; an all-zero row or a zero-width matrix is stationary.
     """
     P = np.asarray(P, dtype=float)
-    order = np.where(P != 0, np.arange(1, P.shape[1] + 1), 0).max(axis=1, initial=0)
-    out = np.full(len(P), np.inf)
-    for q in np.unique(order[order > 0]):
-        rows = np.nonzero(order == q)[0]
-        p = np.concatenate([-P[rows, q - 1 :: -1], np.ones((len(rows), 1))], axis=1)
-        A = np.zeros((len(rows), q, q))
-        A[:, 0, :] = -p[:, 1:] / p[:, :1]
-        A[:, np.arange(1, q), np.arange(q - 1)] = 1.0
-        out[rows] = np.abs(np.linalg.eigvals(A)).min(axis=1)
-    return out
+    keep = np.isfinite(P).all(axis=1)
+    live = np.flatnonzero(keep)
+    phi = list(np.ascontiguousarray(P[live].T))  # columns phi_1 ... phi_k of the live rows
+    err = np.zeros(len(live))
+    undecided = [live[:0]]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while phi:
+            a = phi.pop()
+            # exact while |a_k| lies in [1/2, 2] (Sterbenz), the only range
+            # where it is compared against a small bound
+            excess = np.abs(a) - 1.0
+            out = excess - err >= 0.0  # |a_k| >= 1 for certain
+            inside = excess + err < 0.0  # |a_k| < 1 for certain
+            keep[live[out]] = False
+            undecided.append(live[~(out | inside)])  # NaN and inf land here
+            if not phi:
+                break
+            live, err, a = live[inside], err[inside], a[inside]
+            phi = [c[inside] for c in phi]
+            # ``err`` bounds |computed - exact| over a row's coefficients.
+            # The bounds below cover the error carried in plus the rounding
+            # of each operation (at most u times the magnitude) for the
+            # numerator, the denominator and the quotient; the factor 2
+            # absorbs the rounding of the bound's own arithmetic.  A
+            # well-conditioned row keeps a bound of a few ulps; a row whose
+            # denominator the bound cannot keep away from zero gets an
+            # infinite bound and goes to the exact re-check.
+            abs_a = np.abs(a)
+            m = np.maximum.reduce([np.abs(c) for c in phi])
+            num = [c + a * d for c, d in zip(phi, phi[::-1])]
+            num_max = np.maximum.reduce([np.abs(c) for c in num])
+            den = 1.0 - a * a
+            err_num = err * (1.0 + abs_a + m + err) + 2.0 * _U * m * (1.0 + abs_a)
+            err_den = err * (2.0 * abs_a + err) + 2.0 * _U
+            phi = [c / den for c in num]
+            exact_max = (num_max + err_num) / (den - err_den)
+            err = np.where(
+                den > err_den,
+                2.0 * ((err_num + exact_max * err_den + _U * num_max) / den),
+                np.inf,
+            )
+    for i in np.concatenate(undecided):
+        keep[i] = _exact_stationary(P[i])
+    return keep
+
+
+def _exact_stationary(phi: np.ndarray) -> bool:
+    """The step-down rule in rational arithmetic, on the exact values of a
+    finite float row."""
+    p = [Fraction(float(x)) for x in phi]
+    for k in range(len(p), 0, -1):
+        a = p[k - 1]
+        if abs(a) >= 1:
+            return False
+        p = [(p[j] + a * p[k - 2 - j]) / (1 - a * a) for j in range(k - 1)]
+    return True
+
+
+def root_moduli(P: np.ndarray) -> np.ndarray:
+    """Smallest root modulus of ``1 - phi_1 z - ... - phi_r z^r`` for every
+    row ``phi`` of an ``(n, r)`` coefficient matrix, by
+    :func:`min_root_modulus` row by row (``inf`` for an all-zero row or a
+    zero-width matrix).  Stationarity is decided by :func:`stationary_rows`,
+    which is exact where these rounded moduli sit at one.
+    """
+    P = np.asarray(P, dtype=float)
+    return np.fromiter((min_root_modulus(row) for row in P), dtype=float, count=len(P))
 
 
 def min_root_modulus(phi: np.ndarray) -> float:
     """Smallest modulus of the roots of ``1 - phi_1 z - ... - phi_r z^r``
-    (one row of :func:`root_moduli`; ``inf`` for an empty or all-zero
-    vector).  The autoregression is stationary iff it exceeds one."""
-    return float(root_moduli(np.reshape(phi, (1, -1)))[0])
+    from ``np.roots`` once trailing zero coefficients are dropped (``inf``
+    for an empty or all-zero vector).  The autoregression is stationary iff
+    it exceeds one, up to the rounding of the roots."""
+    phi = np.ravel(np.asarray(phi, dtype=float))
+    nz = np.flatnonzero(phi)
+    if len(nz) == 0:
+        return float("inf")
+    return float(np.abs(np.roots(np.r_[-phi[nz[-1] :: -1], 1.0])).min())

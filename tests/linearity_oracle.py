@@ -5,8 +5,9 @@ replaced: every method draws its own null ensemble, LMC reduces the filtered
 series with the scalar statistic formulas of ``moments_oracle`` and ranks it
 inline, and MMC filters the grid with one matrix product.  The grid is
 built as a list of ``itertools.product`` tuples and filtered point by point
-with the ``np.roots`` stationarity rule that ``regimetest.msar.root_moduli``
-replaced.  Tests compare the pass against it.
+with the ``np.roots`` rule (smallest root modulus above one), which the
+exact step-down rule ``regimetest.msar.stationary_rows`` replaced; the two
+agree on every grid the tests build.  Tests compare the pass against it.
 """
 
 from __future__ import annotations

@@ -73,6 +73,12 @@ def test_simulate_subcommand(tmp_path):
     assert len(a.read_text().splitlines()) == 51  # header + 50 values
 
 
+@pytest.mark.parametrize("phi", ["0.2,0.3,0.5", "0.5,0.25,0.25"])
+def test_simulate_rejects_exact_unit_root(phi):
+    with pytest.raises(ValueError, match="stationary"):
+        main(["simulate", "--T", "30", "--phi", phi])
+
+
 def test_fit_table_subcommand_rejects_tiny_draw_counts(tmp_path):
     with pytest.raises(ValueError):
         main(["fit-table", "--sizes", "50", "--draws", "100",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,8 +10,11 @@ import pytest
 
 import linearity_oracle
 from regimetest.harness import default_study_grid
+import regimetest.msar as msar
 from regimetest.linearity import (
     METHODS,
+    NuisanceBox,
+    _filtered_quartets,
     ar_filter,
     build_grid,
     linearity_tests,
@@ -20,8 +24,15 @@ from regimetest.linearity import (
     mmc_test,
     ols_ar_fit,
 )
-from regimetest.moments import DegenerateSampleError
-from regimetest.msar import MSARSpec, RegimeParams, TransitionMatrix, root_moduli, simulate_msar
+from regimetest.moments import DegenerateSampleError, quartet_matrix, raise_if_degenerate
+from regimetest.msar import (
+    MSARSpec,
+    RegimeParams,
+    TransitionMatrix,
+    root_moduli,
+    simulate_msar,
+    stationary_rows,
+)
 from regimetest._seeding import DOMAIN_DGP, substream
 
 
@@ -114,7 +125,7 @@ def _gnp_fits(hamilton_growth, extended_growth):
 
 
 class TestRootModuli:
-    """The batched kernel equals the per-point ``np.roots`` rule bit for bit."""
+    """``root_moduli`` equals the per-point ``np.roots`` rule bit for bit."""
 
     @staticmethod
     def _check(P):
@@ -146,6 +157,37 @@ class TestRootModuli:
     def test_scalar_helper_is_one_row(self):
         phi = np.array([0.31, 0.13, -0.12, -0.09])
         assert _same_bits(min_root_modulus(phi), root_moduli(phi[None, :])[0])
+
+
+class TestStationaryRowsOnStudyGrids:
+    """The step-down rule keeps exactly the rows the ``np.roots`` rule keeps
+    on the grids the package builds, and rounding decides every one of them
+    without the rational re-check."""
+
+    @staticmethod
+    def _check(monkeypatch, grids):
+        rechecked = []
+        real = msar._exact_stationary
+        monkeypatch.setattr(msar, "_exact_stationary", lambda row: rechecked.append(row) or real(row))
+        for P in grids:
+            expected = np.array([linearity_oracle.min_root_modulus(p) > 1.0 for p in P])
+            assert np.array_equal(stationary_rows(P), expected)
+        assert rechecked == []
+
+    def test_gnp_grids(self, monkeypatch, hamilton_growth, extended_growth):
+        self._check(monkeypatch, [
+            linearity_oracle.grid_candidates(fit, points_per_dim)
+            for fit, points_per_dim in _gnp_fits(hamilton_growth, extended_growth)
+        ])
+
+    def test_desk_study_grids(self, monkeypatch):
+        grids = []
+        for rep in range(5):
+            for cell, cfg in enumerate(default_study_grid("desk")):
+                y = simulate_msar(cfg.dgp, cfg.T, substream(rep, DOMAIN_DGP, cell))
+                points_per_dim = 41 if cfg.dgp.r == 1 else 9
+                grids.append(linearity_oracle.grid_candidates(ols_ar_fit(y, cfg.dgp.r), points_per_dim))
+        self._check(monkeypatch, grids)
 
 
 class TestBuildGrid:
@@ -211,6 +253,11 @@ class TestMcMixtureTest:
         rep = mc_mixture_test(z, N=50, method="prod", master_seed=3)
         assert rep.p_value == pytest.approx((rep.N + 1 - rep.rank) / rep.N)
         assert 0 < rep.p_value <= 1
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_short_series_rejected(self, n):
+        with pytest.raises(ValueError, match="at least 4 observations"):
+            mc_mixture_test(np.zeros(n), N=20)
 
     def test_degenerate_data_propagates(self):
         with pytest.raises(DegenerateSampleError):
@@ -302,6 +349,17 @@ class TestMmcTest:
             rejections += mmc_test(y, 1, master_seed=s).p_value <= 0.05
         assert rejections / trials <= 0.05 + 3 * np.sqrt(0.05 * 0.95 / trials)
 
+    def test_non_finite_grid_row_is_named(self, hamilton_growth):
+        grid = NuisanceBox(np.array([[0.3], [np.nan], [0.5]]))
+        with pytest.raises(ValueError, match=r"grid row 1 \[nan\] is not finite"):
+            mmc_test(hamilton_growth, 1, grid=grid)
+
+    @pytest.mark.parametrize("points", [[[1.5]], [[0.2], [-1.0]]])
+    def test_non_stationary_grid_row_is_named(self, hamilton_growth, points):
+        bad = len(points) - 1
+        with pytest.raises(ValueError, match=f"grid row {bad} .* is not stationary"):
+            mmc_test(hamilton_growth, 1, grid=NuisanceBox(np.array(points)))
+
     def test_grid_dimension_mismatch(self, hamilton_growth):
         fit = ols_ar_fit(hamilton_growth, 4)
         box = build_grid(fit, points_per_dim=3)
@@ -383,6 +441,51 @@ class TestSinglePass:
             monkeypatch.setattr(lin, name, counted)
         linearity_tests(_ar1_path(0.3, 100, seed=33), 1, METHODS, master_seed=8)
         assert calls == {"simulate_null_quartets": 1, "build_grid": 1}
+
+
+class TestBlockPass:
+    """The single pass filters and reduces the coefficient rows in blocks;
+    the result equals one unblocked call bit for bit."""
+
+    @pytest.mark.parametrize("budget", [None, 1, 7 * 131])
+    def test_gnp_r4_quartets_match_unblocked(self, monkeypatch, hamilton_growth, extended_growth, budget):
+        import regimetest.linearity as lin
+
+        if budget is not None:
+            monkeypatch.setattr(lin, "_BLOCK_ELEMENTS", budget)
+        for y in (hamilton_growth, extended_growth):
+            fit = ols_ar_fit(y, 4)
+            rows = np.vstack([fit.phi[None, :], build_grid(fit, 9).points])
+            assert _same_bits(_filtered_quartets(y, rows), quartet_matrix(ar_filter(y, rows)))
+
+    def test_degenerate_row_after_the_first_block(self):
+        import regimetest.linearity as lin
+
+        # a two-valued series: the filter at phi = 0 leaves it two-valued, so
+        # the M statistic is undefined there and only there
+        y = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0] * 20)
+        Tz = len(y) - 1
+        block = lin._BLOCK_ELEMENTS // Tz
+        grid = np.linspace(0.05, 0.9, 2 * block)[:, None]
+        grid = np.insert(grid, block + 5, 0.0, axis=0)
+        rows = np.vstack([ols_ar_fit(y, 1).phi[None, :], grid])
+        assert not np.isnan(quartet_matrix(ar_filter(y, rows[:block]))).any()
+        with pytest.raises(DegenerateSampleError) as unblocked:
+            raise_if_degenerate(quartet_matrix(ar_filter(y, rows)))
+        with pytest.raises(DegenerateSampleError) as blocked:
+            linearity_tests(y, 1, ("MMC_min",), grid=NuisanceBox(grid), N=20)
+        assert blocked.value.statistic == unblocked.value.statistic == "M"
+        assert str(blocked.value) == str(unblocked.value)
+
+    def test_memory_stays_bounded(self, extended_growth):
+        # the unblocked pass peaked at about 57 MB here: 6562 rows of 235 filtered observations
+        tracemalloc.start()
+        try:
+            linearity_tests(extended_growth, 4, N=100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 def test_readme_quickstart_pvalues(hamilton_growth):

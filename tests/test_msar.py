@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +19,7 @@ from regimetest.msar import (
     mixture_moments,
     simulate_chain,
     simulate_msar,
+    stationary_rows,
 )
 
 
@@ -131,6 +135,14 @@ class TestSimulateMSAR:
 
     def test_nonstationary_phi_rejected(self):
         spec = MSARSpec(RegimeParams(0.0, 0.0, 1.0, 1.0), TransitionMatrix(0.9, 0.9), (1.0,))
+        with pytest.raises(ValueError, match="stationary"):
+            simulate_msar(spec, 100, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("phi", [(0.2, 0.3, 0.5), (0.5, 0.25, 0.25)])
+    def test_exact_unit_root_rejected(self, phi):
+        # phi sums to one, so z = 1 is a root; np.roots puts its modulus at
+        # 1 + ulp, so a "smallest modulus > 1" rule would accept these rows
+        spec = MSARSpec(RegimeParams(0.0, 0.0, 1.0, 1.0), TransitionMatrix(0.9, 0.9), phi)
         with pytest.raises(ValueError, match="stationary"):
             simulate_msar(spec, 100, np.random.default_rng(0))
 
@@ -275,3 +287,78 @@ class TestMinRootModulus:
         # smallest root modulus of the reference output-growth AR(4) fit
         value = min_root_modulus(np.array([0.31, 0.13, -0.12, -0.09]))
         assert value == pytest.approx(1.50, abs=0.01)
+
+
+def exact_step_down(phi) -> bool:
+    """Stationarity of one row by the step-down recursion in ``Fraction``
+    arithmetic: every reflection coefficient strictly inside (-1, 1)."""
+    p = [Fraction(x) for x in phi]
+    while p:
+        a = p.pop()
+        if abs(a) >= 1:
+            return False
+        p = [(p[j] + a * p[-1 - j]) / (1 - a * a) for j in range(len(p))]
+    return True
+
+
+def from_reflections(a) -> list[float]:
+    """The AR row whose step-down recursion yields the reflection
+    coefficients ``a_1 ... a_r`` (the forward Durbin-Levinson map)."""
+    phi = []
+    for ak in a:
+        phi = [p - ak * q for p, q in zip(phi, reversed(phi))] + [ak]
+    return [float(p) for p in phi]
+
+
+# rows of small-denominator dyadic rationals, hitting the unit circle often:
+# multiples of 1/8 in [-2, 2], and the rows of reflection coefficients that
+# are multiples of 1/4 in [-1, 1] (exact in floats: at most 256ths at r = 4)
+_dyadic = st.integers(-16, 16).map(lambda k: k / 8)
+_quarter = st.integers(-4, 4).map(lambda k: Fraction(k, 4))
+_dyadic_rows = st.integers(1, 4).flatmap(lambda r: st.lists(
+    st.one_of(st.lists(_dyadic, min_size=r, max_size=r),
+              st.lists(_quarter, min_size=r, max_size=r).map(from_reflections)),
+    min_size=1, max_size=30))
+
+
+class TestStationaryRows:
+    def test_dyadic_grid_matches_exact_arithmetic(self):
+        axis = np.linspace(-2.0, 2.0, 9)
+        P = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 4)
+        kept = stationary_rows(P)
+        assert kept.sum() == 59
+        assert np.array_equal(kept, [exact_step_down(row) for row in P])
+
+    def test_rows_built_from_reflection_coefficients(self):
+        # every row from reflection coefficients in {-1, -3/4, ..., 1}^4: the
+        # stationary ones are exactly those with no coefficient at +/-1
+        quarters = [Fraction(k, 4) for k in range(-4, 5)]
+        A = list(itertools.product(quarters, repeat=4))
+        P = np.array([from_reflections(a) for a in A])
+        expected = [all(abs(ak) < 1 for ak in a) for a in A]
+        assert sum(expected) == 7**4
+        assert stationary_rows(P).tolist() == expected
+
+    @given(_dyadic_rows)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exact_step_down_on_dyadic_rows(self, rows):
+        assert stationary_rows(np.array(rows)).tolist() == [exact_step_down(row) for row in rows]
+
+    @pytest.mark.parametrize(
+        "phi,stationary",
+        [((0.5,), True), ((1.0,), False), ((-1.0,), False), ((0.5, 0.5), False),
+         ((0.2, 0.3, 0.5), False), ((0.5, 0.25, 0.25), False), ((0.0, 0.0), True),
+         ((0.31, 0.13, -0.12, -0.09), True), ((0.5, np.nan), False), ((np.inf,), False)],
+    )
+    def test_known_rows(self, phi, stationary):
+        assert stationary_rows(np.array([phi]))[0] == stationary
+
+    def test_trailing_zeros_do_not_change_the_decision(self):
+        rng = np.random.default_rng(4)
+        P = rng.uniform(-1.5, 1.5, size=(2000, 3))
+        padded = np.hstack([P, np.zeros((2000, 2))])
+        assert np.array_equal(stationary_rows(P), stationary_rows(padded))
+
+    def test_empty_shapes(self):
+        assert stationary_rows(np.zeros((3, 0))).tolist() == [True] * 3
+        assert stationary_rows(np.zeros((0, 2))).shape == (0,)
