@@ -163,16 +163,17 @@ def null_score_panel(y: np.ndarray, r: int = 1) -> NullScorePanel:
         raise ValueError("the benchmark tests are implemented for the AR(1) null only")
     y = np.asarray(y, dtype=float)
     c, phi, s2, eps = _ar1_fit(y[None, :])
-    s2, eps = float(s2[0, 0]), eps[0]
+    # s2 stays an array, so the derivatives take numpy's powers, as the
+    # bootstrap resamples' blocks do, and match theirs bit for bit
+    s2, eps = s2[0], eps[0]
     ylag = y[:-1]
 
     scores = np.column_stack(_score_columns(eps, ylag, s2))
     hess = np.empty((len(eps), 3, 3))
     for (i, j), h_ij in _hessian_entries(eps, ylag, s2).items():
         hess[:, i, j] = hess[:, j, i] = h_ij
-    return NullScorePanel(
-        scores=scores, hessians=hess, theta0_hat=(float(c[0, 0]), float(phi[0, 0]), s2), T=len(y)
-    )
+    theta0_hat = (float(c[0, 0]), float(phi[0, 0]), float(s2[0]))
+    return NullScorePanel(scores=scores, hessians=hess, theta0_hat=theta0_hat, T=len(y))
 
 
 # ---------------------------------------------------------------------------

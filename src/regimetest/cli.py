@@ -8,8 +8,9 @@ Subcommands:
 * ``fit-table`` regenerate the logistic coefficient table
 * ``simulate``  emit a switching-autoregression path
 
-Every run prints a config echo (key=value lines) that, together with the
-seed, fully determines its outputs.  It goes to stdout, except for
+Before any work, every run echoes each option it parsed except ``--out``
+as ``key=value`` lines, then ``config_sha``, their hash; together with the
+seed they fully determine its outputs.  The echo goes to stdout, except for
 ``simulate`` writing its path to stdout, where it goes to stderr.
 """
 
@@ -17,11 +18,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import __version__
 from ._seeding import DOMAIN_SIMULATE, substream
 from .chp import chp_bootstrap_test
 from .harness import (
+    LINEARITY_METHODS,
     PROFILES,
     STUDY_METHODS,
     config_digest,
@@ -48,8 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     _series_args(test)
     test.add_argument("--lags", type=int, default=4, metavar="R", help="AR lag order")
     test.add_argument("--mc", type=int, default=100, metavar="N", help="MC replicate count")
-    test.add_argument("--methods", default="LMC_min,LMC_prod,MMC_min,MMC_prod",
-                      help="comma-separated subset of LMC_min,LMC_prod,MMC_min,MMC_prod")
+    _methods_arg(test, LINEARITY_METHODS)
     test.add_argument("--grid-points", type=int, default=None, metavar="K",
                       help="grid points per dimension for MMC (odd; default 41 for one lag, 9 otherwise)")
     test.add_argument("--seed", type=int, default=0)
@@ -69,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--mc", type=int, default=None, metavar="N",
                        help="override the profile's MC replicate count")
     study.add_argument("--alpha", type=float, default=0.05, metavar="A")
-    study.add_argument("--methods", default=",".join(STUDY_METHODS))
+    _methods_arg(study, STUDY_METHODS)
     study.add_argument("--seed", type=int, default=0)
     study.add_argument("--workers", type=int, default=1, metavar="W")
     study.add_argument("--out", default="study_results.csv", metavar="PATH")
@@ -97,28 +99,21 @@ def _series_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--transform", choices=("none", "logdiff100"), default="none")
 
 
-def _echo(args: dict, file=None) -> str:
-    digest = config_digest(args.items())
-    for key in sorted(args):
-        print(f"# {key}={args[key]}", file=file)
-    print(f"# config_sha={digest}", file=file)
-    return digest
+def _methods_arg(p: argparse.ArgumentParser, methods: tuple[str, ...]) -> None:
+    listed = ",".join(methods)
+    # parsed to the list without blanks or empty items, which is what the echo shows
+    p.add_argument("--methods", default=listed, help=f"comma-separated subset of {listed}",
+                   type=lambda text: ",".join(m.strip() for m in text.split(",") if m.strip()))
 
 
-def _meta(digest: str, seed: int) -> str:
-    return f"regimetest={__version__} seed={seed} config_sha={digest}"
+def _methods(args: argparse.Namespace) -> tuple[str, ...]:
+    return tuple(args.methods.split(",")) if args.methods else ()
 
 
-def _cmd_test(args: argparse.Namespace) -> int:
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    digest = _echo(
-        {"command": "test", "series": args.series, "transform": args.transform,
-         "lags": args.lags, "mc": args.mc, "methods": ",".join(methods),
-         "grid_points": args.grid_points, "seed": args.seed}
-    )
+def _cmd_test(args: argparse.Namespace, meta: str) -> int:
     dataset = ingest_series(args.series, args.transform)
     rows = run_empirical(
-        dataset, r=args.lags, N=args.mc, methods=methods,
+        dataset, r=args.lags, N=args.mc, methods=_methods(args),
         master_seed=args.seed, grid_points=args.grid_points,
     )
     r = args.lags
@@ -128,16 +123,12 @@ def _cmd_test(args: argparse.Namespace) -> int:
         phis = " ".join(f"{p:7.2f}" for p in row.phi_at_report)
         print(f"{row.method:<10} {row.p_value:8.2f} {phis} {row.min_root_modulus:6.2f}")
     if args.out:
-        write_empirical_csv(rows, args.out, header_meta=_meta(digest, args.seed))
+        write_empirical_csv(rows, args.out, header_meta=meta)
         print(f"# wrote {args.out}")
     return 0
 
 
-def _cmd_chp(args: argparse.Namespace) -> int:
-    digest = _echo(
-        {"command": "chp", "series": args.series, "transform": args.transform,
-         "reps": args.reps, "draws": args.draws, "seed": args.seed}
-    )
+def _cmd_chp(args: argparse.Namespace, meta: str) -> int:
     dataset = ingest_series(args.series, args.transform)
     report = chp_bootstrap_test(dataset.values, B=args.reps, draws=args.draws,
                                 master_seed=args.seed)
@@ -146,7 +137,7 @@ def _cmd_chp(args: argparse.Namespace) -> int:
     print(f"{'expTS':<8} {report.expTS:12.5f} {report.bootstrap_p_exp:8.3f}")
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(f"# {_meta(digest, args.seed)}\n")
+            fh.write(f"# {meta}\n")
             fh.write("method,statistic,p_value,B,draws,seed\n")
             fh.write(f"supTS,{report.supTS!r},{report.bootstrap_p_sup!r},"
                      f"{report.B},{report.draws},{report.seed}\n")
@@ -156,25 +147,15 @@ def _cmd_chp(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_study(args: argparse.Namespace) -> int:
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    digest = _echo(
-        {"command": "study", "profile": args.profile, "reps": args.reps,
-         "mc": args.mc, "alpha": args.alpha, "methods": ",".join(methods),
-         "seed": args.seed, "workers": args.workers}
-    )
-    configs = default_study_grid(args.profile, master_seed=args.seed, methods=methods)
-    if args.reps is not None or args.mc is not None or args.alpha != 0.05:
-        from dataclasses import replace
-        overrides = {}
-        if args.reps is not None:
-            overrides["replications"] = args.reps
-        if args.mc is not None:
-            overrides["N"] = args.mc
-        overrides["alpha"] = args.alpha
-        configs = [replace(c, **overrides) for c in configs]
+def _cmd_study(args: argparse.Namespace, meta: str) -> int:
+    overrides = {"replications": args.reps, "N": args.mc, "alpha": args.alpha}
+    overrides = {field: value for field, value in overrides.items() if value is not None}
+    configs = [
+        replace(cfg, **overrides)
+        for cfg in default_study_grid(args.profile, master_seed=args.seed, methods=_methods(args))
+    ]
     rows = run_size_power_study(configs, workers=args.workers)
-    write_study_csv(rows, args.out, header_meta=_meta(digest, args.seed))
+    write_study_csv(rows, args.out, header_meta=meta)
     print(f"{'cell':<42} {'method':<9} {'reject%':>8} {'se%':>6}")
     for row in rows:
         status = "FAILED" if row.failed else f"{100 * row.reject_rate:8.1f} {100 * row.mc_se:6.1f}"
@@ -183,53 +164,56 @@ def _cmd_study(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fit_table(args: argparse.Namespace) -> int:
+def _cmd_fit_table(args: argparse.Namespace, meta: str) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    digest = _echo(
-        {"command": "fit-table", "sizes": args.sizes, "draws": args.draws, "seed": args.seed}
-    )
     table = regenerate_coeff_table(sizes, draws=args.draws, master_seed=args.seed)
     table.to_csv(args.out)
     print(f"# wrote {args.out}")
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace, meta: str) -> int:
     mu1, mu2 = (float(x) for x in args.mu.split(","))
     s1, s2 = (float(x) for x in args.sigma.split(","))
     p11, p22 = (float(x) for x in args.p.split(","))
     phi = tuple(float(x) for x in args.phi.split(",") if x.strip())
-    out = args.out or "-"
-    # a path written to stdout must stay a clean series, so the echo goes to stderr
-    _echo(
-        {"command": "simulate", "T": args.T, "mu": args.mu, "sigma": args.sigma,
-         "p": args.p, "phi": args.phi, "seed": args.seed},
-        file=sys.stderr if out == "-" else None,
-    )
     spec = MSARSpec(RegimeParams(mu1, mu2, s1, s2), TransitionMatrix(p11, p22), phi)
     y = simulate_msar(spec, args.T, substream(args.seed, DOMAIN_SIMULATE))
-    if out == "-":
+    if _path_to_stdout(args):
         for v in y:
             print(repr(float(v)))
     else:
-        with open(out, "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write("value\n")
             for v in y:
                 fh.write(f"{float(v)!r}\n")
-        print(f"# wrote {out}")
+        print(f"# wrote {args.out}")
     return 0
+
+
+def _path_to_stdout(args: argparse.Namespace) -> bool:
+    return args.command == "simulate" and (args.out or "-") == "-"
+
+
+_HANDLERS = {
+    "test": _cmd_test,
+    "chp": _cmd_chp,
+    "study": _cmd_study,
+    "fit-table": _cmd_fit_table,
+    "simulate": _cmd_simulate,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handler = {
-        "test": _cmd_test,
-        "chp": _cmd_chp,
-        "study": _cmd_study,
-        "fit-table": _cmd_fit_table,
-        "simulate": _cmd_simulate,
-    }[args.command]
-    return handler(args)
+    settings = {key: value for key, value in vars(args).items() if key != "out"}
+    digest = config_digest(settings.items())
+    # a path written to stdout must stay a clean series, so the echo goes to stderr
+    echo = sys.stderr if _path_to_stdout(args) else sys.stdout
+    for key in sorted(settings):
+        print(f"# {key}={settings[key]}", file=echo)
+    print(f"# config_sha={digest}", file=echo)
+    return _HANDLERS[args.command](args, f"regimetest={__version__} seed={args.seed} config_sha={digest}")
 
 
 if __name__ == "__main__":

@@ -32,13 +32,13 @@ from .msar import MSARSpec, RegimeParams, TransitionMatrix, simulate_msar
 
 logger = logging.getLogger(__name__)
 
-STUDY_METHODS = ("LMC_min", "LMC_prod", "MMC_min", "MMC_prod", "supTS", "expTS")
+STUDY_METHODS = LINEARITY_METHODS + ("supTS", "expTS")
 
 #: Null draws reduced per ``quartet_matrix`` call when refitting the table.
 _TABLE_BATCH = 50_000
 
 #: The desk profile trades replication counts for runtime; the full profile
-#: uses the reference experiment sizes.
+#: uses the reference experiment sizes.  Keys are ``ExperimentConfig`` fields.
 PROFILES = {
     "desk": {"replications": 500, "N": 100, "B": 200, "chp_draws": 200},
     "full": {"replications": 1000, "N": 100, "B": 500, "chp_draws": 200},
@@ -99,14 +99,17 @@ def ingest_series(path: str | Path, transformation: str = "none") -> SeriesDatas
     """Read a single- or two-column (period, value) comma-separated file.
 
     ``logdiff100`` maps levels to 100 times the first difference of logs,
-    dropping the first period.  Missing values, non-numeric fields and
-    non-increasing period labels are rejected with the offending line number.
+    dropping the first period.  Period labels compare as numbers when every
+    one parses as a number, as strings otherwise.  Missing values,
+    non-numeric fields and non-increasing period labels are rejected with the
+    offending line number.
     """
     if transformation not in ("none", "logdiff100"):
         raise ValueError(f"unknown transformation {transformation!r}")
     path = Path(path)
     labels: list[str] = []
     keys: list[int | str] = []  # line numbers of single-column rows compare as integers
+    linenos: list[int] = []
     values: list[float] = []
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -128,10 +131,14 @@ def ingest_series(path: str | Path, transformation: str = "none") -> SeriesDatas
             if keys and type(key) is not type(keys[0]):
                 raise ValueError(f"{path}:{lineno}: mixes one- and two-column rows")
             keys.append(key)
+            linenos.append(lineno)
             labels.append(str(key))
             values.append(float(raw))
-    if keys != sorted(keys) or len(set(keys)) != len(keys):
-        raise ValueError(f"{path}: period labels must be strictly increasing")
+    if all(isinstance(key, str) and _is_number(key) for key in keys):
+        keys = [float(key) for key in keys]  # numeric labels compare as numbers: 9 < 10
+    bad = next((i for i in range(1, len(keys)) if not keys[i - 1] < keys[i]), None)
+    if bad is not None:
+        raise ValueError(f"{path}:{linenos[bad]}: period labels must be strictly increasing")
     data = np.asarray(values)
     if transformation == "logdiff100":
         if len(data) < 2:
@@ -152,23 +159,23 @@ def _is_number(s: str) -> bool:
         return False
 
 
-def _study_rep(args: tuple) -> dict[str, float]:
-    """One study replication: simulate the DGP, run every requested method,
-    return p-values keyed by method.  The LMC/MMC methods share one
-    linearity pass.  Top level so process pools can pick it."""
-    (cell_seed, cell_index, rep, dgp, T, N, methods, B, chp_draws, mmc_points) = args
-    rng = substream(cell_seed, DOMAIN_DGP, cell_index, rep)
-    y = simulate_msar(dgp, T, rng)
-    rep_seed = derive_seed(cell_seed, DOMAIN_CELL, cell_index, rep)
+def _study_rep(task: tuple[ExperimentConfig, int, int]) -> dict[str, float]:
+    """One study replication ``(cfg, cell_index, rep)``: simulate the cell's
+    DGP, run every requested method, return p-values keyed by method.  The
+    LMC/MMC methods share one linearity pass.  Top level so process pools
+    can pickle it."""
+    cfg, cell_index, rep = task
+    y = simulate_msar(cfg.dgp, cfg.T, substream(cfg.master_seed, DOMAIN_DGP, cell_index, rep))
+    rep_seed = derive_seed(cfg.master_seed, DOMAIN_CELL, cell_index, rep)
     out: dict[str, float] = {}
-    linear = [m for m in methods if m in LINEARITY_METHODS]
+    linear = [m for m in cfg.methods if m in LINEARITY_METHODS]
     if linear:
         reports = linearity_tests(
-            y, dgp.r, linear, N=N, master_seed=rep_seed, points_per_dim=mmc_points
+            y, cfg.dgp.r, linear, N=cfg.N, master_seed=rep_seed, points_per_dim=cfg.mmc_points
         )
         out.update((report.method, report.p_value) for report in reports)
-    if "supTS" in methods or "expTS" in methods:
-        report = chp_bootstrap_test(y, B=B, draws=chp_draws, master_seed=rep_seed)
+    if "supTS" in cfg.methods or "expTS" in cfg.methods:
+        report = chp_bootstrap_test(y, B=cfg.B, draws=cfg.chp_draws, master_seed=rep_seed)
         out["supTS"] = report.bootstrap_p_sup
         out["expTS"] = report.bootstrap_p_exp
     return out
@@ -196,13 +203,7 @@ def run_size_power_study(
     rows: list[StudyRow] = []
     for cell_index, cfg in enumerate(configs):
         start = time.perf_counter()
-        tasks = [
-            (
-                cfg.master_seed, cell_index, rep, cfg.dgp, cfg.T, cfg.N,
-                tuple(cfg.methods), cfg.B, cfg.chp_draws, cfg.mmc_points,
-            )
-            for rep in range(cfg.replications)
-        ]
+        tasks = [(cfg, cell_index, rep) for rep in range(cfg.replications)]
         try:
             results = _parallel_map(_study_rep, tasks, workers)
         except Exception as exc:  # cell must not poison its neighbours
@@ -234,48 +235,28 @@ def default_study_grid(
 ) -> list[ExperimentConfig]:
     """The full experiment design: a linear null plus nine switching
     alternatives, for phi in {0.1, 0.9} and T in {100, 200}."""
-    prof = PROFILES[profile]
-    configs: list[ExperimentConfig] = []
-    separations = [(2.0, 0.0), (0.0, 1.0), (2.0, 1.0)]
-    chains = [(0.9, 0.9), (0.9, 0.5), (0.9, 0.1)]
-    for phi in (0.1, 0.9):
-        for T in (100, 200):
-            null_dgp = MSARSpec(
-                regimes=RegimeParams(0.0, 0.0, 1.0, 1.0),
-                transition=TransitionMatrix(0.9, 0.9),
-                phi=(phi,),
-            )
-            configs.append(
-                ExperimentConfig(
-                    dgp=null_dgp, T=T, replications=prof["replications"], N=prof["N"],
-                    methods=methods, master_seed=master_seed, B=prof["B"],
-                    chp_draws=prof["chp_draws"],
-                    label=f"null,phi={phi},T={T}",
-                )
-            )
-            for dmu, dsig in separations:
-                for p11, p22 in chains:
-                    dgp = MSARSpec(
-                        regimes=RegimeParams(0.0, dmu, 1.0, 1.0 + dsig),
-                        transition=TransitionMatrix(p11, p22),
-                        phi=(phi,),
-                    )
-                    configs.append(
-                        ExperimentConfig(
-                            dgp=dgp, T=T, replications=prof["replications"], N=prof["N"],
-                            methods=methods, master_seed=master_seed, B=prof["B"],
-                            chp_draws=prof["chp_draws"],
-                            label=f"dmu={dmu},dsig={dsig},p=({p11},{p22}),phi={phi},T={T}",
-                        )
-                    )
-    return configs
+    cells = [("null", 0.0, 0.0, 0.9, 0.9)] + [
+        (f"dmu={dmu},dsig={dsig},p=({p11},{p22})", dmu, dsig, p11, p22)
+        for dmu, dsig in ((2.0, 0.0), (0.0, 1.0), (2.0, 1.0))
+        for p11, p22 in ((0.9, 0.9), (0.9, 0.5), (0.9, 0.1))
+    ]
+    return [
+        ExperimentConfig(
+            dgp=MSARSpec(RegimeParams(0.0, dmu, 1.0, 1.0 + dsig), TransitionMatrix(p11, p22), (phi,)),
+            T=T, methods=methods, master_seed=master_seed, label=f"{name},phi={phi},T={T}",
+            **PROFILES[profile],
+        )
+        for phi in (0.1, 0.9)
+        for T in (100, 200)
+        for name, dmu, dsig, p11, p22 in cells
+    ]
 
 
 def run_empirical(
     series: SeriesDataset | np.ndarray,
     r: int = 4,
     N: int = 100,
-    methods: Sequence[str] = ("LMC_min", "LMC_prod", "MMC_min", "MMC_prod"),
+    methods: Sequence[str] = LINEARITY_METHODS,
     master_seed: int = 0,
     grid_points: int | None = None,
 ) -> list[LinearityReport]:

@@ -22,6 +22,7 @@ from regimetest.chp import (
     _chunk_size,
     _criteria_for_draws,
     _criteria_kernel,
+    _panel_block,
     _psi_weight,
     _series_block,
     _standardize_rows,
@@ -301,6 +302,15 @@ class TestBatchedBootstrap:
             )
             for got, want in ((got_sup, sup_b), (got_exp, exp_b)):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_data_block_bit_identical_to_series_block(self, seed):
+        # the data and its resamples take the same arithmetic, numpy's powers of s2
+        # included, so the data's curvature is the one a resample of it would get
+        for cell in range(len(default_study_grid("desk"))):
+            ys = standardize_series(_desk_case(cell, seed)[1])
+            for got, want in zip(_panel_block(null_score_panel(ys)), _series_block(ys[None])):
+                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("phi", [0.4, 1.0])
     def test_paths_bit_identical_to_scalar_simulation(self, phi):

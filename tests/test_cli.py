@@ -5,7 +5,8 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from regimetest.cli import main
+from regimetest.cli import build_parser, main
+from regimetest.harness import LINEARITY_METHODS, STUDY_METHODS
 
 HAMILTON = str(files("regimetest").joinpath("data/gnp_hamilton_levels.csv"))
 
@@ -107,3 +108,86 @@ def test_simulate_file_reads_back_through_ingest_series(tmp_path):
     spec = MSARSpec(RegimeParams(0.0, 2.0, 1.0, 1.0), TransitionMatrix(0.9, 0.9), (0.3,))
     np.testing.assert_array_equal(dataset.values, simulate_msar(spec, 30, substream(4, 0)))
     assert dataset.labels == tuple(str(line) for line in range(2, 32))
+
+
+def _echo(text):
+    """The config echo lines of a run's output, without the leading '# '."""
+    return [line[2:] for line in text.splitlines()
+            if line.startswith("# ") and not line.startswith("# wrote ")]
+
+
+def test_study_echo_is_pinned(tmp_path, capsys):
+    assert main(["study", "--reps", "1", "--mc", "20", "--alpha", "0.1",
+                 "--methods", " LMC_min, ,LMC_prod", "--seed", "5",
+                 "--out", str(tmp_path / "study.csv")]) == 0
+    assert _echo(capsys.readouterr().out) == [
+        "alpha=0.1", "command=study", "mc=20", "methods=LMC_min,LMC_prod",
+        "profile=desk", "reps=1", "seed=5", "workers=1", "config_sha=8ba4ec24855b",
+    ]
+    meta = (tmp_path / "study.csv").read_text().splitlines()[0]
+    assert meta == "# regimetest=0.1.0 seed=5 config_sha=8ba4ec24855b"
+
+
+def test_fit_table_echoes_before_it_raises(tmp_path, capsys):
+    with pytest.raises(ValueError, match="10\\^4 draws"):
+        main(["fit-table", "--sizes", "50", "--draws", "100", "--out", str(tmp_path / "t.csv")])
+    assert _echo(capsys.readouterr().out) == [
+        "command=fit-table", "draws=100", "seed=0", "sizes=50", "config_sha=8865fdb5e70c",
+    ]
+
+
+SIMULATE_ECHO = ["T=30", "command=simulate", "mu=0,0", "p=0.9,0.9", "phi=0.3",
+                 "seed=4", "sigma=1,1", "config_sha=c659de6493a8"]
+
+
+def test_simulate_echo_is_pinned_in_file_mode(tmp_path, capsys):
+    assert main(["simulate", "--T", "30", "--phi", "0.3", "--seed", "4",
+                 "--out", str(tmp_path / "path.csv")]) == 0
+    captured = capsys.readouterr()
+    assert _echo(captured.out) == SIMULATE_ECHO and captured.err == ""
+
+
+@pytest.mark.parametrize("out", [[], ["--out", "-"]])
+def test_simulate_echo_is_pinned_in_stdout_mode(out, capsys):
+    assert main(["simulate", "--T", "30", "--phi", "0.3", "--seed", "4", *out]) == 0
+    captured = capsys.readouterr()
+    assert _echo(captured.err) == SIMULATE_ECHO and _echo(captured.out) == []
+
+
+ECHO_RUNS = {
+    "test": ["test", "--series", HAMILTON, "--transform", "logdiff100", "--lags", "1",
+             "--mc", "20", "--grid-points", "3", "--seed", "2"],
+    "chp": ["chp", "--series", HAMILTON, "--transform", "logdiff100", "--reps", "5",
+            "--draws", "5"],
+    "study": ["study", "--reps", "1", "--mc", "20", "--methods", "LMC_min"],
+    "fit-table": ["fit-table", "--sizes", "50", "--draws", "100"],
+    "simulate": ["simulate", "--T", "20"],
+}
+ECHO_KEYS = {
+    "test": ["command", "grid_points", "lags", "mc", "methods", "seed", "series", "transform"],
+    "chp": ["command", "draws", "reps", "seed", "series", "transform"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ECHO_RUNS))
+def test_echo_lists_every_parsed_option_but_out(command, tmp_path, capsys):
+    argv = ECHO_RUNS[command] + ["--out", str(tmp_path / "out.csv")]
+    try:
+        main(argv)
+    except ValueError:  # fit-table's tiny draw count, after the echo
+        assert command == "fit-table"
+    lines = _echo(capsys.readouterr().out)
+    keys = [line.split("=", 1)[0] for line in lines]
+    parsed = vars(build_parser().parse_args(argv))
+    assert keys[-1] == "config_sha"
+    assert keys[:-1] == sorted(set(parsed) - {"out"})
+    assert lines[:-1] == [f"{key}={parsed[key]}" for key in keys[:-1]]
+    if command in ECHO_KEYS:
+        assert keys[:-1] == ECHO_KEYS[command]
+
+
+def test_methods_option_lists_come_from_the_method_tuples():
+    parser = build_parser()
+    assert parser.parse_args(["test", "--series", "x.csv"]).methods == ",".join(LINEARITY_METHODS)
+    assert parser.parse_args(["study"]).methods == ",".join(STUDY_METHODS)
+    assert parser.parse_args(["study", "--methods", ""]).methods == ""

@@ -89,6 +89,27 @@ class TestIngestSeries:
         with pytest.raises(ValueError, match="increasing"):
             ingest_series(path)
 
+    def test_numeric_labels_compare_as_numbers(self, tmp_path):
+        # as strings "10" < "9", so the labels 1..11 looked out of order
+        path = tmp_path / "series.csv"
+        path.write_text("period,value\n" + "".join(f"{t},{t / 2}\n" for t in range(1, 12)))
+        ds = ingest_series(path)
+        assert ds.labels == tuple(str(t) for t in range(1, 12))
+        np.testing.assert_array_equal(ds.values, np.arange(1, 12) / 2)
+
+    @pytest.mark.parametrize("header, line", [("", 2), ("period,value\n", 3)])
+    def test_out_of_order_label_names_its_line(self, tmp_path, header, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(header + "3,1.0\n2,2.0\n")
+        with pytest.raises(ValueError, match=f":{line}: period labels must be strictly increasing"):
+            ingest_series(path)
+
+    def test_repeated_label_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("1999Q1,100\n1999Q2,101\n1999Q2,102\n")
+        with pytest.raises(ValueError, match=":3: period labels"):
+            ingest_series(path)
+
 
 class TestStudy:
     def test_rates_and_errors(self):
@@ -140,6 +161,37 @@ class TestStudy:
         labels = {c.label for c in configs}
         assert "null,phi=0.1,T=100" in labels
         assert "dmu=2.0,dsig=1.0,p=(0.9,0.5),phi=0.1,T=200" in labels
+
+    def test_desk_grid_cells_in_order(self):
+        # the golden study digests hash these labels, so order and bytes are pinned
+        cells = [("null", 0.0, 0.0, 0.9, 0.9)] + [
+            (f"dmu={dmu},dsig={dsig},p=({p11},{p22})", dmu, dsig, p11, p22)
+            for dmu, dsig in ((2.0, 0.0), (0.0, 1.0), (2.0, 1.0))
+            for p11, p22 in ((0.9, 0.9), (0.9, 0.5), (0.9, 0.1))
+        ]
+        expected = [
+            (f"{name},phi={phi},T={T}",
+             MSARSpec(RegimeParams(0.0, dmu, 1.0, 1.0 + dsig), TransitionMatrix(p11, p22), (phi,)),
+             T, 100, 200, 200, 500)
+            for phi, T in ((0.1, 100), (0.1, 200), (0.9, 100), (0.9, 200))
+            for name, dmu, dsig, p11, p22 in cells
+        ]
+        configs = default_study_grid("desk", master_seed=3, methods=("LMC_min",))
+        assert [
+            (c.label, c.dgp, c.T, c.N, c.B, c.chp_draws, c.replications) for c in configs
+        ] == expected
+        assert expected[0][0] == "null,phi=0.1,T=100"
+        assert expected[10][0] == "null,phi=0.1,T=200"
+        assert expected[39][0] == "dmu=2.0,dsig=1.0,p=(0.9,0.1),phi=0.9,T=200"
+        assert all(c.master_seed == 3 and c.methods == ("LMC_min",) for c in configs)
+        assert all((c.alpha, c.mmc_points) == (0.05, 41) for c in configs)
+
+    def test_full_profile_reaches_every_cell(self):
+        desk, full = default_study_grid("desk"), default_study_grid("full")
+        assert [c.label for c in full] == [c.label for c in desk]
+        assert [c.dgp for c in full] == [c.dgp for c in desk]
+        for cfg in full:
+            assert (cfg.replications, cfg.N, cfg.B, cfg.chp_draws) == (1000, 100, 500, 200)
 
 
 class TestCsvRoundTrip:
