@@ -22,10 +22,10 @@ standardized series at once, fits the AR(1) null to each in closed form and
 evaluates every nuisance draw together: because h[1] = 0, the quadratic term
 and the score path are one matrix product each, the rho-weighted cross term
 is one recursion over time, and the projection is one rank-aware QR per
-series.  The B bootstrap samples pass through the kernel in chunks whose
-size is a fixed function of (T, draws), and each series is computed
-independently of the others in its chunk, so every result depends only on
-``(seed, B, draws)``.
+series.  The standardized data is row 0 above its B standardized bootstrap
+samples, and the B + 1 rows take one pass over the blocks of
+:func:`~regimetest.moments.row_blocks`; each row is computed independently
+of its block, so every result depends only on ``(seed, B, draws)``.
 """
 
 from __future__ import annotations
@@ -37,14 +37,11 @@ import numpy as np
 from scipy.special import erfcx
 
 from ._seeding import DOMAIN_BOOTSTRAP, DOMAIN_NUISANCE, substream
+from .moments import row_blocks
 
 logger = logging.getLogger(__name__)
 
 RHO_BOUND = 0.7
-
-#: Bootstrap chunks hold about this many (time, sample, draw) elements, so
-#: each working array of the kernel stays near 1 MB.
-_CHUNK_ELEMENTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -342,6 +339,8 @@ def _criteria_for_draws(
 def sample_nuisance_draws(count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample (h, rho) pairs: h uniform on the unit circle in the (mean,
     variance) coordinates, rho uniform on [-0.7, 0.7]."""
+    if count < 1:
+        raise ValueError("need at least one nuisance draw")
     angles = rng.uniform(0.0, 2.0 * np.pi, size=count)
     H = np.column_stack([np.cos(angles), np.zeros(count), np.sin(angles)])
     rhos = rng.uniform(-RHO_BOUND, RHO_BOUND, size=count)
@@ -350,8 +349,6 @@ def sample_nuisance_draws(count: int, rng: np.random.Generator) -> tuple[np.ndar
 
 def sup_ts(panel: NullScorePanel, draws: int, rng: np.random.Generator) -> float:
     """Supremum-type statistic over sampled nuisance draws."""
-    if draws < 1:
-        raise ValueError("need at least one nuisance draw")
     H, rhos = sample_nuisance_draws(draws, rng)
     sup_criteria, _ = _criteria_for_draws(panel, H, rhos)
     return float(sup_criteria.max())
@@ -359,8 +356,6 @@ def sup_ts(panel: NullScorePanel, draws: int, rng: np.random.Generator) -> float
 
 def exp_ts(panel: NullScorePanel, draws: int, rng: np.random.Generator) -> float:
     """Exponential-type statistic: Monte Carlo average of the Psi weight."""
-    if draws < 1:
-        raise ValueError("need at least one nuisance draw")
     H, rhos = sample_nuisance_draws(draws, rng)
     _, psi = _criteria_for_draws(panel, H, rhos)
     return float(psi.mean())
@@ -392,29 +387,19 @@ def _bootstrap_paths(
     return Y
 
 
-def _chunk_size(T: int, draws: int) -> int:
-    """Bootstrap samples per kernel call: a fixed function of (T, draws)."""
-    return max(1, _CHUNK_ELEMENTS // ((T - 1) * draws))
-
-
-def _bootstrap_statistics(
-    panel: NullScorePanel, y1: float, B: int, H: np.ndarray, rhos: np.ndarray,
-    master_seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """supTS and expTS of the B bootstrap samples drawn from the panel's fit,
-    ``_chunk_size(T, draws)`` samples per kernel call."""
-    T = panel.T
-    chunk = _chunk_size(T, len(rhos))
-    paths = _bootstrap_paths(panel.theta0_hat, T, B, master_seed, y1)
-    work = np.empty((2, (T - 1) * min(chunk, B) * len(rhos)))
-    sup_b, exp_b = np.empty(B), np.empty(B)
-    for b0 in range(0, B, chunk):
-        rows = slice(b0, b0 + chunk)
-        Y = _standardize_rows(np.ascontiguousarray(paths[:, rows].T))
-        sup_criteria, psi = _criteria_kernel(*_series_block(Y), T, H, rhos, work)
-        sup_b[rows] = sup_criteria.max(axis=1)
-        exp_b[rows] = psi.mean(axis=1)
-    return sup_b, exp_b
+def _row_statistics(Y: np.ndarray, H: np.ndarray, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """supTS and expTS of every row of a (k, T) array of standardized series:
+    one kernel pass over its ``row_blocks``, with one reused work buffer."""
+    T = Y.shape[1]
+    row_elements = (T - 1) * len(rhos)
+    blocks = row_blocks(len(Y), row_elements)
+    work = np.empty((2, blocks[0].stop * row_elements))  # the first block is the largest
+    sup, exp = np.empty(len(Y)), np.empty(len(Y))
+    for block in blocks:
+        sup_criteria, psi = _criteria_kernel(*_series_block(Y[block]), T, H, rhos, work)
+        sup[block] = sup_criteria.max(axis=1)
+        exp[block] = psi.mean(axis=1)
+    return sup, exp
 
 
 def chp_bootstrap_test(
@@ -427,27 +412,23 @@ def chp_bootstrap_test(
 
     ``B`` artificial samples are generated from the fitted linear AR(1); the
     same nuisance draws are reused for the data and every bootstrap sample.
-    Bootstrap p-values use the (1 + #{boot >= data}) / (B + 1) convention.
+    The data is row 0 of one blocked kernel pass over the B + 1 standardized
+    series.  Bootstrap p-values use the (1 + #{boot >= data}) / (B + 1) convention.
     """
     y = np.asarray(y, dtype=float)
     if B < 2:
         raise ValueError("B must be at least 2")
-    if draws < 1:
-        raise ValueError("need at least one nuisance draw")
     H, rhos = sample_nuisance_draws(draws, substream(master_seed, DOMAIN_NUISANCE))
 
     ys = standardize_series(y)
-    panel = null_score_panel(ys)
-    sup_data, psi_data = _criteria_for_draws(panel, H, rhos)
-    sup0 = float(sup_data.max())
-    exp0 = float(psi_data.mean())
-
-    sup_b, exp_b = _bootstrap_statistics(panel, ys[0], B, H, rhos, master_seed)
-    n_sup = int(np.count_nonzero(sup_b >= sup0))
-    n_exp = int(np.count_nonzero(exp_b >= exp0))
+    paths = _bootstrap_paths(null_score_panel(ys).theta0_hat, len(ys), B, master_seed, ys[0])
+    Y = np.vstack([ys, _standardize_rows(np.ascontiguousarray(paths.T))])
+    sup, exp = _row_statistics(Y, H, rhos)
+    n_sup = int(np.count_nonzero(sup[1:] >= sup[0]))
+    n_exp = int(np.count_nonzero(exp[1:] >= exp[0]))
     return CHPReport(
-        supTS=sup0,
-        expTS=exp0,
+        supTS=float(sup[0]),
+        expTS=float(exp[0]),
         bootstrap_p_sup=(1 + n_sup) / (B + 1),
         bootstrap_p_exp=(1 + n_exp) / (B + 1),
         B=B,

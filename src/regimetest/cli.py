@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from . import __version__
 from ._seeding import DOMAIN_SIMULATE, substream
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--out", default="study_results.csv", metavar="PATH")
 
     fit = sub.add_parser("fit-table", help="regenerate the logistic coefficient table")
-    fit.add_argument("--sizes", default="50,100,150,200,250",
+    fit.add_argument("--sizes", default="50,100,150,200,250", type=_list_of(int),
                      help="comma-separated sample sizes")
     fit.add_argument("--draws", type=int, default=1_000_000)
     fit.add_argument("--seed", type=int, default=0)
@@ -85,10 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="emit a switching-autoregression path")
     sim.add_argument("--T", type=int, default=200)
-    sim.add_argument("--mu", default="0,0", help="mu1,mu2")
-    sim.add_argument("--sigma", default="1,1", help="sigma1,sigma2")
-    sim.add_argument("--p", default="0.9,0.9", help="p11,p22")
-    sim.add_argument("--phi", default="", help="comma-separated AR coefficients")
+    sim.add_argument("--mu", default="0,0", type=_list_of(float, 2), help="mu1,mu2")
+    sim.add_argument("--sigma", default="1,1", type=_list_of(float, 2), help="sigma1,sigma2")
+    sim.add_argument("--p", default="0.9,0.9", type=_list_of(float, 2), help="p11,p22")
+    sim.add_argument("--phi", default="", type=_list_of(float),
+                     help="comma-separated AR coefficients")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", default=None, metavar="PATH")
     return parser
@@ -100,20 +102,38 @@ def _series_args(p: argparse.ArgumentParser) -> None:
 
 
 def _methods_arg(p: argparse.ArgumentParser, methods: tuple[str, ...]) -> None:
-    listed = ",".join(methods)
-    # parsed to the list without blanks or empty items, which is what the echo shows
-    p.add_argument("--methods", default=listed, help=f"comma-separated subset of {listed}",
-                   type=lambda text: ",".join(m.strip() for m in text.split(",") if m.strip()))
+    p.add_argument("--methods", default=",".join(methods), type=_list_of(str),
+                   help=f"comma-separated subset of {','.join(methods)}")
 
 
-def _methods(args: argparse.Namespace) -> tuple[str, ...]:
-    return tuple(args.methods.split(",")) if args.methods else ()
+def _list_of(item: type, count: int | None = None):
+    """The argparse ``type=`` of a comma-separated option: its items without
+    blanks, joined back with commas (the text that is echoed and hashed), once
+    ``_items`` parses them to ``item`` values, ``count`` of them if given."""
+
+    def parse(text: str) -> str:
+        joined = ",".join(part.strip() for part in text.split(",") if part.strip())
+        try:
+            if count in (None, len(_items(joined, item))):
+                return joined
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected {f'{count} ' if count else ''}comma-separated {item.__name__} values, got {text!r}"
+        )
+
+    return parse
+
+
+def _items(text: str, item: type = str) -> tuple:
+    """The values of a comma-separated option that ``_list_of`` parsed."""
+    return tuple(item(part) for part in text.split(",")) if text else ()
 
 
 def _cmd_test(args: argparse.Namespace, meta: str) -> int:
     dataset = ingest_series(args.series, args.transform)
     rows = run_empirical(
-        dataset, r=args.lags, N=args.mc, methods=_methods(args),
+        dataset, r=args.lags, N=args.mc, methods=_items(args.methods),
         master_seed=args.seed, grid_points=args.grid_points,
     )
     r = args.lags
@@ -152,7 +172,7 @@ def _cmd_study(args: argparse.Namespace, meta: str) -> int:
     overrides = {field: value for field, value in overrides.items() if value is not None}
     configs = [
         replace(cfg, **overrides)
-        for cfg in default_study_grid(args.profile, master_seed=args.seed, methods=_methods(args))
+        for cfg in default_study_grid(args.profile, master_seed=args.seed, methods=_items(args.methods))
     ]
     rows = run_size_power_study(configs, workers=args.workers)
     write_study_csv(rows, args.out, header_meta=meta)
@@ -165,19 +185,15 @@ def _cmd_study(args: argparse.Namespace, meta: str) -> int:
 
 
 def _cmd_fit_table(args: argparse.Namespace, meta: str) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    table = regenerate_coeff_table(sizes, draws=args.draws, master_seed=args.seed)
+    table = regenerate_coeff_table(_items(args.sizes, int), draws=args.draws, master_seed=args.seed)
     table.to_csv(args.out)
     print(f"# wrote {args.out}")
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace, meta: str) -> int:
-    mu1, mu2 = (float(x) for x in args.mu.split(","))
-    s1, s2 = (float(x) for x in args.sigma.split(","))
-    p11, p22 = (float(x) for x in args.p.split(","))
-    phi = tuple(float(x) for x in args.phi.split(",") if x.strip())
-    spec = MSARSpec(RegimeParams(mu1, mu2, s1, s2), TransitionMatrix(p11, p22), phi)
+    mu, sigma, p = (_items(text, float) for text in (args.mu, args.sigma, args.p))
+    spec = MSARSpec(RegimeParams(*mu, *sigma), TransitionMatrix(*p), _items(args.phi, float))
     y = simulate_msar(spec, args.T, substream(args.seed, DOMAIN_SIMULATE))
     if _path_to_stdout(args):
         for v in y:
@@ -205,7 +221,10 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "series", None) is not None and not Path(args.series).is_file():
+        parser.error(f"argument --series: no such file: {args.series!r}")
     settings = {key: value for key, value in vars(args).items() if key != "out"}
     digest = config_digest(settings.items())
     # a path written to stdout must stay a clean series, so the echo goes to stderr

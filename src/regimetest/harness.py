@@ -7,7 +7,9 @@ results are reduced in replication order, so numeric outputs are identical
 for any worker count.  A study replication and an empirical report compute
 all their LMC/MMC methods in one linearity pass
 (:func:`~regimetest.linearity.linearity_tests`): one OLS fit, at most one
-nuisance grid and one null ensemble per series.
+nuisance grid and one null ensemble per series; supTS and expTS come from one
+CHP pass with the data as row 0 above its bootstrap samples.  Both passes and
+the table refit go through the blocks of :func:`~regimetest.moments.row_blocks`.
 """
 
 from __future__ import annotations
@@ -27,15 +29,12 @@ from ._seeding import DOMAIN_CELL, DOMAIN_DGP, DOMAIN_TABLE, derive_seed, substr
 from .chp import chp_bootstrap_test
 from .linearity import METHODS as LINEARITY_METHODS, LinearityReport, linearity_tests
 from .mctest import STATISTICS, LogisticCoeffTable, fit_logistic_cdf
-from .moments import quartet_matrix
+from .moments import quartet_matrix, row_blocks
 from .msar import MSARSpec, RegimeParams, TransitionMatrix, simulate_msar
 
 logger = logging.getLogger(__name__)
 
 STUDY_METHODS = LINEARITY_METHODS + ("supTS", "expTS")
-
-#: Null draws reduced per ``quartet_matrix`` call when refitting the table.
-_TABLE_BATCH = 50_000
 
 #: The desk profile trades replication counts for runtime; the full profile
 #: uses the reference experiment sizes.  Keys are ``ExperimentConfig`` fields.
@@ -277,21 +276,21 @@ def regenerate_coeff_table(
 ) -> LogisticCoeffTable:
     """Refit the logistic coefficient table from simulated null statistics.
 
-    For each sample size, ``draws`` standard-normal vectors are reduced to
-    their statistic quartets in batches, and each statistic's empirical
-    distribution is fitted by non-linear least squares.
+    For each sample size, ``draws`` standard-normal vectors (one stream at any
+    block size) are reduced to their statistic quartets over ``row_blocks``,
+    and each statistic's empirical distribution is fitted by non-linear least
+    squares.
     """
     if draws < 10_000:
         raise ValueError("need at least 10^4 draws per sample size")
+    if min(T_list, default=4) < 4:
+        raise ValueError("need sample sizes of at least 4 for the statistic quartet")
     entries = {}
     for T in T_list:
         rng = substream(master_seed, DOMAIN_TABLE, T)
         Q = np.empty((draws, 4))
-        done = 0
-        while done < draws:
-            m = min(_TABLE_BATCH, draws - done)
-            Q[done : done + m] = quartet_matrix(rng.standard_normal((m, T)))
-            done += m
+        for block in row_blocks(draws, T):
+            Q[block] = quartet_matrix(rng.standard_normal((block.stop - block.start, T)))
         if np.isnan(Q).any():  # degenerate draws are impossible in practice
             Q = Q[~np.isnan(Q).any(axis=1)]
         for j, stat in enumerate(STATISTICS):

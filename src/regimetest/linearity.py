@@ -16,15 +16,15 @@ Two procedures deal with the unknown AR coefficients:
   whose AR roots all lie strictly outside the unit circle, as the exact
   step-down rule ``stationary_rows`` decides.
 
-Both are computed in one pass (:func:`linearity_tests`): the OLS point and
-the grid points are the rows of one coefficient matrix, filtered and reduced
-to their statistic quartets in row-major blocks of a fixed element budget
-(so the temporaries stay in cache and memory stays bounded at any grid
-size; every row's quartet is independent of its block), and ranked against
-one null ensemble with one set of tie-breakers.  The LMC p-value is the
-p-value of the OLS row, so MMC >= LMC holds exactly whenever the OLS point
-survives the stationarity filter.  ``lmc_test``, ``mmc_test`` and ``mc_mixture_test`` are
-thin wrappers over the same rank core.
+Both are computed in one pass (:func:`linearity_tests`): the OLS point is
+row 0 of one coefficient matrix above the grid points; the rows are filtered
+and reduced to their statistic quartets over the row-major blocks of
+:func:`~regimetest.moments.row_blocks`, so memory stays bounded at any grid
+size, and ranked against one null ensemble with one set of tie-breakers.
+The LMC p-value is the p-value of the OLS row, so MMC >= LMC holds exactly
+whenever the OLS point survives the stationarity filter.  ``lmc_test``,
+``mmc_test`` and ``mc_mixture_test`` are thin wrappers over the same rank
+core.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .mctest import (
     simulate_null_quartets,
     tie_breaker_uniforms,
 )
-from .moments import quartet_matrix, raise_if_degenerate
+from .moments import quartet_matrix, raise_if_degenerate, row_blocks
 from .msar import min_root_modulus, stationary_rows
 
 __all__ = [
@@ -60,10 +60,6 @@ __all__ = [
 ]
 
 METHODS = ("LMC_min", "LMC_prod", "MMC_min", "MMC_prod")
-
-# elements of one block of filtered rows in the single pass: about 1 MB, so
-# the kernel's temporaries stay in cache
-_BLOCK_ELEMENTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -153,12 +149,10 @@ def ar_filter(y: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def _filtered_quartets(y: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``quartet_matrix(ar_filter(y, rows))``, bit for bit, computed over
-    row-major blocks of about ``_BLOCK_ELEMENTS`` filtered observations."""
-    step = max(1, _BLOCK_ELEMENTS // (len(y) - rows.shape[1]))
-    return np.vstack([
-        quartet_matrix(ar_filter(y, rows[i : i + step])) for i in range(0, len(rows), step)
-    ])
+    """``quartet_matrix(ar_filter(y, rows))``, bit for bit, computed over the
+    ``row_blocks`` of the filtered observations."""
+    blocks = row_blocks(len(rows), len(y) - rows.shape[1])
+    return np.vstack([quartet_matrix(ar_filter(y, rows[block])) for block in blocks])
 
 
 def _require_quartet_length(Tz: int) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from importlib.resources import as_file, files
 from pathlib import Path
@@ -72,25 +73,17 @@ class LogisticCoeffTable:
         """Exact entry; KeyError if (statistic, T) is not in the table."""
         return self._entries[(statistic, int(T))]
 
-    def coeffs_for(self, statistic: str, T: int, interpolate: bool = True) -> LogisticCoeffs:
+    def coeffs_for(self, statistic: str, T: int) -> LogisticCoeffs:
         """Entry at sample size ``T``, interpolated in T if necessary."""
         key = (statistic, int(T))
         if key in self._entries:
             return self._entries[key]
-        if not interpolate:
-            raise ValueError(
-                f"no coefficients for statistic {statistic} at T={T}; "
-                f"supported sizes are {self.supported_sizes(statistic)}"
-            )
         sizes = self.supported_sizes(statistic)
         if len(sizes) < 2:
             raise ValueError(f"cannot interpolate {statistic}: table has fewer than two sizes")
-        lo = max((s for s in sizes if s < T), default=None)
-        hi = min((s for s in sizes if s > T), default=None)
-        if lo is None:  # below the table: extrapolate from the two smallest
-            lo, hi = sizes[0], sizes[1]
-        elif hi is None:  # above the table: extrapolate from the two largest
-            lo, hi = sizes[-2], sizes[-1]
+        # the bracketing sizes; outside the table, the two nearest (extrapolation)
+        i = min(max(bisect_left(sizes, T), 1), len(sizes) - 1)
+        lo, hi = sizes[i - 1], sizes[i]
         w = (T - lo) / (hi - lo)
         a = self._entries[(statistic, lo)]
         b = self._entries[(statistic, hi)]

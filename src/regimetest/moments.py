@@ -48,6 +48,18 @@ class StatQuartet(NamedTuple):
     k: float
 
 
+#: Elements per block of rows in every batch pass: 1 MB of float64, in cache.
+BLOCK_ELEMENTS = 2**17
+
+
+def row_blocks(n: int, row_elements: int) -> list[slice]:
+    """Consecutive slices of ``max(1, BLOCK_ELEMENTS // row_elements)`` rows
+    covering ``n`` rows (the last may be shorter).  Each batch kernel computes
+    every row independently of its block, so the block size moves no number."""
+    step = max(1, BLOCK_ELEMENTS // row_elements)
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
 def _dispersion_floor(max_abs) -> float:
     """Partition dispersions at or below this level are rounding residue of a
     mathematically zero dispersion and must count as degenerate."""

@@ -18,12 +18,11 @@ from regimetest.chp import (
     NullScorePanel,
     NuisanceDraw,
     _bootstrap_paths,
-    _bootstrap_statistics,
-    _chunk_size,
     _criteria_for_draws,
     _criteria_kernel,
     _panel_block,
     _psi_weight,
+    _row_statistics,
     _series_block,
     _standardize_rows,
     chp_bootstrap_test,
@@ -36,6 +35,7 @@ from regimetest.chp import (
     sup_ts,
 )
 from regimetest.harness import default_study_grid
+from regimetest.moments import row_blocks
 from regimetest.msar import MSARSpec, RegimeParams, TransitionMatrix, simulate_msar
 
 #: Bootstrap samples per oracle comparison; every one of them is compared.
@@ -297,8 +297,11 @@ class TestBatchedBootstrap:
             # p-values; small ones to 1e-12 of the largest
             ys = standardize_series(y)
             H, rhos = sample_nuisance_draws(cfg.chp_draws, substream(rep_seed, DOMAIN_NUISANCE))
-            got_sup, got_exp = _bootstrap_statistics(
-                null_score_panel(ys), ys[0], ORACLE_B, H, rhos, rep_seed
+            paths = _bootstrap_paths(
+                null_score_panel(ys).theta0_hat, len(ys), ORACLE_B, rep_seed, ys[0]
+            )
+            got_sup, got_exp = _row_statistics(
+                _standardize_rows(np.ascontiguousarray(paths.T)), H, rhos
             )
             for got, want in ((got_sup, sup_b), (got_exp, exp_b)):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
@@ -325,7 +328,7 @@ class TestBatchedBootstrap:
     @pytest.mark.parametrize("cell", [0, 10, 20, 30])  # T = 100 and 200, phi = 0.1 and 0.9
     def test_criteria_bit_identical_across_chunk_sizes(self, cell):
         cfg, y, seed = _desk_case(cell, 3)
-        B, T = 13, cfg.T  # a prime, so chunks of 3 and the production chunk end short
+        B, T = 13, cfg.T  # a prime: chunks of 3 end short, as does the production pass over B + 1 rows
         ys = standardize_series(y)
         panel = null_score_panel(ys)
         H, rhos = sample_nuisance_draws(cfg.chp_draws, substream(seed, DOMAIN_NUISANCE))
@@ -343,10 +346,16 @@ class TestBatchedBootstrap:
         for chunk in (1, 3):
             for got, want in zip(in_chunks(chunk), whole):
                 np.testing.assert_array_equal(got, want)
-        assert B % _chunk_size(T, cfg.chp_draws) != 0
-        sup_b, exp_b = _bootstrap_statistics(panel, ys[0], B, H, rhos, seed)
-        np.testing.assert_array_equal(sup_b, whole[0].max(axis=1))
-        np.testing.assert_array_equal(exp_b, whole[1].mean(axis=1))
+        blocks = row_blocks(B + 1, (T - 1) * cfg.chp_draws)
+        assert blocks[-1].stop - blocks[-1].start < blocks[0].stop
+        # the production pass: the data is row 0 above the B samples
+        sup, exp = _row_statistics(np.vstack([ys, Y]), H, rhos)
+        np.testing.assert_array_equal(sup[1:], whole[0].max(axis=1))
+        np.testing.assert_array_equal(exp[1:], whole[1].mean(axis=1))
+        sup_data, psi_data = _criteria_for_draws(panel, H, rhos)
+        assert (sup[0], exp[0]) == (sup_data.max(), psi_data.mean())
+        report = chp_bootstrap_test(y, B=B, draws=cfg.chp_draws, master_seed=seed)
+        assert (report.supTS, report.expTS) == (sup[0], exp[0])
 
 
 class TestRankDeficientPanel:

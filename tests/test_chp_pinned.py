@@ -1,0 +1,42 @@
+"""Pinned CHP reports.
+
+``TestBatchedBootstrap`` compares ``chp_bootstrap_test`` with a per-sample
+oracle to 1e-12, which a last-bit change of the kernel would pass.  These
+tests pin the reports themselves: every statistic and p-value below was
+recorded before the data became row 0 of the bootstrap pass (when it had a
+kernel call of its own) and must not move.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from regimetest._seeding import DOMAIN_CELL, DOMAIN_DGP, derive_seed, substream
+from regimetest.chp import chp_bootstrap_test
+from regimetest.harness import default_study_grid
+from regimetest.msar import simulate_msar
+
+#: (desk cell, supTS, expTS, bootstrap_p_sup, bootstrap_p_exp) of replication
+#: 0 of the cell under study seed 0, at B=50 and the cell's 200 nuisance draws
+PINNED = [
+    (0, 0.013415833108975634, 0.6564782902094213, 0.39215686274509803, 0.27450980392156865),
+    (4, 0.028709895947205022, 0.6595506748549724, 0.11764705882352941, 0.17647058823529413),
+    (10, 0.011595771100909653, 0.6608193151038335, 0.17647058823529413, 0.1568627450980392),
+    (14, 0.013898685146755773, 0.6834888302561981, 0.09803921568627451, 0.0196078431372549),
+    (20, 0.016656025767232723, 0.6922875558126593, 0.29411764705882354, 0.0196078431372549),
+    (27, 0.03397986494349387, 0.7126061520490743, 0.13725490196078433, 0.0196078431372549),
+    (30, 0.010534164145988147, 0.6702711019977056, 0.23529411764705882, 0.058823529411764705),
+    (38, 0.024312347026434544, 0.6860350971309586, 0.0392156862745098, 0.0196078431372549),
+]
+
+
+@pytest.mark.parametrize("cell, supTS, expTS, p_sup, p_exp", PINNED, ids=[str(c[0]) for c in PINNED])
+def test_desk_case_is_pinned(cell, supTS, expTS, p_sup, p_exp):
+    cfg = default_study_grid("desk")[cell]
+    assert (cfg.T, cfg.dgp.phi[0]) == ((100, 200)[cell // 10 % 2], (0.1, 0.9)[cell // 20])
+    y = simulate_msar(cfg.dgp, cfg.T, substream(0, DOMAIN_DGP, cell, 0))
+    report = chp_bootstrap_test(
+        y, B=50, draws=cfg.chp_draws, master_seed=derive_seed(0, DOMAIN_CELL, cell, 0)
+    )
+    assert (report.supTS, report.expTS) == (supTS, expTS)
+    assert (report.bootstrap_p_sup, report.bootstrap_p_exp) == (p_sup, p_exp)

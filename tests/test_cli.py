@@ -191,3 +191,49 @@ def test_methods_option_lists_come_from_the_method_tuples():
     assert parser.parse_args(["test", "--series", "x.csv"]).methods == ",".join(LINEARITY_METHODS)
     assert parser.parse_args(["study"]).methods == ",".join(STUDY_METHODS)
     assert parser.parse_args(["study", "--methods", ""]).methods == ""
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["simulate", "--T", "10", "--mu", "0"], "--mu"),
+    (["simulate", "--T", "10", "--sigma", "1,2,3"], "--sigma"),
+    (["simulate", "--T", "10", "--p", "0.9,x"], "--p"),
+    (["simulate", "--T", "10", "--phi", "0.3,,abc"], "--phi"),
+    (["fit-table", "--sizes", "50,x"], "--sizes"),
+    (["fit-table", "--sizes", "50,60.5"], "--sizes"),
+    (["test", "--series", "no/such/series.csv"], "--series"),
+    (["chp", "--series", "no/such/series.csv"], "--series"),
+])
+def test_bad_option_is_a_usage_error_naming_it(argv, option, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err and f"argument {option}" in captured.err
+    assert captured.out == ""  # rejected before the echo
+
+
+def test_list_options_parse_to_their_items_without_blanks():
+    args = build_parser().parse_args(["simulate", "--mu", " 0, 2", "--sigma", "1 ,2",
+                                      "--p", "0.9, 0.5", "--phi", "0.3, ,0.1"])
+    assert (args.mu, args.sigma, args.p, args.phi) == ("0,2", "1,2", "0.9,0.5", "0.3,0.1")
+
+
+def test_sizes_echo_and_hash_without_blanks(tmp_path, capsys):
+    echoes = []
+    for sizes in ("50,60", "50, 60", " 50 ,,60 "):
+        with pytest.raises(ValueError, match="10\\^4 draws"):
+            main(["fit-table", "--sizes", sizes, "--draws", "100", "--out", str(tmp_path / "t.csv")])
+        echoes.append(_echo(capsys.readouterr().out))
+    assert echoes[0] == echoes[1] == echoes[2]
+    assert "sizes=50,60" in echoes[0]
+
+
+def test_simulate_with_spaced_lists_writes_the_same_path(tmp_path, capsys):
+    paths, echoes = [], []
+    for lists in (["--mu", "0,2", "--p", "0.9,0.5", "--phi", "0.3"],
+                  ["--mu", "0, 2", "--p", " 0.9,0.5", "--phi", "0.3,"]):
+        paths.append(tmp_path / f"{len(paths)}.csv")
+        main(["simulate", "--T", "40", *lists, "--out", str(paths[-1])])
+        echoes.append(_echo(capsys.readouterr().out))
+    assert paths[0].read_text() == paths[1].read_text()
+    assert echoes[0] == echoes[1]

@@ -6,6 +6,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
+from regimetest._seeding import DOMAIN_TABLE, substream
 from regimetest.harness import (
     ExperimentConfig,
     config_digest,
@@ -18,7 +19,8 @@ from regimetest.harness import (
     write_empirical_csv,
     write_study_csv,
 )
-from regimetest.mctest import LogisticCoeffTable, logistic_cdf
+from regimetest.mctest import STATISTICS, LogisticCoeffTable, fit_logistic_cdf, logistic_cdf
+from regimetest.moments import quartet_matrix, row_blocks
 from regimetest.msar import MSARSpec, RegimeParams, TransitionMatrix
 
 NULL_AR1 = MSARSpec(RegimeParams(0.0, 0.0, 1.0, 1.0), TransitionMatrix(0.9, 0.9), (0.1,))
@@ -238,6 +240,20 @@ class TestRegenerateCoeffTable:
             x = (np.log(grid / (1 - grid)) - mine.gamma0) / mine.gamma1
             gap = np.abs(logistic_cdf(x, mine) - logistic_cdf(x, ref))
             assert gap.max() < 0.03
+
+    @pytest.mark.parametrize("sizes", [[0], [50, 3]])
+    def test_sizes_below_the_quartet_length_are_rejected(self, sizes):
+        with pytest.raises(ValueError, match="at least 4"):
+            regenerate_coeff_table(sizes, draws=10_000)
+
+    def test_blocked_refit_equals_one_unblocked_call(self):
+        draws, seed = 20_000, 3
+        table = regenerate_coeff_table([60, 250], draws=draws, master_seed=seed)
+        for T in (60, 250):
+            assert len(row_blocks(draws, T)) > 1
+            Q = quartet_matrix(substream(seed, DOMAIN_TABLE, T).standard_normal((draws, T)))
+            for j, stat in enumerate(STATISTICS):
+                assert table.lookup(stat, T) == fit_logistic_cdf(Q[:, j], statistic=stat, T=T)
 
 
 def test_config_digest_is_order_insensitive():

@@ -10,6 +10,7 @@ import pytest
 
 import linearity_oracle
 from regimetest.harness import default_study_grid
+import regimetest.moments as moments
 import regimetest.msar as msar
 from regimetest.linearity import (
     METHODS,
@@ -449,23 +450,19 @@ class TestBlockPass:
 
     @pytest.mark.parametrize("budget", [None, 1, 7 * 131])
     def test_gnp_r4_quartets_match_unblocked(self, monkeypatch, hamilton_growth, extended_growth, budget):
-        import regimetest.linearity as lin
-
         if budget is not None:
-            monkeypatch.setattr(lin, "_BLOCK_ELEMENTS", budget)
+            monkeypatch.setattr(moments, "BLOCK_ELEMENTS", budget)
         for y in (hamilton_growth, extended_growth):
             fit = ols_ar_fit(y, 4)
             rows = np.vstack([fit.phi[None, :], build_grid(fit, 9).points])
             assert _same_bits(_filtered_quartets(y, rows), quartet_matrix(ar_filter(y, rows)))
 
     def test_degenerate_row_after_the_first_block(self):
-        import regimetest.linearity as lin
-
         # a two-valued series: the filter at phi = 0 leaves it two-valued, so
         # the M statistic is undefined there and only there
         y = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0] * 20)
         Tz = len(y) - 1
-        block = lin._BLOCK_ELEMENTS // Tz
+        block = moments.BLOCK_ELEMENTS // Tz
         grid = np.linspace(0.05, 0.9, 2 * block)[:, None]
         grid = np.insert(grid, block + 5, 0.0, axis=0)
         rows = np.vstack([ols_ar_fit(y, 1).phi[None, :], grid])

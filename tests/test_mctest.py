@@ -65,10 +65,6 @@ class TestLogisticCoeffTable:
         # extrapolation continues the local linear trend
         assert above.gamma1 > table.lookup("K", 250).gamma1
 
-    def test_unsupported_size_without_interpolation(self):
-        with pytest.raises(ValueError, match="supported sizes"):
-            LogisticCoeffTable.default().coeffs_for("V", 120, interpolate=False)
-
     def test_csv_round_trip(self, tmp_path):
         table = LogisticCoeffTable.default()
         path = tmp_path / "coeffs.csv"

@@ -12,10 +12,12 @@ from scipy.stats import ks_2samp
 
 import moments_oracle
 from regimetest.moments import (
+    BLOCK_ELEMENTS,
     DegenerateSampleError,
     compute_quartet,
     demean,
     quartet_matrix,
+    row_blocks,
     stat_k,
     stat_m,
     stat_s,
@@ -296,3 +298,15 @@ class TestQuartetMatrix:
             Qb = quartet_matrix(np.random.default_rng(2000 + T).standard_normal((n, T)))
             for j in range(4):
                 assert ks_2samp(Qa[:, j], Qb[:, j]).pvalue > 0.01
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize(
+        "n, row_elements", [(0, 5), (1, 5), (14, 99 * 200), (13, BLOCK_ELEMENTS), (3, 2 * BLOCK_ELEMENTS)]
+    )
+    def test_consecutive_blocks_of_the_budget(self, n, row_elements):
+        blocks = row_blocks(n, row_elements)
+        step = max(1, BLOCK_ELEMENTS // row_elements)
+        assert [i for block in blocks for i in range(n)[block]] == list(range(n))
+        assert all(block.stop - block.start == step for block in blocks[:-1])
+        assert all(0 < block.stop - block.start <= step for block in blocks)
