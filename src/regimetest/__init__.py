@@ -39,6 +39,7 @@ from .mctest import (
     combine_min,
     combine_prod,
     mc_pvalue,
+    mc_mixture_test,
     critical_rank,
     bonferroni_decision,
     fit_logistic_cdf,
@@ -49,7 +50,6 @@ from .linearity import (
     LinearityReport,
     ols_ar_fit,
     ar_filter,
-    mc_mixture_test,
     linearity_tests,
     lmc_test,
     build_grid,

@@ -150,14 +150,12 @@ def _hessian_entries(
     }
 
 
-def null_score_panel(y: np.ndarray, r: int = 1) -> NullScorePanel:
+def null_score_panel(y: np.ndarray) -> NullScorePanel:
     """Scores and Hessians of the AR(1) null log density at the OLS fit.
 
     Only the first-order model is supported; higher lag orders are outside
     this module's scope.
     """
-    if r != 1:
-        raise ValueError("the benchmark tests are implemented for the AR(1) null only")
     y = np.asarray(y, dtype=float)
     c, phi, s2, eps = _ar1_fit(y[None, :])
     # s2 stays an array, so the derivatives take numpy's powers, as the

@@ -12,6 +12,10 @@ Before any work, every run echoes each option it parsed except ``--out``
 as ``key=value`` lines, then ``config_sha``, their hash; together with the
 seed they fully determine its outputs.  The echo goes to stdout, except for
 ``simulate`` writing its path to stdout, where it goes to stderr.
+
+Like an option argparse rejects, an input the library rejects with
+``ValueError`` (a value out of range, an unknown method) is a usage error:
+``main`` prints ``regimetest: error: <message>`` to stderr and returns 2.
 """
 
 from __future__ import annotations
@@ -232,7 +236,11 @@ def main(argv: list[str] | None = None) -> int:
     for key in sorted(settings):
         print(f"# {key}={settings[key]}", file=echo)
     print(f"# config_sha={digest}", file=echo)
-    return _HANDLERS[args.command](args, f"regimetest={__version__} seed={args.seed} config_sha={digest}")
+    try:
+        return _HANDLERS[args.command](args, f"regimetest={__version__} seed={args.seed} config_sha={digest}")
+    except ValueError as exc:  # an input the library rejects is a usage error
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -72,6 +72,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if self.N < 2:
+            raise ValueError("N must be at least 2")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         unknown = set(self.methods) - set(STUDY_METHODS)
@@ -321,24 +323,6 @@ def write_study_csv(rows: Sequence[StudyRow], path: str | Path, header_meta: str
                  repr(row.reject_rate), repr(row.mc_se), f"{row.wall_time_s:.3f}",
                  int(row.failed), row.error]
             )
-
-
-def read_study_csv(path: str | Path) -> list[StudyRow]:
-    """Parse a study CSV back into rows (exactly as printed)."""
-    rows: list[StudyRow] = []
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    for rec in csv.DictReader(lines):
-        rows.append(
-            StudyRow(
-                label=rec["label"], method=rec["method"], T=int(rec["T"]),
-                replications=int(rec["replications"]),
-                reject_rate=float(rec["reject_rate"]), mc_se=float(rec["mc_se"]),
-                wall_time_s=float(rec["wall_time_s"]),
-                failed=bool(int(rec["failed"])), error=rec["error"],
-            )
-        )
-    return rows
 
 
 def write_empirical_csv(

@@ -1,10 +1,11 @@
 """End-to-end linearity tests against Markov-switching means and variances.
 
-The data path: fit a linear autoregression by OLS, filter the series at a
-candidate coefficient vector, demean, and reduce to the four moment
-statistics combined through approximate marginal p-values.  The filtered
-observations are i.i.d. under linearity at the true coefficients, so the
-combined statistic can be ranked against statistics of simulated normal
+This module builds the data rows of the exact MC test and filters them: it
+fits a linear autoregression by OLS, filters the series at candidate
+coefficient vectors and reduces each filtered series to its four moment
+statistics.  The filtered observations are i.i.d. under linearity at the
+true coefficients, so :func:`~regimetest.mctest.ensemble_pvalues` can rank
+each row's combined statistic against statistics of simulated normal
 vectors, yielding an exact MC p-value at that point of the nuisance space.
 
 Two procedures deal with the unknown AR coefficients:
@@ -20,11 +21,10 @@ Both are computed in one pass (:func:`linearity_tests`): the OLS point is
 row 0 of one coefficient matrix above the grid points; the rows are filtered
 and reduced to their statistic quartets over the row-major blocks of
 :func:`~regimetest.moments.row_blocks`, so memory stays bounded at any grid
-size, and ranked against one null ensemble with one set of tie-breakers.
-The LMC p-value is the p-value of the OLS row, so MMC >= LMC holds exactly
-whenever the OLS point survives the stationarity filter.  ``lmc_test``,
-``mmc_test`` and ``mc_mixture_test`` are thin wrappers over the same rank
-core.
+size, and ranked by the MC core against one null ensemble with one set of
+tie-breakers.  The LMC p-value is the p-value of the OLS row, so MMC >= LMC
+holds exactly whenever the OLS point survives the stationarity filter.
+``lmc_test`` and ``mmc_test`` are thin wrappers over that pass.
 """
 
 from __future__ import annotations
@@ -33,16 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mctest import (
-    LogisticCoeffTable,
-    MCTestReport,
-    approx_pvalue_matrix,
-    combine_matrix,
-    rank_pvalues,
-    simulate_null_quartets,
-    tie_breaker_uniforms,
-)
-from .moments import quartet_matrix, raise_if_degenerate, row_blocks
+from .mctest import LogisticCoeffTable, ensemble_pvalues
+from .moments import quartet_matrix, row_blocks
 from .msar import min_root_modulus, stationary_rows
 
 __all__ = [
@@ -52,7 +44,6 @@ __all__ = [
     "ols_ar_fit",
     "ar_filter",
     "min_root_modulus",
-    "mc_mixture_test",
     "linearity_tests",
     "lmc_test",
     "build_grid",
@@ -155,72 +146,6 @@ def _filtered_quartets(y: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.vstack([quartet_matrix(ar_filter(y, rows[block])) for block in blocks])
 
 
-def _require_quartet_length(Tz: int) -> None:
-    if Tz < 4:
-        raise ValueError("need at least 4 observations for the statistic quartet")
-
-
-def _ranked_rows(
-    Qz: np.ndarray, Tz: int, N: int, rules, table: LogisticCoeffTable | None, master_seed: int
-) -> tuple[dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]], int]:
-    """Exact MC p-values of every data row, given as its statistic quartet
-    (a row of ``Qz``) over ``Tz`` observations, under each combination rule.
-
-    All rows and rules share one null ensemble of ``N - 1`` replicates and
-    one set of tie-breakers, both drawn from ``master_seed``.  Returns
-    ``{rule: (row statistics, replicate statistics, row p-values)}`` and the
-    degenerate-resample count.  A degenerate data row raises
-    :class:`DegenerateSampleError`.
-    """
-    if N < 2:
-        raise ValueError("N must be at least 2")
-    if table is None:
-        table = LogisticCoeffTable.default()
-    raise_if_degenerate(Qz)
-    Q, resampled = simulate_null_quartets(Tz, N, master_seed)
-    u = tie_breaker_uniforms(N, master_seed)
-    Gz = approx_pvalue_matrix(Qz, table, Tz)
-    Gs = approx_pvalue_matrix(Q, table, Tz)
-    out = {}
-    for rule in rules:
-        f0, fs = combine_matrix(Gz, rule), combine_matrix(Gs, rule)
-        out[rule] = (f0, fs, rank_pvalues(f0, fs, u[0], u[1:]))
-    return out, resampled
-
-
-def mc_mixture_test(
-    z: np.ndarray,
-    N: int = 100,
-    method: str = "min",
-    table: LogisticCoeffTable | None = None,
-    master_seed: int = 0,
-) -> MCTestReport:
-    """Exact MC test that a series is i.i.d. normal against mixture features.
-
-    The combined statistic of the demeaned data is ranked among the combined
-    statistics of ``N - 1`` simulated standard-normal vectors of the same
-    length, all evaluated with the same coefficient table.
-
-    Degenerate-sample errors on the data path propagate; degenerate simulated
-    replicates are resampled (and counted in the report).
-    """
-    z = np.asarray(z, dtype=float)
-    _require_quartet_length(len(z))
-    ranked, resampled = _ranked_rows(
-        quartet_matrix(z[None, :]), len(z), N, (method,), table, master_seed
-    )
-    f0, fs, p = ranked[method]
-    return MCTestReport(
-        statistic_value=float(f0[0]),
-        rank=N + 1 - int(round(N * p[0])),
-        p_value=float(p[0]),
-        N=N,
-        seed=master_seed,
-        tie_breaker_used=bool(np.any(fs == f0[0])),
-        degenerate_resamples=resampled,
-    )
-
-
 def linearity_tests(
     y: np.ndarray,
     r: int,
@@ -260,8 +185,7 @@ def linearity_tests(
             raise ValueError("nuisance grid is empty")
         rows = np.vstack([rows, grid.points])
     rules = dict.fromkeys(rule for _, _, rule in requested)
-    _require_quartet_length(len(y) - r)
-    ranked, resampled = _ranked_rows(
+    ranked, resampled = ensemble_pvalues(
         _filtered_quartets(y, rows), len(y) - r, N, rules, table, master_seed
     )
 
@@ -341,11 +265,8 @@ def build_grid(fit: ARFit, points_per_dim: int) -> NuisanceBox:
         )
     hw = 2.0 * fit.phi_se
 
-    if points_per_dim == 1:
-        offsets = np.zeros(1)
-    else:
-        offsets = np.linspace(-1.0, 1.0, points_per_dim)
-        offsets[(points_per_dim - 1) // 2] = 0.0  # center must be exact
+    offsets = np.linspace(-1.0, 1.0, points_per_dim)
+    offsets[(points_per_dim - 1) // 2] = 0.0  # center must be exact
     axes = [center[k] + offsets * hw[k] for k in range(r)]
     # row-major order: the first maximizer of the MMC p-value depends on it
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, r)

@@ -1,14 +1,18 @@
-"""Monte Carlo test engine.
+"""Monte Carlo test engine: the one home of the exact MC test.
 
-Provides the rank-based exact MC p-value with uniform tie-breaking, critical
-ranks, Bonferroni-style induced decisions, the two p-value combination rules
-(minimum and product), and the logistic approximate distribution functions of
-the four moment statistics together with their regeneration by non-linear
-least squares.
+Statistic quartets become approximate marginal p-values through logistic
+approximations of their null distribution functions; the two combination
+rules (minimum and product) reduce them to one statistic per row, and
+:func:`ensemble_pvalues` ranks the combined statistic of every data row among
+those of N - 1 simulated standard-normal vectors, with uniform tie-breakers.
+The rank p-value is exact at any N, however crude the approximations, since
+data and replicate statistics share them.  :func:`mc_mixture_test` is that
+test on one series; the linearity tests build their data rows (the OLS point
+and the nuisance grid) and hand them to the same core.
 
-The combination rules operate on *approximate* marginal p-values; the MC
-rank step makes the combined test exact regardless of how crude those
-approximations are, since data and replicate statistics share them.
+The module also holds the rank rule itself, critical ranks, Bonferroni-style
+induced decisions, and the regeneration of the logistic coefficients by
+non-linear least squares.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import csv
 import logging
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib.resources import as_file, files
 from pathlib import Path
 from typing import Mapping
@@ -26,7 +30,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from ._seeding import DOMAIN_REPLICATE, DOMAIN_TIEBREAK, substream
-from .moments import quartet_matrix
+from .moments import quartet_matrix, raise_if_degenerate
 
 logger = logging.getLogger(__name__)
 
@@ -236,8 +240,8 @@ def mc_pvalue(ens: MCEnsemble, rng: np.random.Generator, seed: int | None = None
 def rank_pvalues(xi0: np.ndarray, xi_sim: np.ndarray, u0: float, us: np.ndarray) -> np.ndarray:
     """MC p-values for many data statistics against one replicate set.
 
-    The one implementation of the rank rule (:func:`mc_pvalue` and the
-    linearity tests call it): the replicate values ``xi_sim`` and all
+    The one implementation of the rank rule (:func:`mc_pvalue` and
+    :func:`ensemble_pvalues` call it): the replicate values ``xi_sim`` and all
     tie-breakers stay fixed while the data statistic varies.
     """
     xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))
@@ -343,3 +347,56 @@ def tie_breaker_uniforms(N: int, master_seed: int) -> np.ndarray:
     """The N tie-breaking uniforms of an ensemble; index 0 belongs to the
     data statistic."""
     return substream(master_seed, DOMAIN_TIEBREAK).uniform(size=N)
+
+
+def ensemble_pvalues(
+    Qz: np.ndarray, T: int, N: int, rules, table: LogisticCoeffTable | None, master_seed: int
+) -> tuple[dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]], int]:
+    """Exact MC p-values of every data row, given as its statistic quartet
+    (a row of ``Qz``) over ``T`` observations, under each combination rule.
+
+    All rows and rules share one null ensemble of ``N - 1`` replicates and
+    one set of tie-breakers, both drawn from ``master_seed``.  Returns
+    ``{rule: (row statistics, replicate statistics, row p-values)}`` and the
+    degenerate-resample count.  A degenerate data row raises
+    :class:`~regimetest.moments.DegenerateSampleError`.
+    """
+    if N < 2:
+        raise ValueError("N must be at least 2")
+    if table is None:
+        table = LogisticCoeffTable.default()
+    raise_if_degenerate(Qz)
+    Q, resampled = simulate_null_quartets(T, N, master_seed)
+    u = tie_breaker_uniforms(N, master_seed)
+    G = approx_pvalue_matrix(np.vstack([Qz, Q]), table, T)
+    out = {}
+    for rule in rules:
+        f = combine_matrix(G, rule)
+        f0, fs = f[: len(Qz)], f[len(Qz) :]
+        out[rule] = (f0, fs, rank_pvalues(f0, fs, u[0], u[1:]))
+    return out, resampled
+
+
+def mc_mixture_test(
+    z: np.ndarray,
+    N: int = 100,
+    method: str = "min",
+    table: LogisticCoeffTable | None = None,
+    master_seed: int = 0,
+) -> MCTestReport:
+    """Exact MC test that a series is i.i.d. normal against mixture features.
+
+    The combined statistic of the demeaned data is ranked among the combined
+    statistics of ``N - 1`` simulated standard-normal vectors of the same
+    length, all evaluated with the same coefficient table.
+
+    Degenerate-sample errors on the data path propagate; degenerate simulated
+    replicates are resampled (and counted in the report).
+    """
+    z = np.asarray(z, dtype=float)
+    ranked, resampled = ensemble_pvalues(
+        quartet_matrix(z[None, :]), len(z), N, (method,), table, master_seed
+    )
+    f0, fs, _ = ranked[method]
+    report = mc_pvalue(MCEnsemble(f0[0], fs), substream(master_seed, DOMAIN_TIEBREAK), master_seed)
+    return replace(report, degenerate_resamples=resampled)

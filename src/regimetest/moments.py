@@ -135,9 +135,11 @@ def quartet_matrix(X: np.ndarray) -> np.ndarray:
 
     Each row of ``X`` is demeaned and reduced to its (M, V, S, K) values.
     Degenerate rows yield NaN entries instead of raising, so batch callers
-    can detect and resample them.
+    can detect and resample them; rows shorter than 4 raise ``ValueError``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] < 4:
+        raise ValueError("need at least 4 observations for the statistic quartet")
     return _quartets(X - X.mean(axis=1, keepdims=True))
 
 

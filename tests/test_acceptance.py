@@ -25,8 +25,8 @@ from regimetest.harness import (
     run_empirical,
     run_size_power_study,
 )
-from regimetest.linearity import build_grid, lmc_test, mc_mixture_test, mmc_test, ols_ar_fit
-from regimetest.mctest import LogisticCoeffTable, fit_logistic_cdf, logistic_cdf
+from regimetest.linearity import build_grid, lmc_test, mmc_test, ols_ar_fit
+from regimetest.mctest import LogisticCoeffTable, fit_logistic_cdf, logistic_cdf, mc_mixture_test
 from regimetest.moments import quartet_matrix
 from regimetest.msar import (
     MSARSpec,

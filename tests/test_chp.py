@@ -104,10 +104,6 @@ class TestNullScorePanel:
         panel = null_score_panel(_ar1_path(0.2, 40, seed=4))
         np.testing.assert_array_equal(panel.hessians, panel.hessians.transpose(0, 2, 1))
 
-    def test_only_first_order_null(self):
-        with pytest.raises(ValueError, match="AR\\(1\\)"):
-            null_score_panel(np.arange(30.0), r=2)
-
     def test_minimum_length(self):
         with pytest.raises(ValueError):
             null_score_panel(np.arange(5.0))

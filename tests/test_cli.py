@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from importlib.resources import files
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from regimetest.cli import build_parser, main
 from regimetest.harness import LINEARITY_METHODS, STUDY_METHODS
+from study_csv import read_study_csv
 
 HAMILTON = str(files("regimetest").joinpath("data/gnp_hamilton_levels.csv"))
 
@@ -58,8 +60,6 @@ def test_study_subcommand(tmp_path, capsys):
         "--out", str(out),
     ])
     assert code == 0
-    from regimetest.harness import read_study_csv
-
     rows = read_study_csv(out)
     assert len(rows) == 40
     assert all(not r.failed for r in rows)
@@ -74,16 +74,40 @@ def test_simulate_subcommand(tmp_path):
     assert len(a.read_text().splitlines()) == 51  # header + 50 values
 
 
+def _usage_error(capsys) -> str:
+    """The message of the usage error a run ended with, from its stderr."""
+    lines = capsys.readouterr().err.splitlines()
+    assert lines and lines[-1].startswith("regimetest: error: ")
+    return lines[-1][len("regimetest: error: "):]
+
+
 @pytest.mark.parametrize("phi", ["0.2,0.3,0.5", "0.5,0.25,0.25"])
-def test_simulate_rejects_exact_unit_root(phi):
-    with pytest.raises(ValueError, match="stationary"):
-        main(["simulate", "--T", "30", "--phi", phi])
+def test_simulate_rejects_exact_unit_root(phi, capsys):
+    assert main(["simulate", "--T", "30", "--phi", phi]) == 2
+    assert re.search("stationary", _usage_error(capsys))
 
 
-def test_fit_table_subcommand_rejects_tiny_draw_counts(tmp_path):
-    with pytest.raises(ValueError):
-        main(["fit-table", "--sizes", "50", "--draws", "100",
-              "--out", str(tmp_path / "t.csv")])
+def test_fit_table_subcommand_rejects_tiny_draw_counts(tmp_path, capsys):
+    assert main(["fit-table", "--sizes", "50", "--draws", "100",
+                 "--out", str(tmp_path / "t.csv")]) == 2
+    assert re.search("10\\^4 draws", _usage_error(capsys))
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["chp", "--series", HAMILTON, "--reps", "1"], "B must be at least 2"),
+    (["simulate", "--T", "0"], "T must be at least 1"),
+    (["test", "--series", HAMILTON, "--methods", "FOO"], "unknown method 'FOO'"),
+    (["test", "--series", HAMILTON, "--mc", "1"], "N must be at least 2"),
+    (["test", "--series", HAMILTON, "--grid-points", "4", "--methods", "MMC_min"],
+     "points_per_dim must be odd"),
+    (["study", "--reps", "1", "--mc", "1", "--methods", "LMC_min"], "N must be at least 2"),
+], ids=["chp-reps", "simulate-T", "test-methods", "test-mc", "test-grid-points", "study-mc"])
+def test_rejected_input_is_a_usage_error(argv, message, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert _usage_error(capsys).startswith(message)
+    assert not out.exists()  # rejected before any output is written
 
 
 def test_simulate_stdout_is_a_clean_series(capsys):
@@ -129,9 +153,11 @@ def test_study_echo_is_pinned(tmp_path, capsys):
 
 
 def test_fit_table_echoes_before_it_raises(tmp_path, capsys):
-    with pytest.raises(ValueError, match="10\\^4 draws"):
-        main(["fit-table", "--sizes", "50", "--draws", "100", "--out", str(tmp_path / "t.csv")])
-    assert _echo(capsys.readouterr().out) == [
+    assert main(["fit-table", "--sizes", "50", "--draws", "100",
+                 "--out", str(tmp_path / "t.csv")]) == 2
+    captured = capsys.readouterr()
+    assert re.search("10\\^4 draws", captured.err)
+    assert _echo(captured.out) == [
         "command=fit-table", "draws=100", "seed=0", "sizes=50", "config_sha=8865fdb5e70c",
     ]
 
@@ -172,10 +198,8 @@ ECHO_KEYS = {
 @pytest.mark.parametrize("command", sorted(ECHO_RUNS))
 def test_echo_lists_every_parsed_option_but_out(command, tmp_path, capsys):
     argv = ECHO_RUNS[command] + ["--out", str(tmp_path / "out.csv")]
-    try:
-        main(argv)
-    except ValueError:  # fit-table's tiny draw count, after the echo
-        assert command == "fit-table"
+    # fit-table's tiny draw count is a usage error, after the echo
+    assert main(argv) == (2 if command == "fit-table" else 0)
     lines = _echo(capsys.readouterr().out)
     keys = [line.split("=", 1)[0] for line in lines]
     parsed = vars(build_parser().parse_args(argv))
@@ -221,9 +245,11 @@ def test_list_options_parse_to_their_items_without_blanks():
 def test_sizes_echo_and_hash_without_blanks(tmp_path, capsys):
     echoes = []
     for sizes in ("50,60", "50, 60", " 50 ,,60 "):
-        with pytest.raises(ValueError, match="10\\^4 draws"):
-            main(["fit-table", "--sizes", sizes, "--draws", "100", "--out", str(tmp_path / "t.csv")])
-        echoes.append(_echo(capsys.readouterr().out))
+        assert main(["fit-table", "--sizes", sizes, "--draws", "100",
+                     "--out", str(tmp_path / "t.csv")]) == 2
+        captured = capsys.readouterr()
+        assert re.search("10\\^4 draws", captured.err)
+        echoes.append(_echo(captured.out))
     assert echoes[0] == echoes[1] == echoes[2]
     assert "sizes=50,60" in echoes[0]
 

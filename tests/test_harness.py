@@ -12,7 +12,6 @@ from regimetest.harness import (
     config_digest,
     default_study_grid,
     ingest_series,
-    read_study_csv,
     regenerate_coeff_table,
     run_empirical,
     run_size_power_study,
@@ -22,6 +21,7 @@ from regimetest.harness import (
 from regimetest.mctest import STATISTICS, LogisticCoeffTable, fit_logistic_cdf, logistic_cdf
 from regimetest.moments import quartet_matrix, row_blocks
 from regimetest.msar import MSARSpec, RegimeParams, TransitionMatrix
+from study_csv import read_study_csv
 
 NULL_AR1 = MSARSpec(RegimeParams(0.0, 0.0, 1.0, 1.0), TransitionMatrix(0.9, 0.9), (0.1,))
 

@@ -20,11 +20,11 @@ from regimetest.linearity import (
     build_grid,
     linearity_tests,
     lmc_test,
-    mc_mixture_test,
     min_root_modulus,
     mmc_test,
     ols_ar_fit,
 )
+from regimetest.mctest import mc_mixture_test
 from regimetest.moments import DegenerateSampleError, quartet_matrix, raise_if_degenerate
 from regimetest.msar import (
     MSARSpec,
@@ -430,16 +430,17 @@ class TestSinglePass:
 
     def test_one_null_ensemble_and_one_grid_per_series(self, monkeypatch):
         import regimetest.linearity as lin
+        import regimetest.mctest as mct
 
         calls = {"simulate_null_quartets": 0, "build_grid": 0}
-        for name in calls:
-            real = getattr(lin, name)
+        for module, name in ((mct, "simulate_null_quartets"), (lin, "build_grid")):
+            real = getattr(module, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(lin, name, counted)
+            monkeypatch.setattr(module, name, counted)
         linearity_tests(_ar1_path(0.3, 100, seed=33), 1, METHODS, master_seed=8)
         assert calls == {"simulate_null_quartets": 1, "build_grid": 1}
 

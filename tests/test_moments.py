@@ -147,6 +147,9 @@ class TestComputeQuartet:
     def test_minimum_length(self):
         with pytest.raises(ValueError):
             compute_quartet(np.array([-1.0, 0.0, 1.0]))
+        for X in (np.zeros((2, 0)), np.array([[-1.0, 0.0, 1.0]])):
+            with pytest.raises(ValueError, match="at least 4 observations"):
+                quartet_matrix(X)
 
     @given(series, st.floats(0.01, 100), st.floats(-50, 50))
     @settings(max_examples=150, deadline=None)

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +112,18 @@ class TestSimulateChain:
 
 
 class TestSimulateMSAR:
+    def test_package_import_leaves_scipy_signal_unloaded(self):
+        # simulate_msar imports scipy.signal on first use: it is most of the
+        # package's import time, and only the AR filter of a path needs it
+        import regimetest
+
+        src = str(Path(regimetest.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        probe = "import sys, regimetest; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        assert out.strip() == "[]"
+
     def test_degenerate_noise_constant_path(self):
         spec = MSARSpec(RegimeParams(1.5, 1.5, 0.0, 0.0), TransitionMatrix(0.9, 0.9))
         y = simulate_msar(spec, 50, np.random.default_rng(0))
