@@ -11,7 +11,10 @@ Subcommands:
 Before any work, every run echoes each option it parsed except ``--out``
 as ``key=value`` lines, then ``config_sha``, their hash; together with the
 seed they fully determine its outputs.  The echo goes to stdout, except for
-``simulate`` writing its path to stdout, where it goes to stderr.
+``simulate`` writing its path to stdout, where it goes to stderr.  A list
+value may start with a minus sign: ``--mu -1,2`` parses as ``--mu=-1,2``.
+Files are written by ``harness.write_csv`` (the table by ``to_csv``), and
+``main`` then prints ``# wrote PATH``.
 
 Like an option argparse rejects, an input the library rejects with
 ``ValueError`` (a value out of range, an unknown method) is a usage error:
@@ -21,6 +24,7 @@ Like an option argparse rejects, an input the library rejects with
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -38,6 +42,7 @@ from .harness import (
     regenerate_coeff_table,
     run_empirical,
     run_size_power_study,
+    write_csv,
     write_empirical_csv,
     write_study_csv,
 )
@@ -134,7 +139,7 @@ def _items(text: str, item: type = str) -> tuple:
     return tuple(item(part) for part in text.split(",")) if text else ()
 
 
-def _cmd_test(args: argparse.Namespace, meta: str) -> int:
+def _cmd_test(args: argparse.Namespace, meta: str) -> None:
     dataset = ingest_series(args.series, args.transform)
     rows = run_empirical(
         dataset, r=args.lags, N=args.mc, methods=_items(args.methods),
@@ -148,11 +153,9 @@ def _cmd_test(args: argparse.Namespace, meta: str) -> int:
         print(f"{row.method:<10} {row.p_value:8.2f} {phis} {row.min_root_modulus:6.2f}")
     if args.out:
         write_empirical_csv(rows, args.out, header_meta=meta)
-        print(f"# wrote {args.out}")
-    return 0
 
 
-def _cmd_chp(args: argparse.Namespace, meta: str) -> int:
+def _cmd_chp(args: argparse.Namespace, meta: str) -> None:
     dataset = ingest_series(args.series, args.transform)
     report = chp_bootstrap_test(dataset.values, B=args.reps, draws=args.draws,
                                 master_seed=args.seed)
@@ -160,42 +163,30 @@ def _cmd_chp(args: argparse.Namespace, meta: str) -> int:
     print(f"{'supTS':<8} {report.supTS:12.5f} {report.bootstrap_p_sup:8.3f}")
     print(f"{'expTS':<8} {report.expTS:12.5f} {report.bootstrap_p_exp:8.3f}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(f"# {meta}\n")
-            fh.write("method,statistic,p_value,B,draws,seed\n")
-            fh.write(f"supTS,{report.supTS!r},{report.bootstrap_p_sup!r},"
-                     f"{report.B},{report.draws},{report.seed}\n")
-            fh.write(f"expTS,{report.expTS!r},{report.bootstrap_p_exp!r},"
-                     f"{report.B},{report.draws},{report.seed}\n")
-        print(f"# wrote {args.out}")
-    return 0
+        write_csv(args.out, ["method", "statistic", "p_value", "B", "draws", "seed"], [
+            ["supTS", repr(report.supTS), repr(report.bootstrap_p_sup), report.B, report.draws, report.seed],
+            ["expTS", repr(report.expTS), repr(report.bootstrap_p_exp), report.B, report.draws, report.seed],
+        ], meta)
 
 
-def _cmd_study(args: argparse.Namespace, meta: str) -> int:
+def _cmd_study(args: argparse.Namespace, meta: str) -> None:
     overrides = {"replications": args.reps, "N": args.mc, "alpha": args.alpha}
     overrides = {field: value for field, value in overrides.items() if value is not None}
-    configs = [
-        replace(cfg, **overrides)
-        for cfg in default_study_grid(args.profile, master_seed=args.seed, methods=_items(args.methods))
-    ]
-    rows = run_size_power_study(configs, workers=args.workers)
+    grid = default_study_grid(args.profile, master_seed=args.seed, methods=_items(args.methods))
+    rows = run_size_power_study([replace(cfg, **overrides) for cfg in grid], workers=args.workers)
     write_study_csv(rows, args.out, header_meta=meta)
     print(f"{'cell':<42} {'method':<9} {'reject%':>8} {'se%':>6}")
     for row in rows:
         status = "FAILED" if row.failed else f"{100 * row.reject_rate:8.1f} {100 * row.mc_se:6.1f}"
         print(f"{row.label:<42} {row.method:<9} {status}")
-    print(f"# wrote {args.out}")
-    return 0
 
 
-def _cmd_fit_table(args: argparse.Namespace, meta: str) -> int:
+def _cmd_fit_table(args: argparse.Namespace, meta: str) -> None:
     table = regenerate_coeff_table(_items(args.sizes, int), draws=args.draws, master_seed=args.seed)
     table.to_csv(args.out)
-    print(f"# wrote {args.out}")
-    return 0
 
 
-def _cmd_simulate(args: argparse.Namespace, meta: str) -> int:
+def _cmd_simulate(args: argparse.Namespace, meta: str) -> None:
     mu, sigma, p = (_items(text, float) for text in (args.mu, args.sigma, args.p))
     spec = MSARSpec(RegimeParams(*mu, *sigma), TransitionMatrix(*p), _items(args.phi, float))
     y = simulate_msar(spec, args.T, substream(args.seed, DOMAIN_SIMULATE))
@@ -203,12 +194,7 @@ def _cmd_simulate(args: argparse.Namespace, meta: str) -> int:
         for v in y:
             print(repr(float(v)))
     else:
-        with open(args.out, "w") as fh:
-            fh.write("value\n")
-            for v in y:
-                fh.write(f"{float(v)!r}\n")
-        print(f"# wrote {args.out}")
-    return 0
+        write_csv(args.out, ["value"], ([repr(float(v))] for v in y))
 
 
 def _path_to_stdout(args: argparse.Namespace) -> bool:
@@ -224,9 +210,20 @@ _HANDLERS = {
 }
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """``OPT VALUE`` as ``OPT=VALUE`` where VALUE starts with ``-`` and a digit
+    or ``.``: argparse takes a list such as ``-1,2`` for an option string."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1].startswith("--") and re.match(r"-[\d.]", arg):
+            arg = f"{joined.pop()}={arg}"
+        joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     if getattr(args, "series", None) is not None and not Path(args.series).is_file():
         parser.error(f"argument --series: no such file: {args.series!r}")
     settings = {key: value for key, value in vars(args).items() if key != "out"}
@@ -237,10 +234,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"# {key}={settings[key]}", file=echo)
     print(f"# config_sha={digest}", file=echo)
     try:
-        return _HANDLERS[args.command](args, f"regimetest={__version__} seed={args.seed} config_sha={digest}")
+        _HANDLERS[args.command](args, f"regimetest={__version__} seed={args.seed} config_sha={digest}")
     except ValueError as exc:  # an input the library rejects is a usage error
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
+    if args.out and not _path_to_stdout(args):
+        print(f"# wrote {args.out}")
+    return 0
 
 
 if __name__ == "__main__":

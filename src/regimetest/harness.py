@@ -1,5 +1,6 @@
 """Experiment harness: data ingestion, size/power studies, the empirical
-application pipeline, and coefficient-table regeneration.
+application pipeline, coefficient-table regeneration, and :func:`write_csv`,
+the one writer of a run's output files (``# meta`` line, header, rows, ``\\n``).
 
 All stochastic work is keyed on a master seed through documented derivation
 paths (see ``_seeding``), and study replications are independent tasks whose
@@ -201,6 +202,8 @@ def run_size_power_study(
     cell's level, its binomial Monte Carlo standard error, and the cell wall
     time.  A failing cell is reported as failed without aborting the study.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     rows: list[StudyRow] = []
     for cell_index, cfg in enumerate(configs):
         start = time.perf_counter()
@@ -307,40 +310,31 @@ def config_digest(pairs: Iterable[tuple[str, object]]) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence], meta: str = "") -> None:
+    """Write a run's output file: a ``# meta`` line if ``meta`` is given, the
+    header, then the rows, every line ended in ``\\n``."""
+    with open(path, "w", newline="") as fh:
+        if meta:
+            fh.write(f"# {meta}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_study_csv(rows: Sequence[StudyRow], path: str | Path, header_meta: str = "") -> None:
     """Write study rows; a leading comment line records run metadata."""
-    with open(path, "w", newline="") as fh:
-        if header_meta:
-            fh.write(f"# {header_meta}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["label", "method", "T", "replications", "reject_rate", "mc_se",
-             "wall_time_s", "failed", "error"]
-        )
-        for row in rows:
-            writer.writerow(
-                [row.label, row.method, row.T, row.replications,
-                 repr(row.reject_rate), repr(row.mc_se), f"{row.wall_time_s:.3f}",
-                 int(row.failed), row.error]
-            )
+    write_csv(path, ["label", "method", "T", "replications", "reject_rate", "mc_se",
+                     "wall_time_s", "failed", "error"],
+              ([row.label, row.method, row.T, row.replications, repr(row.reject_rate),
+                repr(row.mc_se), f"{row.wall_time_s:.3f}", int(row.failed), row.error]
+               for row in rows), header_meta)
 
 
-def write_empirical_csv(
-    rows: Sequence[LinearityReport], path: str | Path, header_meta: str = ""
-) -> None:
+def write_empirical_csv(rows: Sequence[LinearityReport], path: str | Path, header_meta: str = "") -> None:
     """Write an empirical report: method, p-value, phi_1..phi_r, |z|."""
     r = max((len(row.phi_at_report) for row in rows), default=0)
-    with open(path, "w", newline="") as fh:
-        if header_meta:
-            fh.write(f"# {header_meta}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["method", "p_value"] + [f"phi_{k+1}" for k in range(r)]
-            + ["min_root_modulus", "N", "seed", "grid_points"]
-        )
-        for row in rows:
-            writer.writerow(
-                [row.method, repr(row.p_value)]
-                + [repr(float(p)) for p in row.phi_at_report]
-                + [repr(row.min_root_modulus), row.N, row.seed, row.grid_points_evaluated]
-            )
+    write_csv(path, ["method", "p_value"] + [f"phi_{k+1}" for k in range(r)]
+              + ["min_root_modulus", "N", "seed", "grid_points"],
+              ([row.method, repr(row.p_value)] + [repr(float(p)) for p in row.phi_at_report]
+               + [repr(row.min_root_modulus), row.N, row.seed, row.grid_points_evaluated]
+               for row in rows), header_meta)

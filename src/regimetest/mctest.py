@@ -115,7 +115,7 @@ class LogisticCoeffTable:
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["statistic", "T", "gamma0", "gamma1"])
             for (stat, T) in sorted(self._entries, key=lambda k: (STATISTICS.index(k[0]), k[1])):
                 c = self._entries[(stat, T)]

@@ -101,10 +101,7 @@ def stat_k(e: np.ndarray) -> float:
 
 def compute_quartet(e: np.ndarray) -> StatQuartet:
     """All four statistics of a demeaned series of length >= 4."""
-    e = np.asarray(e, dtype=float)
-    if len(e) < 4:
-        raise ValueError("need at least 4 observations for the statistic quartet")
-    q = _quartets(e[None, :])
+    q = _quartets(_rows(e))
     raise_if_degenerate(q)
     return StatQuartet(*map(float, q[0]))
 
@@ -118,7 +115,7 @@ def raise_if_degenerate(Q: np.ndarray) -> None:
 
 
 def _statistic(e: np.ndarray, column: int) -> float:
-    value = float(_quartets(np.asarray(e, dtype=float)[None, :])[0, column])
+    value = float(_quartets(_rows(e))[0, column])
     if np.isnan(value):
         raise _degenerate(column)
     return value
@@ -137,10 +134,16 @@ def quartet_matrix(X: np.ndarray) -> np.ndarray:
     Degenerate rows yield NaN entries instead of raising, so batch callers
     can detect and resample them; rows shorter than 4 raise ``ValueError``.
     """
+    X = _rows(X)
+    return _quartets(X - X.mean(axis=1, keepdims=True))
+
+
+def _rows(X) -> np.ndarray:
+    """``X`` as 2-D float rows; on every path to the kernel, before any reduction."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] < 4:
         raise ValueError("need at least 4 observations for the statistic quartet")
-    return _quartets(X - X.mean(axis=1, keepdims=True))
+    return X
 
 
 def _quartets(E: np.ndarray) -> np.ndarray:

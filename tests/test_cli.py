@@ -102,7 +102,10 @@ def test_fit_table_subcommand_rejects_tiny_draw_counts(tmp_path, capsys):
     (["test", "--series", HAMILTON, "--grid-points", "4", "--methods", "MMC_min"],
      "points_per_dim must be odd"),
     (["study", "--reps", "1", "--mc", "1", "--methods", "LMC_min"], "N must be at least 2"),
-], ids=["chp-reps", "simulate-T", "test-methods", "test-mc", "test-grid-points", "study-mc"])
+    (["study", "--reps", "1", "--mc", "20", "--methods", "LMC_min", "--workers", "0"],
+     "workers must be at least 1"),
+], ids=["chp-reps", "simulate-T", "test-methods", "test-mc", "test-grid-points", "study-mc",
+        "study-workers"])
 def test_rejected_input_is_a_usage_error(argv, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main([*argv, "--out", str(out)]) == 2
@@ -263,3 +266,14 @@ def test_simulate_with_spaced_lists_writes_the_same_path(tmp_path, capsys):
         echoes.append(_echo(capsys.readouterr().out))
     assert paths[0].read_text() == paths[1].read_text()
     assert echoes[0] == echoes[1]
+
+
+def test_list_options_take_a_leading_negative_value_in_either_form(tmp_path, capsys):
+    paths, echoes = [], []
+    for lists in (["--mu", "-1,2", "--phi", "-0.3,0.1"], ["--mu=-1,2", "--phi=-0.3,0.1"]):
+        paths.append(tmp_path / f"{len(paths)}.csv")
+        assert main(["simulate", "--T", "20", *lists, "--out", str(paths[-1])]) == 0
+        echoes.append(_echo(capsys.readouterr().out))
+    assert paths[0].read_text() == paths[1].read_text()
+    assert echoes[0] == echoes[1]
+    assert "mu=-1,2" in echoes[0] and "phi=-0.3,0.1" in echoes[0]

@@ -145,8 +145,10 @@ class TestComputeQuartet:
             compute_quartet(np.array([-1.0, -1.0, 1.0, 1.0]))
 
     def test_minimum_length(self):
-        with pytest.raises(ValueError):
-            compute_quartet(np.array([-1.0, 0.0, 1.0]))
+        # one length rule for the quartet and for each statistic alone
+        for helper in (compute_quartet, stat_m, stat_v, stat_s, stat_k):
+            with pytest.raises(ValueError, match="at least 4 observations"):
+                helper(np.array([2.0, -1.5, -0.5]))
         for X in (np.zeros((2, 0)), np.array([[-1.0, 0.0, 1.0]])):
             with pytest.raises(ValueError, match="at least 4 observations"):
                 quartet_matrix(X)
