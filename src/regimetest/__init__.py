@@ -32,7 +32,6 @@ from .moments import (
 from .mctest import (
     LogisticCoeffs,
     LogisticCoeffTable,
-    MCEnsemble,
     MCTestReport,
     logistic_cdf,
     approx_pvalues,

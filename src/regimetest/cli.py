@@ -11,8 +11,9 @@ Subcommands:
 Before any work, every run echoes each option it parsed except ``--out``
 as ``key=value`` lines, then ``config_sha``, their hash; together with the
 seed they fully determine its outputs.  The echo goes to stdout, except for
-``simulate`` writing its path to stdout, where it goes to stderr.  A list
-value may start with a minus sign: ``--mu -1,2`` parses as ``--mu=-1,2``.
+``simulate`` writing its path to stdout, where it goes to stderr.  ``--out -``
+means stdout for ``simulate`` and is a usage error elsewhere.  A list value
+may start with a minus sign: ``--mu -1,2`` parses as ``--mu=-1,2``.
 Files are written by ``harness.write_csv`` (the table by ``to_csv``), and
 ``main`` then prints ``# wrote PATH``.
 
@@ -226,6 +227,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     if getattr(args, "series", None) is not None and not Path(args.series).is_file():
         parser.error(f"argument --series: no such file: {args.series!r}")
+    if args.out == "-" and args.command != "simulate":
+        parser.error(f"argument --out: only simulate writes to stdout ('-'); "
+                     f"give {args.command} a file path")
     settings = {key: value for key, value in vars(args).items() if key != "out"}
     digest = config_digest(settings.items())
     # a path written to stdout must stay a clean series, so the echo goes to stderr

@@ -22,9 +22,11 @@ row 0 of one coefficient matrix above the grid points; the rows are filtered
 and reduced to their statistic quartets over the row-major blocks of
 :func:`~regimetest.moments.row_blocks`, so memory stays bounded at any grid
 size, and ranked by the MC core against one null ensemble with one set of
-tie-breakers.  The LMC p-value is the p-value of the OLS row, so MMC >= LMC
-holds exactly whenever the OLS point survives the stationarity filter.
-``lmc_test`` and ``mmc_test`` are thin wrappers over that pass.
+tie-breakers.  The LMC p-value is the p-value of the OLS row, which must be
+stationary: an LMC method at a non-stationary OLS point is a ``ValueError``,
+so on the default grid, centred on that point, MMC >= LMC holds exactly in
+every pass that reports both.  ``lmc_test`` and ``mmc_test`` are thin
+wrappers over that pass.
 """
 
 from __future__ import annotations
@@ -133,8 +135,8 @@ def ar_filter(y: np.ndarray, phi: np.ndarray) -> np.ndarray:
     r = P.shape[1]
     if len(y) <= r:
         raise ValueError("series too short for the requested filter")
-    Z = np.repeat(y[None, r:], len(P), axis=0)
-    for k in range(1, r + 1):
+    Z = y[r:] - P[:, :1] * y[r - 1 : -1] if r else np.repeat(y[None, :], len(P), axis=0)
+    for k in range(2, r + 1):
         Z -= P[:, k - 1 : k] * y[r - k : len(y) - k]
     return Z if phi.ndim == 2 else Z[0]
 
@@ -165,17 +167,23 @@ def linearity_tests(
     p-value is row 0's and the MMC p-value is the largest over the grid rows
     (the first maximizer in row-major grid order).  The grid defaults to 41
     points for one lag and 9 points per dimension otherwise.  Unknown
-    methods are rejected before any work.
+    methods and ``N < 2`` are rejected before any work, an LMC method at a
+    non-stationary OLS point after the fit.
     """
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; use {', '.join(METHODS)}")
+    if N < 2:
+        raise ValueError("N must be at least 2")
     requested = [(method, *method.split("_")) for method in methods]
     if grid is not None:
         _check_grid(grid.points, r)
     y = np.asarray(y, dtype=float)
     fit = ols_ar_fit(y, r)
     rows = fit.phi[None, :]
+    if any(kind == "LMC" for _, kind, _ in requested) and not stationary_rows(rows)[0]:
+        raise ValueError(f"LMC needs a stationary OLS point; {fit.phi.tolist()} has smallest "
+                         f"root modulus {min_root_modulus(fit.phi):.6g}")
     if any(kind == "MMC" for _, kind, _ in requested):
         if grid is None:
             if points_per_dim is None:
@@ -191,7 +199,7 @@ def linearity_tests(
 
     reports = []
     for method, kind, rule in requested:
-        p = ranked[rule][2]
+        p = ranked[rule][3]
         best = 0 if kind == "LMC" else 1 + int(np.argmax(p[1:]))
         reports.append(
             LinearityReport(

@@ -10,9 +10,9 @@ data and replicate statistics share them.  :func:`mc_mixture_test` is that
 test on one series; the linearity tests build their data rows (the OLS point
 and the nuisance grid) and hand them to the same core.
 
-The module also holds the rank rule itself, critical ranks, Bonferroni-style
-induced decisions, and the regeneration of the logistic coefficients by
-non-linear least squares.
+The module also holds the rank rule itself, the one draw of its
+tie-breakers, critical ranks, Bonferroni-style induced decisions, and the
+regeneration of the logistic coefficients by non-linear least squares.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import csv
 import logging
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib.resources import as_file, files
 from pathlib import Path
 from typing import Mapping
@@ -187,23 +187,6 @@ def combine_matrix(G: np.ndarray, method: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MCEnsemble:
-    """A data statistic together with its simulated null counterparts."""
-
-    xi0: float
-    xi_sim: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "xi_sim", np.asarray(self.xi_sim, dtype=float))
-        if self.N < 2:
-            raise ValueError("ensemble needs at least one simulated statistic")
-
-    @property
-    def N(self) -> int:
-        return len(self.xi_sim) + 1
-
-
-@dataclass(frozen=True)
 class MCTestReport:
     """Outcome of one exact MC test: p = (N + 1 - rank) / N."""
 
@@ -216,41 +199,46 @@ class MCTestReport:
     degenerate_resamples: int = 0
 
 
-def mc_pvalue(ens: MCEnsemble, rng: np.random.Generator, seed: int | None = None) -> MCTestReport:
-    """Exact MC p-value of the data statistic within its ensemble.
-
-    The rank of ``xi0`` among all N values in increasing order determines
-    ``p = (N + 1 - rank) / N``.  Ties are broken by independent uniforms
-    attached to every ensemble member (lexicographic comparison on
-    (value, tie-breaker)), which preserves exactness for discrete statistics.
-    """
-    N = ens.N
-    u = rng.uniform(size=N)
-    p = float(rank_pvalues(ens.xi0, ens.xi_sim, u[0], u[1:])[0])
-    return MCTestReport(
-        statistic_value=float(ens.xi0),
-        rank=N + 1 - int(round(N * p)),
-        p_value=p,
-        N=N,
-        seed=seed,
-        tie_breaker_used=bool(np.any(ens.xi_sim == ens.xi0)),
-    )
+def mc_pvalue(xi0: float, xi_sim: np.ndarray, rng: np.random.Generator,
+              seed: int | None = None) -> MCTestReport:
+    """Exact MC p-value of the data statistic ``xi0`` among its simulated
+    counterparts ``xi_sim``, with the tie-breakers drawn from ``rng``."""
+    xi_sim = np.asarray(xi_sim, dtype=float)
+    u = rng.uniform(size=len(xi_sim) + 1)
+    return _report(xi0, xi_sim, *rank_pvalues(xi0, xi_sim, u[0], u[1:]), seed)
 
 
-def rank_pvalues(xi0: np.ndarray, xi_sim: np.ndarray, u0: float, us: np.ndarray) -> np.ndarray:
-    """MC p-values for many data statistics against one replicate set.
+def _report(xi0, xi_sim, ranks, p, seed, resampled: int = 0) -> MCTestReport:
+    """The report of the first data statistic of a ranking."""
+    return MCTestReport(float(xi0), int(ranks[0]), float(p[0]), len(xi_sim) + 1, seed,
+                        bool(np.any(xi_sim == xi0)), resampled)
 
-    The one implementation of the rank rule (:func:`mc_pvalue` and
-    :func:`ensemble_pvalues` call it): the replicate values ``xi_sim`` and all
-    tie-breakers stay fixed while the data statistic varies.
+
+def rank_pvalues(
+    xi0: np.ndarray, xi_sim: np.ndarray, u0: float, us: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks and MC p-values ``(N + 1 - rank) / N`` of data statistics
+    against one replicate set: the one implementation of the rank rule.
+
+    A rank is one plus the count of replicates below, a tied replicate
+    counting as below when its tie-breaker in ``us`` is below the data's
+    ``u0``, which keeps the test exact for discrete statistics.  The counts
+    are taken once against the sorted replicates.  A NaN statistic, which
+    has no rank, or an empty replicate set raises ``ValueError``.
     """
     xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))
+    if len(xi_sim) == 0:
+        raise ValueError("the ensemble needs at least one simulated statistic")
+    if np.isnan(xi0).any() or np.isnan(xi_sim).any():
+        raise ValueError("an MC statistic is NaN and has no rank")
+    order = np.argsort(xi_sim)
+    sims = xi_sim[order]
+    lo = np.searchsorted(sims, xi0, "left")
+    hi = np.searchsorted(sims, xi0, "right")
+    below_u0 = np.concatenate([[0], np.cumsum(us[order] < u0)])
+    ranks = 1 + lo + below_u0[hi] - below_u0[lo]
     N = len(xi_sim) + 1
-    below = (xi_sim[None, :] < xi0[:, None]) | (
-        (xi_sim[None, :] == xi0[:, None]) & (us[None, :] < u0)
-    )
-    ranks = 1 + below.sum(axis=1)
-    return (N + 1 - ranks) / N
+    return ranks, (N + 1 - ranks) / N
 
 
 def critical_rank(N: int, alpha: float) -> int:
@@ -351,14 +339,14 @@ def tie_breaker_uniforms(N: int, master_seed: int) -> np.ndarray:
 
 def ensemble_pvalues(
     Qz: np.ndarray, T: int, N: int, rules, table: LogisticCoeffTable | None, master_seed: int
-) -> tuple[dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]], int]:
+) -> tuple[dict[str, tuple[np.ndarray, ...]], int]:
     """Exact MC p-values of every data row, given as its statistic quartet
     (a row of ``Qz``) over ``T`` observations, under each combination rule.
 
     All rows and rules share one null ensemble of ``N - 1`` replicates and
     one set of tie-breakers, both drawn from ``master_seed``.  Returns
-    ``{rule: (row statistics, replicate statistics, row p-values)}`` and the
-    degenerate-resample count.  A degenerate data row raises
+    ``{rule: (row statistics, replicate statistics, row ranks, row p-values)}``
+    and the degenerate-resample count.  A degenerate data row raises
     :class:`~regimetest.moments.DegenerateSampleError`.
     """
     if N < 2:
@@ -373,7 +361,7 @@ def ensemble_pvalues(
     for rule in rules:
         f = combine_matrix(G, rule)
         f0, fs = f[: len(Qz)], f[len(Qz) :]
-        out[rule] = (f0, fs, rank_pvalues(f0, fs, u[0], u[1:]))
+        out[rule] = (f0, fs, *rank_pvalues(f0, fs, u[0], u[1:]))
     return out, resampled
 
 
@@ -388,7 +376,8 @@ def mc_mixture_test(
 
     The combined statistic of the demeaned data is ranked among the combined
     statistics of ``N - 1`` simulated standard-normal vectors of the same
-    length, all evaluated with the same coefficient table.
+    length, all evaluated with the same coefficient table; the report is
+    that one ranking's.
 
     Degenerate-sample errors on the data path propagate; degenerate simulated
     replicates are resampled (and counted in the report).
@@ -397,6 +386,5 @@ def mc_mixture_test(
     ranked, resampled = ensemble_pvalues(
         quartet_matrix(z[None, :]), len(z), N, (method,), table, master_seed
     )
-    f0, fs, _ = ranked[method]
-    report = mc_pvalue(MCEnsemble(f0[0], fs), substream(master_seed, DOMAIN_TIEBREAK), master_seed)
-    return replace(report, degenerate_resamples=resampled)
+    f0, fs, ranks, p = ranked[method]
+    return _report(f0[0], fs, ranks, p, master_seed, resampled)

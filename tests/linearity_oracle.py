@@ -3,11 +3,12 @@
 This is the path the single linearity pass in ``regimetest.linearity``
 replaced: every method draws its own null ensemble, LMC reduces the filtered
 series with the scalar statistic formulas of ``moments_oracle`` and ranks it
-inline, and MMC filters the grid with one matrix product.  The grid is
-built as a list of ``itertools.product`` tuples and filtered point by point
-with the ``np.roots`` rule (smallest root modulus above one), which the
-exact step-down rule ``regimetest.msar.stationary_rows`` replaced; the two
-agree on every grid the tests build.  Tests compare the pass against it.
+with the comparison-matrix rank rule below, and MMC filters the grid with
+one matrix product.  The grid is built as a list of ``itertools.product``
+tuples and filtered point by point with the ``np.roots`` rule (smallest root
+modulus above one), which the exact step-down rule
+``regimetest.msar.stationary_rows`` replaced; the two agree on every grid the
+tests build.  Tests compare the pass against it.
 """
 
 from __future__ import annotations
@@ -22,11 +23,26 @@ from regimetest.mctest import (
     LogisticCoeffTable,
     approx_pvalue_matrix,
     combine_matrix,
-    rank_pvalues,
     simulate_null_quartets,
     tie_breaker_uniforms,
 )
 from regimetest.moments import demean, quartet_matrix
+
+
+def rank_pvalues(xi0, xi_sim, u0: float, us: np.ndarray):
+    """Ranks and p-values ``(N + 1 - rank) / N`` of data statistics against
+    one replicate set, from the ``(rows, N - 1)`` matrix of every comparison:
+    a replicate is below a data statistic when its value is smaller, or
+    equal with a smaller tie-breaker.  The rank rule that the sort-based
+    ``regimetest.mctest.rank_pvalues`` replaced."""
+    xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))
+    xi_sim = np.asarray(xi_sim, dtype=float)
+    below = (xi_sim[None, :] < xi0[:, None]) | (
+        (xi_sim[None, :] == xi0[:, None]) & (us[None, :] < u0)
+    )
+    ranks = 1 + below.sum(axis=1)
+    N = len(xi_sim) + 1
+    return ranks, (N + 1 - ranks) / N
 
 
 def min_root_modulus(phi: np.ndarray) -> float:
@@ -70,8 +86,8 @@ def lmc(y: np.ndarray, r: int, N: int, rule: str, seed: int):
     q = compute_quartet(demean(z))
     f0 = combine_matrix(approx_pvalue_matrix(q[None, :], LogisticCoeffTable.default(), len(z)), rule)[0]
     fs, u = _replicate_statistics(len(z), N, rule, seed)
-    rank = 1 + int(((fs < f0) | ((fs == f0) & (u[1:] < u[0]))).sum())
-    return (N + 1 - rank) / N, fit.phi.copy(), min_root_modulus(fit.phi), 1
+    p = float(rank_pvalues(f0, fs, u[0], u[1:])[1][0])
+    return p, fit.phi.copy(), min_root_modulus(fit.phi), 1
 
 
 def mmc(y: np.ndarray, r: int, N: int, rule: str, seed: int, points_per_dim: int):
@@ -85,7 +101,7 @@ def mmc(y: np.ndarray, r: int, N: int, rule: str, seed: int, points_per_dim: int
         compute_quartet(demean(Z[np.isnan(Qz).any(axis=1)][0]))
     f0 = combine_matrix(approx_pvalue_matrix(Qz, LogisticCoeffTable.default(), Tz), rule)
     fs, u = _replicate_statistics(Tz, N, rule, seed)
-    pvals = rank_pvalues(f0, fs, u[0], u[1:])
+    _, pvals = rank_pvalues(f0, fs, u[0], u[1:])
     best = int(np.argmax(pvals))
     return float(pvals[best]), points[best].copy(), min_root_modulus(points[best]), len(points)
 

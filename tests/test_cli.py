@@ -99,13 +99,15 @@ def test_fit_table_subcommand_rejects_tiny_draw_counts(tmp_path, capsys):
     (["simulate", "--T", "0"], "T must be at least 1"),
     (["test", "--series", HAMILTON, "--methods", "FOO"], "unknown method 'FOO'"),
     (["test", "--series", HAMILTON, "--mc", "1"], "N must be at least 2"),
+    (["test", "--series", HAMILTON, "--lags", "1", "--methods", "LMC_min"],
+     "LMC needs a stationary OLS point; [1.0034755679397172] has smallest root modulus 0.996536"),
     (["test", "--series", HAMILTON, "--grid-points", "4", "--methods", "MMC_min"],
      "points_per_dim must be odd"),
     (["study", "--reps", "1", "--mc", "1", "--methods", "LMC_min"], "N must be at least 2"),
     (["study", "--reps", "1", "--mc", "20", "--methods", "LMC_min", "--workers", "0"],
      "workers must be at least 1"),
-], ids=["chp-reps", "simulate-T", "test-methods", "test-mc", "test-grid-points", "study-mc",
-        "study-workers"])
+], ids=["chp-reps", "simulate-T", "test-methods", "test-mc", "test-lmc-levels",
+        "test-grid-points", "study-mc", "study-workers"])
 def test_rejected_input_is_a_usage_error(argv, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main([*argv, "--out", str(out)]) == 2
@@ -211,6 +213,17 @@ def test_echo_lists_every_parsed_option_but_out(command, tmp_path, capsys):
     assert lines[:-1] == [f"{key}={parsed[key]}" for key in keys[:-1]]
     if command in ECHO_KEYS:
         assert keys[:-1] == ECHO_KEYS[command]
+
+
+@pytest.mark.parametrize("command", ["test", "chp", "study", "fit-table"])
+def test_out_dash_is_a_usage_error_outside_simulate(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exited:
+        main(ECHO_RUNS[command] + ["--out", "-"])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --out: only simulate writes to stdout" in captured.err
+    assert captured.out == "" and not (tmp_path / "-").exists()
 
 
 def test_methods_option_lists_come_from_the_method_tuples():

@@ -77,6 +77,14 @@ class TestArFilter:
     def test_hand_value(self):
         np.testing.assert_allclose(ar_filter([1.0, 2.0, 3.0, 4.0], [0.5]), [1.5, 2.0, 2.5])
 
+    def test_zero_lags_copy_the_series(self):
+        y = np.array([1.0, -2.0, 3.5])
+        z, Z = ar_filter(y, []), ar_filter(y, np.empty((2, 0)))
+        np.testing.assert_array_equal(z, y)
+        np.testing.assert_array_equal(Z, [y, y])
+        z[0] = Z[0, 0] = 9.0
+        assert y[0] == 1.0
+
     def test_coefficient_matrix_rows_match_single_filter_bitwise(self):
         y = _ar1_path(0.4, 120, seed=2)
         P = substream(3, 4).uniform(-0.5, 0.5, size=(7, 3))
@@ -232,6 +240,12 @@ class TestBuildGrid:
         assert np.isnan(ols_ar_fit(y, 3).phi_se).all()
         with pytest.raises(ValueError, match="standard errors are not finite"):
             mmc_test(y, 3, N=20)
+        # this exact fit is not stationary; LMC needs no standard errors, so it
+        # runs on a path whose exact fit is stationary
+        with pytest.raises(ValueError, match="LMC needs a stationary OLS point"):
+            lmc_test(y, 3, N=20)
+        y = substream(7, 6).standard_normal(7)
+        assert np.isnan(ols_ar_fit(y, 3).phi_se).all()
         assert 0 < lmc_test(y, 3, N=20).p_value <= 1
 
     def test_four_dimensional_filtering(self, hamilton_growth):
@@ -400,14 +414,19 @@ class TestSinglePass:
 
     def test_nonstationary_ols_center(self):
         # explosive path whose OLS estimate lies outside the stationary region:
-        # LMC is still reported there, MMC uses the kept grid points only
+        # LMC there is an error naming the root modulus, MMC uses the kept
+        # grid points only
         e = substream(16, 77).standard_normal(100)
         y = np.zeros(100)
         for t in range(1, 100):
             y[t] = 1.02 * y[t - 1] + e[t]
-        assert ols_ar_fit(y, 1).phi[0] > 1.0
-        lmc, mmc = self._check(y, 1, ("LMC_min", "MMC_min"), seed=6)
-        assert lmc.min_root_modulus < 1.0 < mmc.min_root_modulus
+        fit = ols_ar_fit(y, 1)
+        assert fit.phi[0] > 1.0
+        for methods in (("LMC_min",), ("MMC_prod", "LMC_prod")):
+            with pytest.raises(ValueError, match=f"root modulus {min_root_modulus(fit.phi):.6g}"):
+                linearity_tests(y, 1, methods, master_seed=6)
+        (mmc,) = self._check(y, 1, ("MMC_min",), seed=6)
+        assert mmc.min_root_modulus > 1.0
         assert 0 < mmc.grid_points_evaluated < 11
 
     @pytest.mark.parametrize(
@@ -427,6 +446,8 @@ class TestSinglePass:
     def test_unknown_method_rejected_before_any_work(self):
         with pytest.raises(ValueError, match="unknown method 'MMC_max'"):
             linearity_tests(np.ones(3), 4, ("LMC_min", "MMC_max"))
+        with pytest.raises(ValueError, match="N must be at least 2"):
+            linearity_tests(np.ones(3), 4, ("LMC_min",), N=1)
 
     def test_one_null_ensemble_and_one_grid_per_series(self, monkeypatch):
         import regimetest.linearity as lin

@@ -2,21 +2,24 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import linearity_oracle
 from regimetest.mctest import (
     LogisticCoeffTable,
     LogisticCoeffs,
-    MCEnsemble,
+    approx_pvalue_matrix,
     approx_pvalues,
     bonferroni_decision,
+    combine_matrix,
     combine_min,
     combine_prod,
     critical_rank,
     fit_logistic_cdf,
     logistic_cdf,
     mc_pvalue,
+    rank_pvalues,
     simulate_null_quartets,
     tie_breaker_uniforms,
 )
@@ -126,21 +129,21 @@ class TestMCPvalue:
     def test_extreme_ranks(self):
         rng = np.random.default_rng(0)
         sims = np.arange(1.0, 100.0)
-        top = mc_pvalue(MCEnsemble(1000.0, sims), rng)
+        top = mc_pvalue(1000.0, sims, rng)
         assert (top.rank, top.p_value) == (100, pytest.approx(0.01))
-        bottom = mc_pvalue(MCEnsemble(-5.0, sims), np.random.default_rng(1))
+        bottom = mc_pvalue(-5.0, sims, np.random.default_rng(1))
         assert (bottom.rank, bottom.p_value) == (1, pytest.approx(1.0))
 
     def test_interior_rank(self):
         # 59 simulated values below the data statistic: rank 60 of 100
-        rep = mc_pvalue(MCEnsemble(59.5, np.arange(1.0, 100.0)), np.random.default_rng(2))
+        rep = mc_pvalue(59.5, np.arange(1.0, 100.0), np.random.default_rng(2))
         assert rep.rank == 60
         assert rep.p_value == pytest.approx(0.41)
 
     def test_order_invariance(self):
         sims = np.random.default_rng(3).standard_normal(99)
-        a = mc_pvalue(MCEnsemble(0.3, sims), np.random.default_rng(7))
-        b = mc_pvalue(MCEnsemble(0.3, sims[::-1]), np.random.default_rng(7))
+        a = mc_pvalue(0.3, sims, np.random.default_rng(7))
+        b = mc_pvalue(0.3, sims[::-1], np.random.default_rng(7))
         assert a.p_value == b.p_value
 
     def test_exactness_under_exchangeability(self):
@@ -155,7 +158,7 @@ class TestMCPvalue:
         assert abs(rate - 0.05) < 3 * np.sqrt(0.05 * 0.95 / trials)
         # the same experiment through the public function on a subsample
         for row, expected in zip(draws[:500], pvals[:500]):
-            rep = mc_pvalue(MCEnsemble(row[0], row[1:]), rng)
+            rep = mc_pvalue(row[0], row[1:], rng)
             assert rep.p_value == expected
 
     def test_tie_breaking_is_uniform(self):
@@ -164,7 +167,7 @@ class TestMCPvalue:
         trials = 20_000
         counts = np.zeros(N)
         for s in range(trials):
-            rep = mc_pvalue(MCEnsemble(1.0, np.ones(N - 1)), np.random.default_rng(s))
+            rep = mc_pvalue(1.0, np.ones(N - 1), np.random.default_rng(s))
             counts[rep.rank - 1] += 1
             assert rep.tie_breaker_used
         freq = counts / trials
@@ -172,8 +175,64 @@ class TestMCPvalue:
         assert np.all(np.abs(freq - 0.1) < 4 * se)
 
     def test_needs_at_least_one_replicate(self):
-        with pytest.raises(ValueError):
-            MCEnsemble(0.0, np.array([]))
+        with pytest.raises(ValueError, match="at least one simulated statistic"):
+            mc_pvalue(0.0, np.array([]), np.random.default_rng(0))
+
+    def test_nan_statistic_is_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            mc_pvalue(np.nan, np.arange(1.0, 100.0), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="NaN"):
+            rank_pvalues(np.array([0.5, 2.0]), np.array([1.0, np.nan]), 0.5, np.array([0.2, 0.7]))
+
+
+# statistics from a small pool force ties, with the data and among replicates
+_pooled = st.one_of(
+    st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.25, 1.0, np.inf]),
+    st.floats(-2.0, 2.0),
+)
+_uniform = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@st.composite
+def _rank_cases(draw):
+    xi_sim = np.array(draw(st.lists(_pooled, min_size=1, max_size=60)))
+    xi0 = np.array(draw(st.lists(st.one_of(_pooled, st.sampled_from(xi_sim.tolist())),
+                                 min_size=1, max_size=20)))
+    u = np.array(draw(st.lists(_uniform, min_size=len(xi_sim) + 1, max_size=len(xi_sim) + 1)))
+    return xi0, xi_sim, u[0], u[1:]
+
+
+class TestRankRule:
+    """``rank_pvalues`` against the comparison-matrix oracle of
+    ``linearity_oracle``, and its exactness certificate."""
+
+    @given(_rank_cases())
+    @example((np.array([1.0, np.inf, -np.inf, 0.5]), np.array([1.0]), 0.5, np.array([0.2])))
+    @example((np.array([np.inf, -np.inf]), np.array([np.inf, -np.inf, np.inf]),
+              0.5, np.array([0.1, 0.9, 0.6])))
+    def test_equals_comparison_matrix_oracle(self, case):
+        ranks, p = rank_pvalues(*case)
+        expected_ranks, expected_p = linearity_oracle.rank_pvalues(*case)
+        np.testing.assert_array_equal(ranks, expected_ranks)
+        assert p.dtype == expected_p.dtype and p.tobytes() == expected_p.tobytes()
+
+    @pytest.mark.parametrize("N", [2, 3, 10, 100, 199])
+    @pytest.mark.parametrize("kind", ["null", "discrete", "tied"])
+    def test_exactness_certificate(self, N, kind):
+        # each member of an ensemble, ranked with its own tie-breaker against
+        # the other N - 1, takes every p-value in {1/N, ..., 1} exactly once
+        rng = np.random.default_rng(N)
+        for seed in range(5):
+            if kind == "null":
+                Q, _ = simulate_null_quartets(50, N + 1, seed)
+                x = combine_matrix(approx_pvalue_matrix(Q, LogisticCoeffTable.default(), 50), "min")
+            else:
+                x = rng.integers(0, 3, N).astype(float) if kind == "discrete" else np.ones(N)
+            u = rng.uniform(size=N)
+            p = np.concatenate([
+                rank_pvalues(x[i], np.delete(x, i), u[i], np.delete(u, i))[1] for i in range(N)
+            ])
+            assert np.sort(p).tobytes() == (np.arange(1, N + 1) / N).tobytes()
 
 
 class TestCriticalRank:
