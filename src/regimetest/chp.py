@@ -34,9 +34,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx
 
-from ._seeding import DOMAIN_BOOTSTRAP, DOMAIN_NUISANCE, substream
+from ._seeding import DOMAIN_BOOTSTRAP, DOMAIN_NUISANCE, normal_rows, substream
 from .moments import row_blocks
 
 logger = logging.getLogger(__name__)
@@ -299,6 +298,9 @@ def _psi_weight(g: np.ndarray) -> np.ndarray:
 
     With x = g - 1, the product equals sqrt(pi/2) erfcx(-x / sqrt(2)).
     """
+    # imported here: scipy.special costs a quarter second of import time
+    from scipy.special import erfcx
+
     x = np.asarray(g, dtype=float) - 1.0
     return np.sqrt(np.pi / 2.0) * erfcx(-x / np.sqrt(2.0))
 
@@ -368,18 +370,21 @@ def _bootstrap_paths(
 ) -> np.ndarray:
     """B linear AR(1) paths with a stationary initial draw, time-major
     (T, B).  Sample b draws from its own stream, first y_1 and then the
-    T - 1 innovations, and one recursion over time advances all B paths."""
+    T - 1 innovations, and one recursion over time advances all B paths.
+    ``standard_normal(T)`` is the scalar draw followed by
+    ``standard_normal(T - 1)``, so one (B, T) block of normals gives both;
+    without a stationary distribution (a near-unit-root fit) y_1 is the
+    fallback and the innovations are the first T - 1 normals."""
     c, phi, sigma2 = theta
-    stationary = abs(phi) < 1.0 - 1e-8
+    Z = normal_rows(master_seed, DOMAIN_BOOTSTRAP, rows=B, T=T).T
     Y = np.empty((T, B))
-    innov = np.empty((T - 1, B))
-    for b in range(B):
-        rng = substream(master_seed, DOMAIN_BOOTSTRAP, b)
-        if stationary:
-            Y[0, b] = c / (1.0 - phi) + np.sqrt(sigma2 / (1.0 - phi**2)) * rng.standard_normal()
-        else:
-            Y[0, b] = y1_fallback  # near-unit-root fit: no stationary distribution
-        innov[:, b] = rng.standard_normal(T - 1) * np.sqrt(sigma2)
+    if abs(phi) < 1.0 - 1e-8:
+        Y[0] = c / (1.0 - phi) + np.sqrt(sigma2 / (1.0 - phi**2)) * Z[0]
+        innov = Z[1:]
+    else:
+        Y[0] = y1_fallback
+        innov = Z[:-1]
+    innov *= np.sqrt(sigma2)
     for t in range(1, T):
         Y[t] = c + phi * Y[t - 1] + innov[t - 1]
     return Y

@@ -10,10 +10,13 @@ Subcommands:
 
 Before any work, every run echoes each option it parsed except ``--out``
 as ``key=value`` lines, then ``config_sha``, their hash; together with the
-seed they fully determine its outputs.  The echo goes to stdout, except for
-``simulate`` writing its path to stdout, where it goes to stderr.  ``--out -``
-means stdout for ``simulate`` and is a usage error elsewhere.  A list value
-may start with a minus sign: ``--mu -1,2`` parses as ``--mu=-1,2``.
+seed they fully determine its outputs.  ``--series`` is echoed as a path
+but hashed as the sha256 of the ingested float64 values, so the same series
+read from another place gives the same hash.  The echo goes to stdout,
+except for ``simulate`` writing its path to stdout, where it goes to stderr.
+``--out -`` means stdout for ``simulate`` and is a usage error elsewhere.  A
+list value may start with a minus sign: ``--mu -1,2`` parses as
+``--mu=-1,2``.
 Files are written by ``harness.write_csv`` (the table by ``to_csv``), and
 ``main`` then prints ``# wrote PATH``.
 
@@ -25,6 +28,7 @@ Like an option argparse rejects, an input the library rejects with
 from __future__ import annotations
 
 import argparse
+import hashlib
 import re
 import sys
 from dataclasses import replace
@@ -37,6 +41,7 @@ from .harness import (
     LINEARITY_METHODS,
     PROFILES,
     STUDY_METHODS,
+    SeriesDataset,
     config_digest,
     default_study_grid,
     ingest_series,
@@ -140,8 +145,7 @@ def _items(text: str, item: type = str) -> tuple:
     return tuple(item(part) for part in text.split(",")) if text else ()
 
 
-def _cmd_test(args: argparse.Namespace, meta: str) -> None:
-    dataset = ingest_series(args.series, args.transform)
+def _cmd_test(args: argparse.Namespace, meta: str, dataset: SeriesDataset) -> None:
     rows = run_empirical(
         dataset, r=args.lags, N=args.mc, methods=_items(args.methods),
         master_seed=args.seed, grid_points=args.grid_points,
@@ -156,8 +160,7 @@ def _cmd_test(args: argparse.Namespace, meta: str) -> None:
         write_empirical_csv(rows, args.out, header_meta=meta)
 
 
-def _cmd_chp(args: argparse.Namespace, meta: str) -> None:
-    dataset = ingest_series(args.series, args.transform)
+def _cmd_chp(args: argparse.Namespace, meta: str, dataset: SeriesDataset) -> None:
     report = chp_bootstrap_test(dataset.values, B=args.reps, draws=args.draws,
                                 master_seed=args.seed)
     print(f"{'method':<8} {'statistic':>12} {'p-value':>8}")
@@ -170,7 +173,7 @@ def _cmd_chp(args: argparse.Namespace, meta: str) -> None:
         ], meta)
 
 
-def _cmd_study(args: argparse.Namespace, meta: str) -> None:
+def _cmd_study(args: argparse.Namespace, meta: str, dataset: None) -> None:
     overrides = {"replications": args.reps, "N": args.mc, "alpha": args.alpha}
     overrides = {field: value for field, value in overrides.items() if value is not None}
     grid = default_study_grid(args.profile, master_seed=args.seed, methods=_items(args.methods))
@@ -182,12 +185,12 @@ def _cmd_study(args: argparse.Namespace, meta: str) -> None:
         print(f"{row.label:<42} {row.method:<9} {status}")
 
 
-def _cmd_fit_table(args: argparse.Namespace, meta: str) -> None:
+def _cmd_fit_table(args: argparse.Namespace, meta: str, dataset: None) -> None:
     table = regenerate_coeff_table(_items(args.sizes, int), draws=args.draws, master_seed=args.seed)
     table.to_csv(args.out)
 
 
-def _cmd_simulate(args: argparse.Namespace, meta: str) -> None:
+def _cmd_simulate(args: argparse.Namespace, meta: str, dataset: None) -> None:
     mu, sigma, p = (_items(text, float) for text in (args.mu, args.sigma, args.p))
     spec = MSARSpec(RegimeParams(*mu, *sigma), TransitionMatrix(*p), _items(args.phi, float))
     y = simulate_msar(spec, args.T, substream(args.seed, DOMAIN_SIMULATE))
@@ -231,14 +234,19 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"argument --out: only simulate writes to stdout ('-'); "
                      f"give {args.command} a file path")
     settings = {key: value for key, value in vars(args).items() if key != "out"}
-    digest = config_digest(settings.items())
-    # a path written to stdout must stay a clean series, so the echo goes to stderr
-    echo = sys.stderr if _path_to_stdout(args) else sys.stdout
-    for key in sorted(settings):
-        print(f"# {key}={settings[key]}", file=echo)
-    print(f"# config_sha={digest}", file=echo)
     try:
-        _HANDLERS[args.command](args, f"regimetest={__version__} seed={args.seed} config_sha={digest}")
+        dataset = ingest_series(args.series, args.transform) if "series" in settings else None
+        # the series is hashed by its values, so a copy of it anywhere is the same run
+        hashed = settings if dataset is None else {
+            **settings, "series": hashlib.sha256(dataset.values.astype("<f8").tobytes()).hexdigest()
+        }
+        digest = config_digest(hashed.items())
+        # a path written to stdout must stay a clean series, so the echo goes to stderr
+        echo = sys.stderr if _path_to_stdout(args) else sys.stdout
+        for key in sorted(settings):
+            print(f"# {key}={settings[key]}", file=echo)
+        print(f"# config_sha={digest}", file=echo)
+        _HANDLERS[args.command](args, f"regimetest={__version__} seed={args.seed} config_sha={digest}", dataset)
     except ValueError as exc:  # an input the library rejects is a usage error
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2

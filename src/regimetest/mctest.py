@@ -27,9 +27,8 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from ._seeding import DOMAIN_REPLICATE, DOMAIN_TIEBREAK, substream
+from ._seeding import DOMAIN_REPLICATE, DOMAIN_TIEBREAK, normal_rows, substream
 from .moments import quartet_matrix, raise_if_degenerate
 
 logger = logging.getLogger(__name__)
@@ -276,6 +275,9 @@ def fit_logistic_cdf(samples: np.ndarray, statistic: str = "?", T: int = 0) -> L
         On fewer than 10^4 samples, or if the optimizer fails to converge or
         produces a non-increasing fit.
     """
+    # imported here: scipy.optimize is most of the package's import time
+    from scipy.optimize import least_squares
+
     samples = np.asarray(samples, dtype=float)
     if len(samples) < 10_000:
         raise ValueError(f"need at least 10^4 samples to fit, got {len(samples)}")
@@ -304,15 +306,14 @@ def simulate_null_quartets(T: int, N: int, master_seed: int) -> tuple[np.ndarray
     """Quartets of N - 1 demeaned standard-normal vectors of length ``T``.
 
     Replicate ``i`` is generated from the stream derived from
-    ``(master_seed, replicate-domain, i)``; a degenerate replicate (an event
+    ``(master_seed, replicate-domain, i)``, all of them seeded in one
+    :func:`~regimetest._seeding.normal_rows` pass; a degenerate replicate (an event
     of probability zero for continuous data) is resampled from the next
     sub-stream ``(master_seed, replicate-domain, i, attempt)``.
 
     Returns the (N - 1, 4) quartet matrix and the resample count.
     """
-    eta = np.empty((N - 1, T))
-    for i in range(N - 1):
-        eta[i] = substream(master_seed, DOMAIN_REPLICATE, i).standard_normal(T)
+    eta = normal_rows(master_seed, DOMAIN_REPLICATE, rows=N - 1, T=T)
     Q = quartet_matrix(eta)
     resampled = 0
     bad = np.isnan(Q).any(axis=1)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +214,25 @@ def test_echo_lists_every_parsed_option_but_out(command, tmp_path, capsys):
     assert lines[:-1] == [f"{key}={parsed[key]}" for key in keys[:-1]]
     if command in ECHO_KEYS:
         assert keys[:-1] == ECHO_KEYS[command]
+
+
+@pytest.mark.parametrize("command", ["test", "chp"])
+def test_config_sha_hashes_the_series_values_not_its_path(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    text = Path(HAMILTON).read_text()
+    Path("gnp.csv").write_text(text)
+    first_value = text.splitlines()[1].split(",")[1]
+    Path("changed.csv").write_text(text.replace(first_value, f"{float(first_value) + 1.0}", 1))
+
+    def config_sha(series):
+        assert main([series if arg == HAMILTON else arg for arg in ECHO_RUNS[command]]) == 0
+        lines = _echo(capsys.readouterr().out)
+        assert f"series={series}" in lines  # the echo still names the path
+        return lines[-1]
+
+    same = {config_sha(series) for series in (HAMILTON, "gnp.csv", str(tmp_path / "gnp.csv"))}
+    assert len(same) == 1
+    assert config_sha("changed.csv") not in same
 
 
 @pytest.mark.parametrize("command", ["test", "chp", "study", "fit-table"])

@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import linearity_oracle
+from regimetest._seeding import DOMAIN_REPLICATE, substream
 from regimetest.mctest import (
     LogisticCoeffTable,
     LogisticCoeffs,
@@ -315,3 +316,6 @@ class TestNullQuartetSimulation:
         Q, resampled = simulate_null_quartets(30, 10, master_seed=5)
         assert resampled == 1
         assert np.isfinite(Q).all()
+        # the resample comes from the one stream of (replicate 3, attempt 1)
+        want = real(substream(5, DOMAIN_REPLICATE, 3, 1).standard_normal(30)[None])[0]
+        np.testing.assert_array_equal(Q[3], want)

@@ -113,13 +113,15 @@ class TestSimulateChain:
 
 class TestSimulateMSAR:
     def test_package_import_leaves_scipy_signal_unloaded(self):
-        # simulate_msar imports scipy.signal on first use: it is most of the
-        # package's import time, and only the AR filter of a path needs it
+        # simulate_msar imports scipy.signal on first use, fit_logistic_cdf
+        # scipy.optimize and the CHP weight scipy.special: together they are
+        # most of the package's import time, and each serves one function
         import regimetest
 
         src = str(Path(regimetest.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        probe = "import sys, regimetest; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+        probe = ("import sys, regimetest; print(sorted(m for m in sys.modules if m.startswith("
+                 "('scipy.signal', 'scipy.optimize', 'scipy.special'))))")
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, check=True, timeout=120).stdout
         assert out.strip() == "[]"

@@ -69,7 +69,7 @@ label,method,T,replications,reject_rate,mc_se,wall_time_s,failed,error
 "dmu=2.0,dsig=1.0,p=(0.9,0.1),phi=0.9,T=200",LMC_min,200,2,1.0,0.0,X,0,
 """,
     "test": """\
-# regimetest=0.1.0 seed=7 config_sha=d365022ddc0e
+# regimetest=0.1.0 seed=7 config_sha=4d9826a70a00
 method,p_value,phi_1,phi_2,min_root_modulus,N,seed,grid_points
 LMC_min,0.55,0.30412281659418083,0.0649743214069919,2.227802695033246,20,7,1
 LMC_prod,0.65,0.30412281659418083,0.0649743214069919,2.227802695033246,20,7,1
@@ -77,7 +77,7 @@ MMC_min,0.8,0.1294160909429788,0.23774960707282128,1.7966911142740671,20,7,9
 MMC_prod,0.8,0.1294160909429788,0.23774960707282128,1.7966911142740671,20,7,9
 """,
     "chp": """\
-# regimetest=0.1.0 seed=1 config_sha=64452ba59862
+# regimetest=0.1.0 seed=1 config_sha=fff38aa1272b
 method,statistic,p_value,B,draws,seed
 supTS,0.01159625066251797,0.09523809523809523,20,20,1
 expTS,0.6715624704434551,0.14285714285714285,20,20,1
@@ -117,7 +117,6 @@ K,50,-2.200658705861337,5.220895051205346
 
 @pytest.mark.parametrize("command", sorted(RUNS))
 def test_run_writes_the_pinned_file(command, tmp_path, monkeypatch, capsys):
-    # relative paths: the echoed --series path is part of config_sha
     monkeypatch.chdir(tmp_path)
     shutil.copy(files("regimetest").joinpath("data/gnp_hamilton_levels.csv"), "gnp.csv")
     assert main([*RUNS[command], "--out", "out.csv"]) == 0
