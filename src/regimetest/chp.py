@@ -17,15 +17,18 @@ an exponential-type statistic over sampled (h, rho).  Their null
 distributions depend on nuisance parameters, so significance is assessed by
 a parametric bootstrap from the fitted linear model.
 
-One criteria kernel serves the data and the bootstrap.  It takes k
-standardized series at once, fits the AR(1) null to each in closed form and
-evaluates every nuisance draw together: because h[1] = 0, the quadratic term
-and the score path are one matrix product each, the rho-weighted cross term
-is one recursion over time, and the projection is one rank-aware QR per
-series.  The standardized data is row 0 above its B standardized bootstrap
-samples, and the B + 1 rows take one pass over the blocks of
+One criteria kernel serves every caller.  It takes k series at once, fits
+the AR(1) null to each in closed form and evaluates every nuisance draw
+together: because h[1] = 0, the quadratic term and the score path are one
+matrix product each, the rho-weighted cross term is one recursion over time,
+and the projection is one rank-aware QR per series.  In the bootstrap test
+the standardized data is row 0 above its B standardized bootstrap samples,
+and the B + 1 rows take one pass over the blocks of
 :func:`~regimetest.moments.row_blocks`; each row is computed independently
-of its block, so every result depends only on ``(seed, B, draws)``.
+of its block, so every result depends only on ``(seed, B, draws)``.  The
+single-series views (:func:`gamma_star`, :func:`projection_residuals`,
+:func:`sup_ts`, :func:`exp_ts`) take a series as given, without
+standardizing it, and run it through the same kernel as a one-row block.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ class NullScorePanel:
     scores: np.ndarray
     hessians: np.ndarray
     theta0_hat: tuple[float, float, float]
-    T: int
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,7 @@ def null_score_panel(y: np.ndarray) -> NullScorePanel:
     for (i, j), h_ij in _hessian_entries(eps, ylag, s2).items():
         hess[:, i, j] = hess[:, j, i] = h_ij
     theta0_hat = (float(c[0, 0]), float(phi[0, 0]), float(s2[0]))
-    return NullScorePanel(scores=scores, hessians=hess, theta0_hat=theta0_hat, T=len(y))
+    return NullScorePanel(scores=scores, hessians=hess, theta0_hat=theta0_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -207,22 +209,13 @@ def _score_basis(X: np.ndarray) -> np.ndarray:
 
 
 def _series_block(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The block of the AR(1) fits to the rows of a (k, T) array of
-    standardized series."""
+    """The block of the AR(1) fits to the rows of a (k, T) array of series."""
     _, _, s2, eps = _ar1_fit(Y)
     X = np.stack(_score_columns(eps, Y[:, :-1], s2), axis=-1)
     scores = X.transpose(1, 0, 2)
     h = _hessian_entries(eps, Y[:, :-1], s2)
     curv = _curvature(scores, h[0, 0].T, h[0, 2].T, h[2, 2].T)
     return scores, curv, _score_basis(X)
-
-
-def _panel_block(panel: NullScorePanel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A score panel as a one-series block."""
-    scores = panel.scores[:, None, :]
-    hs = panel.hessians[:, None]
-    curv = _curvature(scores, hs[..., 0, 0], hs[..., 0, 2], hs[..., 2, 2])
-    return scores, curv, _score_basis(panel.scores[None])
 
 
 def _mu2_block(
@@ -306,34 +299,28 @@ def _psi_weight(g: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Single-panel views of the kernel.
+# Single-series views of the kernel: one-row blocks of the series as given.
 
 
-def gamma_star(panel: NullScorePanel, d: NuisanceDraw) -> tuple[float, np.ndarray]:
+def gamma_star(y: np.ndarray, d: NuisanceDraw) -> tuple[float, np.ndarray]:
     """Gamma = sum_t mu2_t / sqrt(T) and the mu2 path for one draw."""
-    scores, curv, _ = _panel_block(panel)
+    y = np.asarray(y, dtype=float)
+    scores, curv, _ = _series_block(y[None])
     mu2 = _mu2_block(scores, curv, d.h[None, :], np.array([d.rho]))[:, 0, 0]
-    return float(mu2.sum() / np.sqrt(panel.T)), mu2
+    return float(mu2.sum() / np.sqrt(len(y))), mu2
 
 
-def projection_residuals(mu2_path: np.ndarray, panel: NullScorePanel) -> np.ndarray:
-    """Residuals of an OLS regression of the mu2 path on the three scores.
+def projection_residuals(mu2_path: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Residuals of an OLS regression of a mu2 path on the three scores of
+    the AR(1) fit to ``y``.
 
     The scores each sum to zero at the fitted point, so no intercept is
     added.  Collinear score columns are dropped (and logged); the residuals
     are unaffected by which basis of the column space survives.
     """
     path = np.asarray(mu2_path, dtype=float)
-    Q = _score_basis(panel.scores[None])[0]
+    Q = _series_block(np.asarray(y, dtype=float)[None])[2][0]
     return path - Q @ (Q.T @ path)
-
-
-def _criteria_for_draws(
-    panel: NullScorePanel, H: np.ndarray, rhos: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-draw supremum criterion and exponential weight Psi."""
-    sup_criteria, psi = _criteria_kernel(*_panel_block(panel), panel.T, H, rhos)
-    return sup_criteria[0], psi[0]
 
 
 def sample_nuisance_draws(count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -347,18 +334,16 @@ def sample_nuisance_draws(count: int, rng: np.random.Generator) -> tuple[np.ndar
     return H, rhos
 
 
-def sup_ts(panel: NullScorePanel, draws: int, rng: np.random.Generator) -> float:
+def sup_ts(y: np.ndarray, draws: int, rng: np.random.Generator) -> float:
     """Supremum-type statistic over sampled nuisance draws."""
-    H, rhos = sample_nuisance_draws(draws, rng)
-    sup_criteria, _ = _criteria_for_draws(panel, H, rhos)
-    return float(sup_criteria.max())
+    sup, _ = _row_statistics(np.asarray(y, dtype=float)[None], *sample_nuisance_draws(draws, rng))
+    return float(sup[0])
 
 
-def exp_ts(panel: NullScorePanel, draws: int, rng: np.random.Generator) -> float:
+def exp_ts(y: np.ndarray, draws: int, rng: np.random.Generator) -> float:
     """Exponential-type statistic: Monte Carlo average of the Psi weight."""
-    H, rhos = sample_nuisance_draws(draws, rng)
-    _, psi = _criteria_for_draws(panel, H, rhos)
-    return float(psi.mean())
+    _, exp = _row_statistics(np.asarray(y, dtype=float)[None], *sample_nuisance_draws(draws, rng))
+    return float(exp[0])
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +376,7 @@ def _bootstrap_paths(
 
 
 def _row_statistics(Y: np.ndarray, H: np.ndarray, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """supTS and expTS of every row of a (k, T) array of standardized series:
+    """supTS and expTS of every row of a (k, T) array of series:
     one kernel pass over its ``row_blocks``, with one reused work buffer."""
     T = Y.shape[1]
     row_elements = (T - 1) * len(rhos)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -103,8 +104,8 @@ def ingest_series(path: str | Path, transformation: str = "none") -> SeriesDatas
     ``logdiff100`` maps levels to 100 times the first difference of logs,
     dropping the first period.  Period labels compare as numbers when every
     one parses as a number, as strings otherwise.  Missing values,
-    non-numeric fields and non-increasing period labels are rejected with the
-    offending line number.
+    non-numeric or non-finite fields and non-increasing period labels are
+    rejected with the offending line number.
     """
     if transformation not in ("none", "logdiff100"):
         raise ValueError(f"unknown transformation {transformation!r}")
@@ -130,6 +131,8 @@ def ingest_series(path: str | Path, transformation: str = "none") -> SeriesDatas
                 raise ValueError(f"{path}:{lineno}: missing value")
             if not _is_number(raw):
                 raise ValueError(f"{path}:{lineno}: could not parse value {raw!r}")
+            if not math.isfinite(float(raw)):
+                raise ValueError(f"{path}:{lineno}: non-finite value {raw!r}")
             if keys and type(key) is not type(keys[0]):
                 raise ValueError(f"{path}:{lineno}: mixes one- and two-column rows")
             keys.append(key)

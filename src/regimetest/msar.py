@@ -148,13 +148,14 @@ def simulate_chain(P: TransitionMatrix, T: int, rng: np.random.Generator) -> np.
     if T < 1:
         raise ValueError("T must be at least 1")
     pi1, _ = ergodic_probabilities(P)
-    u = rng.uniform(size=T)
-    states = np.empty(T, dtype=np.int64)
-    states[0] = 1 if u[0] < pi1 else 2
-    for t in range(1, T):
-        stay = P.p11 if states[t - 1] == 1 else P.p22
-        states[t] = states[t - 1] if u[t] < stay else 3 - states[t - 1]
-    return states
+    u = rng.uniform(size=T).tolist()  # Python floats: the walk reads no numpy scalars
+    state = 1 if u[0] < pi1 else 2
+    states = [state]
+    for v in u[1:]:
+        stay = P.p11 if state == 1 else P.p22
+        state = state if v < stay else 3 - state
+        states.append(state)
+    return np.array(states, dtype=np.int64)
 
 
 def simulate_msar(spec: MSARSpec, T: int, rng: np.random.Generator) -> np.ndarray:
@@ -186,14 +187,19 @@ def simulate_msar(spec: MSARSpec, T: int, rng: np.random.Generator) -> np.ndarra
     g = spec.regimes
     sigma = np.where(states == 1, g.sigma1, g.sigma2)
     mu = np.where(states == 1, g.mu1, g.mu2)
-    if r == 0:
-        dev = sigma * eps
-    else:
-        # imported here: scipy.signal is most of the package's import time
-        from scipy.signal import lfilter
-
-        # d_t = sum_k phi_k d_{t-k} + sigma_{s_t} e_t with zero initial lags
-        dev = lfilter([1.0], np.r_[1.0, -np.asarray(spec.phi)], sigma * eps)
+    dev = sigma * eps
+    if r > 0:
+        # d_t = sum_k phi_k d_{t-k} + sigma_{s_t} e_t with zero initial lags,
+        # the lags summed from the highest down (the order of a direct-form
+        # IIR filter such as scipy.signal.lfilter)
+        coef = spec.phi[::-1]
+        d = [0.0] * r + dev.tolist()  # Python floats: the loop reads no numpy scalars
+        for t in range(n):
+            acc = 0.0
+            for k in range(r):
+                acc += coef[k] * d[t + k]
+            d[t + r] += acc
+        dev = np.array(d[r:])
     return (mu + dev)[burn_in:]
 
 

@@ -251,14 +251,14 @@ def test_criterion_09_chp_correctness_identities():
             )
             worst_hess = max(worst_hess, float(rel.max()))
 
-        gamma, _ = gamma_star(panel, NuisanceDraw(np.array([1.0, 0.0, 0.0]), 0.0))
+        gamma, _ = gamma_star(y, NuisanceDraw(np.array([1.0, 0.0, 0.0]), 0.0))
         worst_gamma = max(worst_gamma, abs(gamma))
 
         H, rhos = sample_nuisance_draws(4, substream(910, k))
         g_all = panel.scores @ H.T
         quad = np.einsum("tij,di,dj->td", panel.hessians, H, H)
         for d in range(4):
-            _, mu2 = gamma_star(panel, NuisanceDraw(H[d], float(rhos[d])))
+            _, mu2 = gamma_star(y, NuisanceDraw(H[d], float(rhos[d])))
             n = len(mu2)
             brute = np.empty(n)
             for t in range(n):

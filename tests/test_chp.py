@@ -15,14 +15,12 @@ from regimetest._seeding import (
     substream,
 )
 from regimetest.chp import (
-    NullScorePanel,
     NuisanceDraw,
     _bootstrap_paths,
-    _criteria_for_draws,
     _criteria_kernel,
-    _panel_block,
     _psi_weight,
     _row_statistics,
+    _score_basis,
     _series_block,
     _standardize_rows,
     chp_bootstrap_test,
@@ -114,15 +112,14 @@ class TestGammaStar:
         # with the 1/n variance divisor the mean-direction expansion term sums
         # to zero exactly at the fitted parameters
         y = _ar1_path(0.4, 100, seed=5)
-        panel = null_score_panel(y)
-        gamma, _ = gamma_star(panel, NuisanceDraw(np.array([1.0, 0.0, 0.0]), 0.0))
+        gamma, _ = gamma_star(y, NuisanceDraw(np.array([1.0, 0.0, 0.0]), 0.0))
         assert abs(gamma) < 1e-8
 
     def test_zero_rho_has_no_cross_term(self):
         y = _ar1_path(0.1, 50, seed=6)
         panel = null_score_panel(y)
         h = np.array([0.6, 0.0, 0.8])
-        _, mu2 = gamma_star(panel, NuisanceDraw(h, 0.0))
+        _, mu2 = gamma_star(y, NuisanceDraw(h, 0.0))
         g = panel.scores @ h
         quad = np.einsum("tij,i,j->t", panel.hessians, h, h)
         np.testing.assert_allclose(mu2, 0.5 * (quad + g**2), rtol=1e-12)
@@ -132,7 +129,7 @@ class TestGammaStar:
         panel = null_score_panel(y)
         h = np.array([np.cos(0.7), 0.0, np.sin(0.7)])
         rho = 0.55
-        _, mu2 = gamma_star(panel, NuisanceDraw(h, rho))
+        _, mu2 = gamma_star(y, NuisanceDraw(h, rho))
         g = panel.scores @ h
         quad = np.einsum("tij,i,j->t", panel.hessians, h, h)
         n = len(g)
@@ -154,25 +151,24 @@ class TestGammaStar:
 class TestProjectionResiduals:
     def test_orthogonal_path_is_unchanged(self):
         y = _ar1_path(0.2, 60, seed=8)
-        panel = null_score_panel(y)
         rng = substream(1, 1)
-        raw = rng.standard_normal(panel.scores.shape[0])
-        resid = projection_residuals(raw, panel)
+        raw = rng.standard_normal(len(y) - 1)
+        resid = projection_residuals(raw, y)
         # residuals are themselves orthogonal: projecting again changes nothing
-        np.testing.assert_allclose(projection_residuals(resid, panel), resid, atol=1e-10)
+        np.testing.assert_allclose(projection_residuals(resid, y), resid, atol=1e-10)
 
     def test_score_combination_projects_to_zero(self):
         y = _ar1_path(0.2, 60, seed=9)
         panel = null_score_panel(y)
         path = panel.scores @ np.array([1.5, -0.3, 2.0])
-        resid = projection_residuals(path, panel)
+        resid = projection_residuals(path, y)
         assert np.abs(resid).max() < 1e-8 * np.abs(path).max()
 
     def test_orthogonality_to_scores(self):
         y = _ar1_path(0.6, 90, seed=10)
         panel = null_score_panel(y)
-        _, mu2 = gamma_star(panel, NuisanceDraw(np.array([0.0, 0.0, 1.0]), 0.3))
-        resid = projection_residuals(mu2, panel)
+        _, mu2 = gamma_star(y, NuisanceDraw(np.array([0.0, 0.0, 1.0]), 0.3))
+        resid = projection_residuals(mu2, y)
         inner = panel.scores.T @ resid
         scale = np.abs(panel.scores).sum(axis=0) * np.abs(resid).max()
         assert np.all(np.abs(inner) <= 1e-8 * np.maximum(scale, 1.0))
@@ -183,18 +179,16 @@ class TestCriteria:
         # the mean-direction draw at rho = 0 collapses onto the scores:
         # zero residual variation means criterion 0 and weight 1
         y = _ar1_path(0.4, 100, seed=11)
-        panel = null_score_panel(y)
         H = np.array([[1.0, 0.0, 0.0]])
-        sup_c, psi = _criteria_for_draws(panel, H, np.array([0.0]))
-        assert sup_c[0] == 0.0
-        assert psi[0] == 1.0
+        sup_c, psi = _criteria_kernel(*_series_block(y[None]), len(y), H, np.array([0.0]))
+        assert sup_c[0, 0] == 0.0
+        assert psi[0, 0] == 1.0
 
     def test_sup_monotone_in_draw_set(self):
         y = _ar1_path(0.3, 80, seed=12)
-        panel = null_score_panel(y)
         H, rhos = sample_nuisance_draws(100, substream(3, 3))
-        sup_all, _ = _criteria_for_draws(panel, H, rhos)
-        assert sup_all[:50].max() <= sup_all.max()
+        sup_all, _ = _criteria_kernel(*_series_block(y[None]), len(y), H, rhos)
+        assert sup_all[0, :50].max() <= sup_all[0].max()
 
     def test_psi_closed_form_at_unit_ratio(self):
         assert _psi_weight(np.array([1.0]))[0] == pytest.approx(1.2533141373155001, rel=1e-12)
@@ -208,14 +202,16 @@ class TestCriteria:
         assert not np.isnan(_psi_weight(np.array([-1e6, 40.0]))).any()
 
     def test_statistics_are_location_scale_invariant(self):
-        # the pipeline standardizes the series before building the panel, so
+        # the pipeline standardizes the series before fitting the null, so
         # affine maps of the observations cannot move the statistics
         y = _ar1_path(0.5, 150, seed=13)
-        H, rhos = sample_nuisance_draws(64, substream(5, 5))
-        a = _criteria_for_draws(null_score_panel(standardize_series(y)), H, rhos)
-        b = _criteria_for_draws(null_score_panel(standardize_series(3.0 * y - 7.0)), H, rhos)
-        np.testing.assert_allclose(a[0].max(), b[0].max(), rtol=1e-8)
-        np.testing.assert_allclose(a[1].mean(), b[1].mean(), rtol=1e-8)
+        a, b = standardize_series(y), standardize_series(3.0 * y - 7.0)
+        np.testing.assert_allclose(
+            sup_ts(a, 64, substream(5, 5)), sup_ts(b, 64, substream(5, 5)), rtol=1e-8
+        )
+        np.testing.assert_allclose(
+            exp_ts(a, 64, substream(5, 5)), exp_ts(b, 64, substream(5, 5)), rtol=1e-8
+        )
 
     def test_bootstrap_report_is_location_scale_invariant(self):
         y = _ar1_path(0.2, 120, seed=19)
@@ -229,19 +225,19 @@ class TestCriteria:
 
 class TestPublicStatistics:
     def test_sup_requires_draws(self):
-        panel = null_score_panel(_ar1_path(0.1, 50, seed=14))
+        y = _ar1_path(0.1, 50, seed=14)
         with pytest.raises(ValueError):
-            sup_ts(panel, 0, substream(0, 0))
+            sup_ts(y, 0, substream(0, 0))
 
     def test_sup_and_exp_are_deterministic_given_stream(self):
-        panel = null_score_panel(_ar1_path(0.1, 60, seed=15))
-        assert sup_ts(panel, 50, substream(8, 8)) == sup_ts(panel, 50, substream(8, 8))
-        assert exp_ts(panel, 50, substream(8, 8)) == exp_ts(panel, 50, substream(8, 8))
+        y = _ar1_path(0.1, 60, seed=15)
+        assert sup_ts(y, 50, substream(8, 8)) == sup_ts(y, 50, substream(8, 8))
+        assert exp_ts(y, 50, substream(8, 8)) == exp_ts(y, 50, substream(8, 8))
 
     def test_sup_nonnegative_exp_positive(self):
-        panel = null_score_panel(_ar1_path(0.7, 100, seed=16))
-        assert sup_ts(panel, 40, substream(9, 9)) >= 0.0
-        assert exp_ts(panel, 40, substream(9, 9)) > 0.0
+        y = _ar1_path(0.7, 100, seed=16)
+        assert sup_ts(y, 40, substream(9, 9)) >= 0.0
+        assert exp_ts(y, 40, substream(9, 9)) > 0.0
 
 
 class TestBootstrapTest:
@@ -303,13 +299,22 @@ class TestBatchedBootstrap:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_data_block_bit_identical_to_series_block(self, seed):
-        # the data and its resamples take the same arithmetic, numpy's powers of s2
-        # included, so the data's curvature is the one a resample of it would get
+    def test_data_panel_bit_identical_to_series_block(self, seed):
+        # the score panel and the kernel's block take the same arithmetic, numpy's
+        # powers of s2 included, so the finite-difference checks of the panel's
+        # scores and Hessians cover the numbers the kernel runs on
         for cell in range(len(default_study_grid("desk"))):
             ys = standardize_series(_desk_case(cell, seed)[1])
-            for got, want in zip(_panel_block(null_score_panel(ys)), _series_block(ys[None])):
-                np.testing.assert_array_equal(got, want)
+            panel = null_score_panel(ys)
+            scores, curv, _ = _series_block(ys[None])
+            np.testing.assert_array_equal(panel.scores, scores[:, 0])
+            s0, sv, hs = panel.scores[:, 0], panel.scores[:, 2], panel.hessians
+            np.testing.assert_array_equal(
+                np.column_stack(
+                    [hs[:, 0, 0] + s0 * s0, hs[:, 0, 2] + s0 * sv, hs[:, 2, 2] + sv * sv]
+                ),
+                curv[:, 0],
+            )
 
     @pytest.mark.parametrize("phi", [0.4, 1.0])
     def test_paths_bit_identical_to_scalar_simulation(self, phi):
@@ -348,41 +353,39 @@ class TestBatchedBootstrap:
         sup, exp = _row_statistics(np.vstack([ys, Y]), H, rhos)
         np.testing.assert_array_equal(sup[1:], whole[0].max(axis=1))
         np.testing.assert_array_equal(exp[1:], whole[1].mean(axis=1))
-        sup_data, psi_data = _criteria_for_draws(panel, H, rhos)
-        assert (sup[0], exp[0]) == (sup_data.max(), psi_data.mean())
+        # the single-series views are row 0 too
+        assert sup[0] == sup_ts(ys, cfg.chp_draws, substream(seed, DOMAIN_NUISANCE))
+        assert exp[0] == exp_ts(ys, cfg.chp_draws, substream(seed, DOMAIN_NUISANCE))
         report = chp_bootstrap_test(y, B=B, draws=cfg.chp_draws, master_seed=seed)
         assert (report.supTS, report.expTS) == (sup[0], exp[0])
 
 
 class TestRankDeficientPanel:
-    """A score panel with a duplicated column spans the same space as the
-    panel without it, so projections and criteria must not change."""
+    """Score columns with a duplicated column span the same space as the
+    columns without it, so projections and criteria must not change."""
 
     @staticmethod
-    def _panels():
-        panel = null_score_panel(standardize_series(_ar1_path(0.3, 80, seed=20)))
-        duplicated = NullScorePanel(
-            scores=np.column_stack([panel.scores, panel.scores[:, 0]]),
-            hessians=panel.hessians,
-            theta0_hat=panel.theta0_hat,
-            T=panel.T,
-        )
-        return panel, duplicated
+    def _bases(caplog):
+        y = standardize_series(_ar1_path(0.3, 80, seed=20))
+        scores, curv, basis = _series_block(y[None])
+        X = scores.transpose(1, 0, 2)
+        with caplog.at_level(logging.WARNING, logger="regimetest.chp"):
+            duplicated = _score_basis(np.concatenate([X, X[..., :1]], axis=-1))
+        assert "dropped columns [3]" in caplog.text
+        return y, scores, curv, basis, duplicated
 
     def test_duplicated_column_leaves_criteria_unchanged(self, caplog):
-        panel, duplicated = self._panels()
+        y, scores, curv, basis, duplicated = self._bases(caplog)
         H, rhos = sample_nuisance_draws(60, substream(6, 6))
-        with caplog.at_level(logging.WARNING, logger="regimetest.chp"):
-            got = _criteria_for_draws(duplicated, H, rhos)
-        assert "dropped columns [3]" in caplog.text
-        want = _criteria_for_draws(panel, H, rhos)
+        got = _criteria_kernel(scores, curv, duplicated, len(y), H, rhos)
+        want = _criteria_kernel(scores, curv, basis, len(y), H, rhos)
         np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0.0)
 
-    def test_duplicated_column_leaves_residuals_unchanged(self):
-        panel, duplicated = self._panels()
-        path = substream(7, 7).standard_normal(panel.scores.shape[0])
+    def test_duplicated_column_leaves_residuals_unchanged(self, caplog):
+        y, scores, _, _, duplicated = self._bases(caplog)
+        path = substream(7, 7).standard_normal(scores.shape[0])
+        Q = duplicated[0]
         np.testing.assert_allclose(
-            projection_residuals(path, duplicated), projection_residuals(path, panel),
-            rtol=0.0, atol=1e-12,
+            path - Q @ (Q.T @ path), projection_residuals(path, y), rtol=0.0, atol=1e-12,
         )

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from regimetest._seeding import DOMAIN_TABLE, substream
+from regimetest.cli import main
 from regimetest.harness import (
     ExperimentConfig,
     config_digest,
@@ -78,6 +79,23 @@ class TestIngestSeries:
         path.write_text("period,value\n1999Q1,100\n1999Q2,\n")
         with pytest.raises(ValueError, match="missing"):
             ingest_series(path)
+
+    @pytest.mark.parametrize("transform", ["none", "logdiff100"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_its_line(self, tmp_path, capsys, transform, bad):
+        # float() accepts these, and the fits further down failed on them with
+        # messages that named no line
+        path = tmp_path / "bad.csv"
+        path.write_text("period,value\n" + "".join(f"{t},{100 + t}\n" for t in range(1, 13))
+                        + f"13,{bad}\n14,120\n")
+        with pytest.raises(ValueError, match=f":14: non-finite value '{bad}'"):
+            ingest_series(path, transform)
+        for command in (["test", "--lags", "1", "--mc", "20"], ["chp", "--reps", "5", "--draws", "5"]):
+            argv = [*command, "--series", str(path), "--transform", transform,
+                    "--out", str(tmp_path / "out.csv")]
+            assert main(argv) == 2
+            assert f"{path}:14: non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_non_positive_level_under_log(self, tmp_path):
         path = tmp_path / "bad.csv"

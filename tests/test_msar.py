@@ -113,18 +113,38 @@ class TestSimulateChain:
 
 class TestSimulateMSAR:
     def test_package_import_leaves_scipy_signal_unloaded(self):
-        # simulate_msar imports scipy.signal on first use, fit_logistic_cdf
-        # scipy.optimize and the CHP weight scipy.special: together they are
-        # most of the package's import time, and each serves one function
+        # fit_logistic_cdf imports scipy.optimize on first use and the CHP
+        # weight scipy.special: each is a large import that serves one
+        # function, so the package loads neither at start.  simulate_msar runs
+        # its AR recursion itself and never loads scipy.signal
         import regimetest
 
         src = str(Path(regimetest.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        probe = ("import sys, regimetest; print(sorted(m for m in sys.modules if m.startswith("
+        probe = ("import sys, numpy, regimetest as rt; "
+                 "rt.simulate_msar(rt.MSARSpec(rt.RegimeParams(0, 1, 1, 2), rt.TransitionMatrix(0.9, 0.8), "
+                 "(0.3, 0.2)), 50, numpy.random.default_rng(0)); "
+                 "print(sorted(m for m in sys.modules if m.startswith("
                  "('scipy.signal', 'scipy.optimize', 'scipy.special'))))")
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, check=True, timeout=120).stdout
         assert out.strip() == "[]"
+
+    @pytest.mark.parametrize("phi", [(0.6,), (0.5, -0.3), (0.2, 0.1, -0.4), (-0.3, 0.2, 0.1, 0.25)])
+    def test_ar_recursion_bit_identical_to_lfilter(self, phi):
+        # the recursion sums the lags in scipy.signal.lfilter's order, so a path
+        # rebuilt from the same draws through lfilter matches it bit for bit
+        from scipy.signal import lfilter
+
+        spec = MSARSpec(RegimeParams(-1.0, 2.0, 0.5, 1.5), TransitionMatrix(0.9, 0.7), phi)
+        T, n = 150, 150 + 100 + 10 * len(phi)
+        rng = np.random.default_rng(12)
+        states = simulate_chain(spec.transition, n, rng)
+        eps = rng.standard_normal(n)
+        sigma = np.where(states == 1, 0.5, 1.5)
+        mu = np.where(states == 1, -1.0, 2.0)
+        want = (mu + lfilter([1.0], np.r_[1.0, -np.asarray(phi)], sigma * eps))[n - T :]
+        np.testing.assert_array_equal(simulate_msar(spec, T, np.random.default_rng(12)), want)
 
     def test_degenerate_noise_constant_path(self):
         spec = MSARSpec(RegimeParams(1.5, 1.5, 0.0, 0.0), TransitionMatrix(0.9, 0.9))
