@@ -15,7 +15,6 @@ from .msar import (
     filtered_mixture_components,
     four_state_transition,
     min_root_modulus,
-    root_moduli,
     stationary_rows,
 )
 from .moments import (
@@ -71,7 +70,6 @@ from .harness import (
     ingest_series,
     run_size_power_study,
     default_study_grid,
-    run_empirical,
     regenerate_coeff_table,
 )
 

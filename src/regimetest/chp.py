@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeding import DOMAIN_BOOTSTRAP, DOMAIN_NUISANCE, normal_rows, substream
-from .moments import row_blocks
+from .moments import finite_series, row_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -402,8 +402,9 @@ def chp_bootstrap_test(
     same nuisance draws are reused for the data and every bootstrap sample.
     The data is row 0 of one blocked kernel pass over the B + 1 standardized
     series.  Bootstrap p-values use the (1 + #{boot >= data}) / (B + 1) convention.
+    A non-finite value is a ``ValueError``.
     """
-    y = np.asarray(y, dtype=float)
+    y = finite_series(y)
     if B < 2:
         raise ValueError("B must be at least 2")
     H, rhos = sample_nuisance_draws(draws, substream(master_seed, DOMAIN_NUISANCE))

@@ -37,6 +37,7 @@ from pathlib import Path
 from . import __version__
 from ._seeding import DOMAIN_SIMULATE, substream
 from .chp import chp_bootstrap_test
+from .linearity import linearity_tests
 from .harness import (
     LINEARITY_METHODS,
     PROFILES,
@@ -46,7 +47,6 @@ from .harness import (
     default_study_grid,
     ingest_series,
     regenerate_coeff_table,
-    run_empirical,
     run_size_power_study,
     write_csv,
     write_empirical_csv,
@@ -146,10 +146,8 @@ def _items(text: str, item: type = str) -> tuple:
 
 
 def _cmd_test(args: argparse.Namespace, meta: str, dataset: SeriesDataset) -> None:
-    rows = run_empirical(
-        dataset, r=args.lags, N=args.mc, methods=_items(args.methods),
-        master_seed=args.seed, grid_points=args.grid_points,
-    )
+    rows = linearity_tests(dataset.values, args.lags, _items(args.methods), N=args.mc,
+                           master_seed=args.seed, points_per_dim=args.grid_points)
     r = args.lags
     header = f"{'method':<10} {'p-value':>8} " + " ".join(f"{f'phi_{k+1}':>7}" for k in range(r)) + "    |z|"
     print(header)

@@ -1,16 +1,16 @@
-"""Experiment harness: data ingestion, size/power studies, the empirical
-application pipeline, coefficient-table regeneration, and :func:`write_csv`,
-the one writer of a run's output files (``# meta`` line, header, rows, ``\\n``).
+"""Experiment harness: data ingestion, size/power studies,
+coefficient-table regeneration, and :func:`write_csv`, the one writer of a
+run's output files (``# meta`` line, header, rows, ``\\n``).
 
 All stochastic work is keyed on a master seed through documented derivation
 paths (see ``_seeding``), and study replications are independent tasks whose
 results are reduced in replication order, so numeric outputs are identical
-for any worker count.  A study replication and an empirical report compute
-all their LMC/MMC methods in one linearity pass
-(:func:`~regimetest.linearity.linearity_tests`): one OLS fit, at most one
-nuisance grid and one null ensemble per series; supTS and expTS come from one
-CHP pass with the data as row 0 above its bootstrap samples.  Both passes and
-the table refit go through the blocks of :func:`~regimetest.moments.row_blocks`.
+for any worker count.  A study replication computes all its LMC/MMC methods
+in one linearity pass (:func:`~regimetest.linearity.linearity_tests`): one
+OLS fit, at most one nuisance grid and one null ensemble per series; supTS
+and expTS come from one CHP pass with the data as row 0 above its bootstrap
+samples.  Both passes and the table refit go through the blocks of
+:func:`~regimetest.moments.row_blocks`.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ class ExperimentConfig:
     label: str = ""
     B: int = 200
     chp_draws: int = 200
-    mmc_points: int = 41
 
     def __post_init__(self) -> None:
         if self.replications < 1:
@@ -175,9 +174,7 @@ def _study_rep(task: tuple[ExperimentConfig, int, int]) -> dict[str, float]:
     out: dict[str, float] = {}
     linear = [m for m in cfg.methods if m in LINEARITY_METHODS]
     if linear:
-        reports = linearity_tests(
-            y, cfg.dgp.r, linear, N=cfg.N, master_seed=rep_seed, points_per_dim=cfg.mmc_points
-        )
+        reports = linearity_tests(y, cfg.dgp.r, linear, N=cfg.N, master_seed=rep_seed)
         out.update((report.method, report.p_value) for report in reports)
     if "supTS" in cfg.methods or "expTS" in cfg.methods:
         report = chp_bootstrap_test(y, B=cfg.B, draws=cfg.chp_draws, master_seed=rep_seed)
@@ -257,24 +254,6 @@ def default_study_grid(
         for T in (100, 200)
         for name, dmu, dsig, p11, p22 in cells
     ]
-
-
-def run_empirical(
-    series: SeriesDataset | np.ndarray,
-    r: int = 4,
-    N: int = 100,
-    methods: Sequence[str] = LINEARITY_METHODS,
-    master_seed: int = 0,
-    grid_points: int | None = None,
-) -> list[LinearityReport]:
-    """Linearity-test report for a single series: one report per method with
-    the p-value, the coefficients at the report point, and the smallest root
-    modulus of the AR polynomial.  All methods come from one linearity pass
-    (one OLS fit, one grid, one null ensemble)."""
-    y = series.values if isinstance(series, SeriesDataset) else np.asarray(series, float)
-    return linearity_tests(
-        y, r, methods, N=N, master_seed=master_seed, points_per_dim=grid_points
-    )
 
 
 def regenerate_coeff_table(

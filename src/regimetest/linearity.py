@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mctest import LogisticCoeffTable, ensemble_pvalues
-from .moments import quartet_matrix, row_blocks
+from .moments import finite_series, quartet_matrix, row_blocks
 from .msar import min_root_modulus, stationary_rows
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "LinearityReport",
     "ols_ar_fit",
     "ar_filter",
-    "min_root_modulus",
     "linearity_tests",
     "lmc_test",
     "build_grid",
@@ -93,9 +92,11 @@ def ols_ar_fit(y: np.ndarray, r: int) -> ARFit:
     """OLS regression of ``y_t`` on an intercept and its first ``r`` lags.
 
     Conventional standard errors, with the residual variance computed on
-    ``T - r - (r + 1)`` degrees of freedom.
+    ``T - r - (r + 1)`` degrees of freedom.  A non-finite value or a design
+    whose ``lstsq`` rank falls short of its ``r + 1`` columns is a
+    ``ValueError``.
     """
-    y = np.asarray(y, dtype=float)
+    y = finite_series(y)
     T = len(y)
     if r < 0:
         raise ValueError("lag order must be non-negative")
@@ -103,10 +104,10 @@ def ols_ar_fit(y: np.ndarray, r: int) -> ARFit:
         raise ValueError(f"series of length {T} too short for an AR({r}) fit")
     n = T - r
     X = np.column_stack([np.ones(n)] + [y[r - k : T - k] for k in range(1, r + 1)])
-    if np.linalg.matrix_rank(X) < X.shape[1]:
-        raise ValueError("regressor matrix is rank deficient")
     yy = y[r:]
-    beta, *_ = np.linalg.lstsq(X, yy, rcond=None)
+    beta, _, rank, _ = np.linalg.lstsq(X, yy, rcond=None)
+    if rank < X.shape[1]:
+        raise ValueError("regressor matrix is rank deficient")
     resid = yy - X @ beta
     dof = n - X.shape[1]
     sigma2 = float(resid @ resid / dof) if dof > 0 else float("nan")
@@ -167,14 +168,19 @@ def linearity_tests(
     p-value is row 0's and the MMC p-value is the largest over the grid rows
     (the first maximizer in row-major grid order).  The grid defaults to 41
     points for one lag and 9 points per dimension otherwise.  Unknown
-    methods and ``N < 2`` are rejected before any work, an LMC method at a
-    non-stationary OLS point after the fit.
+    methods, ``N < 2``, an even or non-positive ``points_per_dim`` and a
+    ``points_per_dim`` given with ``grid`` are rejected before any work, an
+    LMC method at a non-stationary OLS point after the fit.
     """
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; use {', '.join(METHODS)}")
     if N < 2:
         raise ValueError("N must be at least 2")
+    if points_per_dim is not None:
+        if grid is not None:
+            raise ValueError("give grid= or points_per_dim=, not both")
+        _check_points_per_dim(points_per_dim)
     requested = [(method, *method.split("_")) for method in methods]
     if grid is not None:
         _check_grid(grid.points, r)
@@ -229,6 +235,11 @@ def _check_grid(points, r: int) -> None:
             raise ValueError(f"grid row {i} {points[i].tolist()} {what}")
 
 
+def _check_points_per_dim(points_per_dim: int) -> None:
+    if points_per_dim < 1 or points_per_dim % 2 == 0:
+        raise ValueError("points_per_dim must be odd and at least 1")
+
+
 def lmc_test(
     y: np.ndarray,
     r: int,
@@ -260,8 +271,7 @@ def build_grid(fit: ARFit, points_per_dim: int) -> NuisanceBox:
         freedom), or if every grid point is filtered out; a user grid over
         a smaller box is then advisable.
     """
-    if points_per_dim < 1 or points_per_dim % 2 == 0:
-        raise ValueError("points_per_dim must be odd and at least 1")
+    _check_points_per_dim(points_per_dim)
     center = np.asarray(fit.phi, dtype=float)
     r = len(center)
     if r == 0:

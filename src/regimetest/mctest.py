@@ -29,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from ._seeding import DOMAIN_REPLICATE, DOMAIN_TIEBREAK, normal_rows, substream
-from .moments import quartet_matrix, raise_if_degenerate
+from .moments import finite_series, quartet_matrix, raise_if_degenerate
 
 logger = logging.getLogger(__name__)
 
@@ -381,9 +381,10 @@ def mc_mixture_test(
     that one ranking's.
 
     Degenerate-sample errors on the data path propagate; degenerate simulated
-    replicates are resampled (and counted in the report).
+    replicates are resampled (and counted in the report).  A non-finite
+    value is a ``ValueError``.
     """
-    z = np.asarray(z, dtype=float)
+    z = finite_series(z)
     ranked, resampled = ensemble_pvalues(
         quartet_matrix(z[None, :]), len(z), N, (method,), table, master_seed
     )

@@ -60,6 +60,16 @@ def row_blocks(n: int, row_elements: int) -> list[slice]:
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
+def finite_series(y) -> np.ndarray:
+    """``y`` as a float array; a non-finite value is a ``ValueError`` that
+    names the index of the first one."""
+    y = np.asarray(y, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(y))
+    if len(bad):
+        raise ValueError(f"series holds a non-finite value ({y.flat[bad[0]]}) at index {bad[0]}")
+    return y
+
+
 def _dispersion_floor(max_abs) -> float:
     """Partition dispersions at or below this level are rounding residue of a
     mathematically zero dispersion and must count as degenerate."""

@@ -16,7 +16,7 @@ keeps the rows whose reflection coefficients all lie strictly inside
 (-1, 1).  Rows that rounding cannot decide are settled in exact rational
 arithmetic, so a root on the unit circle always counts as non-stationary.
 ``min_root_modulus`` reports the smallest AR-root modulus of one vector by
-``np.roots``; ``root_moduli`` applies it row by row.
+``np.roots``.
 """
 
 from __future__ import annotations
@@ -65,9 +65,8 @@ class TransitionMatrix:
 class RegimeParams:
     """Regime-specific means and standard deviations.
 
-    Separations are reported with the convention ``delta_mu = mu2 - mu1`` and
-    ``delta_sigma = sigma2 - sigma1``.  Zero standard deviations are accepted
-    so that degenerate (noise-free) paths can be simulated.
+    Zero standard deviations are accepted so that degenerate (noise-free)
+    paths can be simulated.
     """
 
     mu1: float
@@ -78,14 +77,6 @@ class RegimeParams:
     def __post_init__(self) -> None:
         if self.sigma1 < 0 or self.sigma2 < 0:
             raise ValueError("regime standard deviations must be non-negative")
-
-    @property
-    def delta_mu(self) -> float:
-        return self.mu2 - self.mu1
-
-    @property
-    def delta_sigma(self) -> float:
-        return self.sigma2 - self.sigma1
 
 
 @dataclass(frozen=True)
@@ -335,17 +326,6 @@ def _exact_stationary(phi: np.ndarray) -> bool:
             return False
         p = [(p[j] + a * p[k - 2 - j]) / (1 - a * a) for j in range(k - 1)]
     return True
-
-
-def root_moduli(P: np.ndarray) -> np.ndarray:
-    """Smallest root modulus of ``1 - phi_1 z - ... - phi_r z^r`` for every
-    row ``phi`` of an ``(n, r)`` coefficient matrix, by
-    :func:`min_root_modulus` row by row (``inf`` for an all-zero row or a
-    zero-width matrix).  Stationarity is decided by :func:`stationary_rows`,
-    which is exact where these rounded moduli sit at one.
-    """
-    P = np.asarray(P, dtype=float)
-    return np.fromiter((min_root_modulus(row) for row in P), dtype=float, count=len(P))
 
 
 def min_root_modulus(phi: np.ndarray) -> float:

@@ -22,10 +22,9 @@ from regimetest.chp import (
 from regimetest.harness import (
     ExperimentConfig,
     _parallel_map,
-    run_empirical,
     run_size_power_study,
 )
-from regimetest.linearity import build_grid, lmc_test, mmc_test, ols_ar_fit
+from regimetest.linearity import build_grid, linearity_tests, lmc_test, mmc_test, ols_ar_fit
 from regimetest.mctest import LogisticCoeffTable, fit_logistic_cdf, logistic_cdf, mc_mixture_test
 from regimetest.moments import quartet_matrix
 from regimetest.msar import (
@@ -67,7 +66,7 @@ def test_criterion_02_null_size_table():
     cfg = ExperimentConfig(
         dgp=_null_ar1(0.1), T=100, replications=500, N=100,
         methods=("LMC_min", "LMC_prod", "MMC_min", "MMC_prod"),
-        master_seed=202, label="null", mmc_points=41,
+        master_seed=202, label="null",
     )
     rows = {r.method: 100 * r.reject_rate for r in run_size_power_study([cfg], TEST_WORKERS)}
     ok = (
@@ -292,7 +291,7 @@ def test_criterion_11_worker_count_invariance(hamilton_growth):
     configs = [
         ExperimentConfig(dgp=_null_ar1(0.1), T=80, replications=12, N=40,
                          methods=("LMC_min", "MMC_min"), master_seed=1111,
-                         label="mc-cell", mmc_points=11),
+                         label="mc-cell"),
         ExperimentConfig(dgp=_switching_ar1(1.0, 1.0, 0.9, 0.5, 0.1), T=80,
                          replications=8, N=40, methods=("supTS", "expTS"),
                          master_seed=1112, label="chp-cell", B=30, chp_draws=30),
@@ -306,10 +305,11 @@ def test_criterion_11_worker_count_invariance(hamilton_growth):
                 and a.reject_rate == b.reject_rate and a.mc_se == b.mc_se
                 and a.failed == b.failed
             )
-    rep_a = run_empirical(hamilton_growth, r=4, N=40, methods=("LMC_min", "MMC_min"),
-                          master_seed=7, grid_points=3)
-    rep_b = run_empirical(hamilton_growth, r=4, N=40, methods=("LMC_min", "MMC_min"),
-                          master_seed=7, grid_points=3)
+    rep_a, rep_b = (
+        linearity_tests(hamilton_growth, 4, ("LMC_min", "MMC_min"), N=40, master_seed=7,
+                        points_per_dim=3)
+        for _ in range(2)
+    )
     reports_equal = all(
         a.method == b.method and a.p_value == b.p_value
         and np.array_equal(a.phi_at_report, b.phi_at_report) and a.min_root_modulus == b.min_root_modulus

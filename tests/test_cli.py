@@ -104,11 +104,13 @@ def test_fit_table_subcommand_rejects_tiny_draw_counts(tmp_path, capsys):
      "LMC needs a stationary OLS point; [1.0034755679397172] has smallest root modulus 0.996536"),
     (["test", "--series", HAMILTON, "--grid-points", "4", "--methods", "MMC_min"],
      "points_per_dim must be odd"),
+    (["test", "--series", HAMILTON, "--grid-points", "4", "--methods", "LMC_min"],
+     "points_per_dim must be odd"),
     (["study", "--reps", "1", "--mc", "1", "--methods", "LMC_min"], "N must be at least 2"),
     (["study", "--reps", "1", "--mc", "20", "--methods", "LMC_min", "--workers", "0"],
      "workers must be at least 1"),
 ], ids=["chp-reps", "simulate-T", "test-methods", "test-mc", "test-lmc-levels",
-        "test-grid-points", "study-mc", "study-workers"])
+        "test-grid-points", "test-grid-points-lmc", "study-mc", "study-workers"])
 def test_rejected_input_is_a_usage_error(argv, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main([*argv, "--out", str(out)]) == 2

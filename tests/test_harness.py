@@ -14,11 +14,11 @@ from regimetest.harness import (
     default_study_grid,
     ingest_series,
     regenerate_coeff_table,
-    run_empirical,
     run_size_power_study,
     write_empirical_csv,
     write_study_csv,
 )
+from regimetest.linearity import linearity_tests
 from regimetest.mctest import STATISTICS, LogisticCoeffTable, fit_logistic_cdf, logistic_cdf
 from regimetest.moments import quartet_matrix, row_blocks
 from regimetest.msar import MSARSpec, RegimeParams, TransitionMatrix
@@ -165,7 +165,7 @@ class TestStudy:
     def test_rows_are_worker_invariant(self):
         cfg = ExperimentConfig(
             dgp=NULL_AR1, T=60, replications=12, N=20,
-            methods=("LMC_min", "MMC_min"), master_seed=9, mmc_points=11,
+            methods=("LMC_min", "MMC_min"), master_seed=9,
         )
         baseline = run_size_power_study([cfg], workers=1)
         for workers in (2, 4):
@@ -204,7 +204,7 @@ class TestStudy:
         assert expected[10][0] == "null,phi=0.1,T=200"
         assert expected[39][0] == "dmu=2.0,dsig=1.0,p=(0.9,0.1),phi=0.9,T=200"
         assert all(c.master_seed == 3 and c.methods == ("LMC_min",) for c in configs)
-        assert all((c.alpha, c.mmc_points) == (0.05, 41) for c in configs)
+        assert all(c.alpha == 0.05 for c in configs)
 
     def test_full_profile_reaches_every_cell(self):
         desk, full = default_study_grid("desk"), default_study_grid("full")
@@ -229,8 +229,7 @@ class TestCsvRoundTrip:
             assert a.mc_se == b.mc_se
 
     def test_empirical_rows(self, tmp_path, hamilton_growth):
-        rows = run_empirical(hamilton_growth, r=4, N=20,
-                             methods=("LMC_min",), master_seed=3)
+        rows = linearity_tests(hamilton_growth, 4, ("LMC_min",), N=20, master_seed=3)
         path = tmp_path / "empirical.csv"
         write_empirical_csv(rows, path, header_meta="seed=3")
         text = path.read_text().splitlines()

@@ -20,17 +20,17 @@ from regimetest.linearity import (
     build_grid,
     linearity_tests,
     lmc_test,
-    min_root_modulus,
     mmc_test,
     ols_ar_fit,
 )
+from regimetest.chp import chp_bootstrap_test
 from regimetest.mctest import mc_mixture_test
 from regimetest.moments import DegenerateSampleError, quartet_matrix, raise_if_degenerate
 from regimetest.msar import (
     MSARSpec,
     RegimeParams,
     TransitionMatrix,
-    root_moduli,
+    min_root_modulus,
     simulate_msar,
     stationary_rows,
 )
@@ -61,8 +61,10 @@ class TestOlsArFit:
         assert fit.phi.size == 0
 
     def test_rank_deficiency(self):
-        with pytest.raises(ValueError, match="rank"):
-            ols_ar_fit(np.ones(50), 1)
+        # constant; period 2: y_{t-2} = -y_{t-1}; trend: y_{t-2} = y_{t-1} - 1
+        for y, r in ((np.ones(50), 1), (np.tile([1.0, -1.0], 25), 2), (np.arange(50.0), 2)):
+            with pytest.raises(ValueError, match="regressor matrix is rank deficient"):
+                ols_ar_fit(y, r)
 
     def test_too_short(self):
         with pytest.raises(ValueError, match="too short"):
@@ -103,7 +105,27 @@ class TestArFilter:
             assert abs(r) < 3 / np.sqrt(len(z))
 
 
+def _same_bits(a, b) -> bool:
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def _gnp_fits(hamilton_growth, extended_growth):
+    """(fit, default points per dimension) for both GNP series at r = 1..4."""
+    return [
+        (ols_ar_fit(y, r), 41 if r == 1 else 9)
+        for y in (hamilton_growth, extended_growth)
+        for r in range(1, 5)
+    ]
+
+
 class TestMinRootModulus:
+    @staticmethod
+    def _check(P):
+        """Row by row, bit for bit, the ``np.roots`` rule of the oracle."""
+        got = np.array([min_root_modulus(p) for p in P], dtype=float)
+        expected = np.array([linearity_oracle.min_root_modulus(p) for p in P], dtype=float)
+        assert _same_bits(got, expected)
+
     def test_reciprocal_root(self):
         assert min_root_modulus([0.5]) == pytest.approx(2.0)
 
@@ -119,28 +141,6 @@ class TestMinRootModulus:
             candidates = np.abs(np.roots(poly))
             assert value == pytest.approx(candidates.min(), rel=1e-9)
 
-
-def _same_bits(a, b) -> bool:
-    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
-
-
-def _gnp_fits(hamilton_growth, extended_growth):
-    """(fit, default points per dimension) for both GNP series at r = 1..4."""
-    return [
-        (ols_ar_fit(y, r), 41 if r == 1 else 9)
-        for y in (hamilton_growth, extended_growth)
-        for r in range(1, 5)
-    ]
-
-
-class TestRootModuli:
-    """``root_moduli`` equals the per-point ``np.roots`` rule bit for bit."""
-
-    @staticmethod
-    def _check(P):
-        expected = np.array([linearity_oracle.min_root_modulus(p) for p in P], dtype=float)
-        assert _same_bits(root_moduli(P), expected)
-
     def test_unfiltered_gnp_grids(self, hamilton_growth, extended_growth):
         for fit, points_per_dim in _gnp_fits(hamilton_growth, extended_growth):
             self._check(linearity_oracle.grid_candidates(fit, points_per_dim))
@@ -154,18 +154,14 @@ class TestRootModuli:
         assert orders == set(range(6))
         self._check(P)
 
-    def test_zero_width_matrix(self):
-        assert np.array_equal(root_moduli(np.zeros((3, 0))), np.full(3, np.inf))
-        assert root_moduli(np.zeros((0, 2))).shape == (0,)
+    def test_empty_vector(self):
+        assert min_root_modulus(np.zeros(0)) == np.inf
+        self._check(np.zeros((3, 0)))
 
     def test_dyadic_grid(self):
         axis = np.linspace(-2.0, 2.0, 9)
         P = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 4)
         self._check(P)
-
-    def test_scalar_helper_is_one_row(self):
-        phi = np.array([0.31, 0.13, -0.12, -0.09])
-        assert _same_bits(min_root_modulus(phi), root_moduli(phi[None, :])[0])
 
 
 class TestStationaryRowsOnStudyGrids:
@@ -449,6 +445,18 @@ class TestSinglePass:
         with pytest.raises(ValueError, match="N must be at least 2"):
             linearity_tests(np.ones(3), 4, ("LMC_min",), N=1)
 
+    @pytest.mark.parametrize("methods", [("LMC_min",), ("MMC_min",)], ids=["LMC", "MMC"])
+    @pytest.mark.parametrize("points_per_dim", [4, 0, -1])
+    def test_points_per_dim_checked_before_any_work(self, methods, points_per_dim):
+        with pytest.raises(ValueError, match="points_per_dim must be odd and at least 1"):
+            linearity_tests(np.ones(3), 4, methods, points_per_dim=points_per_dim)
+
+    def test_points_per_dim_with_a_grid_is_rejected(self):
+        grid = NuisanceBox(np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="give grid= or points_per_dim=, not both"):
+            linearity_tests(_ar1_path(0.3, 60, seed=34), 1, ("MMC_min",), grid=grid,
+                            points_per_dim=5)
+
     def test_one_null_ensemble_and_one_grid_per_series(self, monkeypatch):
         import regimetest.linearity as lin
         import regimetest.mctest as mct
@@ -518,3 +526,16 @@ def test_readme_quickstart_pvalues(hamilton_growth):
         exec(line, scope)
     assert scope["lmc"].p_value == 0.56
     assert scope["mmc"].p_value == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("run", [
+    lambda y: linearity_tests(y, 1, N=20),
+    lambda y: mc_mixture_test(y, N=20),
+    lambda y: chp_bootstrap_test(y, B=5, draws=5),
+], ids=["linearity_tests", "mc_mixture_test", "chp_bootstrap_test"])
+def test_non_finite_series_names_its_first_index(run, bad):
+    y = _ar1_path(0.3, 60, seed=35)
+    y[[17, 40]] = bad
+    with pytest.raises(ValueError, match=rf"non-finite value \({bad}\) at index 17$"):
+        run(y)
