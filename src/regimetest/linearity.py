@@ -4,7 +4,7 @@ This module builds the data rows of the exact MC test and filters them: it
 fits a linear autoregression by OLS, filters the series at candidate
 coefficient vectors and reduces each filtered series to its four moment
 statistics.  The filtered observations are i.i.d. under linearity at the
-true coefficients, so :func:`~regimetest.mctest.ensemble_pvalues` can rank
+true coefficients, so :class:`~regimetest.mctest.NullEnsemble` can rank
 each row's combined statistic against statistics of simulated normal
 vectors, yielding an exact MC p-value at that point of the nuisance space.
 
@@ -18,15 +18,22 @@ Two procedures deal with the unknown AR coefficients:
   step-down rule ``stationary_rows`` decides.
 
 Both are computed in one pass (:func:`linearity_tests`): the OLS point is
-row 0 of one coefficient matrix above the grid points; the rows are filtered
-and reduced to their statistic quartets over the row-major blocks of
-:func:`~regimetest.moments.row_blocks`, so memory stays bounded at any grid
-size, and ranked by the MC core against one null ensemble with one set of
-tie-breakers.  The LMC p-value is the p-value of the OLS row, which must be
-stationary: an LMC method at a non-stationary OLS point is a ``ValueError``,
-so on the default grid, centred on that point, MMC >= LMC holds exactly in
-every pass that reports both.  ``lmc_test`` and ``mmc_test`` are thin
-wrappers over that pass.
+row 0 of one coefficient matrix above the grid points.  The pass draws its
+null ensemble and tie-breakers first (:func:`~regimetest.mctest.null_ensemble`),
+then filters, demeans and reduces the rows to their statistic quartets over
+the row-major blocks of :func:`~regimetest.moments.row_blocks`, in one
+scratch allocated for the first block, and ranks each block as soon as it is
+computed, keeping a running maximum and its first row per MMC rule.  A rank
+p-value k/N is at most 1, so once every requested MMC rule has reached
+p = 1 its first maximizer is final, and the pass stops after that block;
+``LinearityReport.rows_ranked`` says how many rows it ranked.  The reports
+equal those of ranking every row, except that a degenerate grid row after
+the stopping block is never computed and so raises nothing.  The LMC
+p-value is the p-value of the OLS row, which must be stationary: an LMC
+method at a non-stationary OLS point is a ``ValueError``, so on the default
+grid, centred on that point, MMC >= LMC holds exactly in every pass that
+reports both.  ``lmc_test`` and ``mmc_test`` are thin wrappers over that
+pass.
 """
 
 from __future__ import annotations
@@ -35,8 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mctest import LogisticCoeffTable, ensemble_pvalues
-from .moments import finite_series, quartet_matrix, row_blocks
+from .mctest import LogisticCoeffTable, null_ensemble
+from .moments import _quartet_work, _quartets, _rows, finite_series, row_blocks
 from .msar import min_root_modulus, stationary_rows
 
 __all__ = [
@@ -76,7 +83,9 @@ class NuisanceBox:
 
 @dataclass(frozen=True)
 class LinearityReport:
-    """Result of an LMC or MMC linearity test."""
+    """Result of an LMC or MMC linearity test.  ``grid_points_evaluated`` is
+    the grid size (1 for LMC); ``rows_ranked`` counts the coefficient rows,
+    the OLS row included, that the pass ranked before it stopped."""
 
     method: str
     p_value: float
@@ -85,6 +94,7 @@ class LinearityReport:
     N: int
     seed: int
     grid_points_evaluated: int
+    rows_ranked: int
     degenerate_resamples: int = 0
 
 
@@ -133,20 +143,41 @@ def ar_filter(y: np.ndarray, phi: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     phi = np.asarray(phi, dtype=float)
     P = np.atleast_2d(phi)
-    r = P.shape[1]
-    if len(y) <= r:
+    if len(y) <= P.shape[1]:
         raise ValueError("series too short for the requested filter")
-    Z = y[r:] - P[:, :1] * y[r - 1 : -1] if r else np.repeat(y[None, :], len(P), axis=0)
-    for k in range(2, r + 1):
-        Z -= P[:, k - 1 : k] * y[r - k : len(y) - k]
+    Z = _filter_rows(y, P, np.empty((len(P), len(y) - P.shape[1])))
     return Z if phi.ndim == 2 else Z[0]
 
 
-def _filtered_quartets(y: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``quartet_matrix(ar_filter(y, rows))``, bit for bit, computed over the
-    ``row_blocks`` of the filtered observations."""
-    blocks = row_blocks(len(rows), len(y) - rows.shape[1])
-    return np.vstack([quartet_matrix(ar_filter(y, rows[block])) for block in blocks])
+def _filter_rows(y: np.ndarray, P: np.ndarray, out: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """The filter at every row of ``P``, written into ``out``; each lag's
+    product goes through ``tmp`` (fresh when not given)."""
+    r = P.shape[1]
+    if r == 0:
+        out[:] = y
+        return out
+    np.subtract(y[r:], np.multiply(P[:, :1], y[r - 1 : -1], out=out), out=out)
+    for k in range(2, r + 1):
+        out -= np.multiply(P[:, k - 1 : k], y[r - k : len(y) - k], out=tmp)
+    return out
+
+
+def _quartet_blocks(y: np.ndarray, rows: np.ndarray):
+    """``(block, quartet_matrix(ar_filter(y, rows[block])))`` for each of the
+    ``row_blocks`` of the coefficient rows, bit for bit, in order.  The rows
+    are filtered, demeaned and reduced in one scratch, allocated for the
+    first (largest) block and reused by every later one."""
+    Tz = len(y) - rows.shape[1]
+    blocks = row_blocks(len(rows), Tz)
+    size = blocks[0].stop * Tz
+    Z = np.empty(size)
+    work = _quartet_work(size)
+    for block in blocks:
+        n = block.stop - block.start
+        # the kernel's second float buffer holds the filter's lag products first
+        E = _filter_rows(y, rows[block], Z[: n * Tz].reshape(n, Tz), work[1][: n * Tz].reshape(n, Tz))
+        E -= E.mean(axis=1, keepdims=True)
+        yield block, _quartets(_rows(E), work)
 
 
 def linearity_tests(
@@ -163,10 +194,12 @@ def linearity_tests(
     that order, from a single pass.
 
     The OLS point is row 0 and the nuisance grid (built once, and only when
-    an MMC method is requested) follows.  Every row is filtered, reduced to
-    its statistic quartet and ranked against one null ensemble, so the LMC
-    p-value is row 0's and the MMC p-value is the largest over the grid rows
-    (the first maximizer in row-major grid order).  The grid defaults to 41
+    an MMC method is requested) follows.  The rows are filtered, reduced to
+    their statistic quartets and ranked block by block against one null
+    ensemble, so the LMC p-value is row 0's and the MMC p-value is the
+    largest over the grid rows (the first maximizer in row-major grid
+    order); the pass stops after the block in which every requested MMC
+    rule reaches p = 1, the largest p-value there is.  The grid defaults to 41
     points for one lag and 9 points per dimension otherwise.  Unknown
     methods, ``N < 2``, an even or non-positive ``points_per_dim`` and a
     ``points_per_dim`` given with ``grid`` are rejected before any work, an
@@ -199,24 +232,37 @@ def linearity_tests(
             raise ValueError("nuisance grid is empty")
         rows = np.vstack([rows, grid.points])
     rules = dict.fromkeys(rule for _, _, rule in requested)
-    ranked, resampled = ensemble_pvalues(
-        _filtered_quartets(y, rows), len(y) - r, N, rules, table, master_seed
-    )
+    mmc_rules = dict.fromkeys(rule for _, kind, rule in requested if kind == "MMC")
+    ensemble = null_ensemble(len(y) - r, N, rules, table, master_seed)
+    best = dict.fromkeys(mmc_rules, (-1.0, 0))  # rule: (largest grid p-value so far, its row)
+    for block, Qz in _quartet_blocks(y, rows):
+        ranked = ensemble.rank(Qz)
+        if block.start == 0:
+            lmc_p = {rule: p[0] for rule, (_, _, p) in ranked.items()}
+        grid_start = max(block.start, 1)  # row 0 is the OLS row, not a grid row
+        for rule in mmc_rules:
+            p = ranked[rule][2][grid_start - block.start :]
+            if len(p) and p.max() > best[rule][0]:
+                best[rule] = (p.max(), grid_start + int(np.argmax(p)))
+        # a p-value is at most 1, so a rule at p = 1 keeps its first maximizer
+        if all(p == 1.0 for p, _ in best.values()):
+            break
+    rows_ranked = block.stop
 
     reports = []
     for method, kind, rule in requested:
-        p = ranked[rule][3]
-        best = 0 if kind == "LMC" else 1 + int(np.argmax(p[1:]))
+        p, row = (lmc_p[rule], 0) if kind == "LMC" else best[rule]
         reports.append(
             LinearityReport(
                 method=method,
-                p_value=float(p[best]),
-                phi_at_report=rows[best].copy(),
-                min_root_modulus=min_root_modulus(rows[best]),
+                p_value=float(p),
+                phi_at_report=rows[row].copy(),
+                min_root_modulus=min_root_modulus(rows[row]),
                 N=N,
                 seed=master_seed,
                 grid_points_evaluated=1 if kind == "LMC" else len(rows) - 1,
-                degenerate_resamples=resampled,
+                rows_ranked=rows_ranked,
+                degenerate_resamples=ensemble.resampled,
             )
         )
     return reports

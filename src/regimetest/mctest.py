@@ -2,13 +2,16 @@
 
 Statistic quartets become approximate marginal p-values through logistic
 approximations of their null distribution functions; the two combination
-rules (minimum and product) reduce them to one statistic per row, and
-:func:`ensemble_pvalues` ranks the combined statistic of every data row among
-those of N - 1 simulated standard-normal vectors, with uniform tie-breakers.
-The rank p-value is exact at any N, however crude the approximations, since
-data and replicate statistics share them.  :func:`mc_mixture_test` is that
-test on one series; the linearity tests build their data rows (the OLS point
-and the nuisance grid) and hand them to the same core.
+rules (minimum and product) reduce them to one statistic per row.
+:func:`null_ensemble` draws the N - 1 simulated standard-normal vectors and
+the N uniform tie-breakers of a test once, and :meth:`NullEnsemble.rank`
+ranks the combined statistic of each block of data rows among the
+replicates' as the block arrives, through the one rank rule
+:func:`rank_pvalues`.  The rank p-value is exact at any N, however crude the
+approximations, since data and replicate statistics share them.
+:func:`mc_mixture_test` is that test on one series, ranked as a one-row
+block; the linearity tests build their data rows (the OLS point and the
+nuisance grid) and stream them through the same ensemble.
 
 The module also holds the rank rule itself, the one draw of its
 tie-breakers, critical ranks, Bonferroni-style induced decisions, and the
@@ -68,6 +71,7 @@ class LogisticCoeffTable:
         self._entries = dict(entries)
         if not self._entries:
             raise ValueError("coefficient table is empty")
+        self._interpolated: dict[tuple[str, int], LogisticCoeffs] = {}
 
     def supported_sizes(self, statistic: str) -> list[int]:
         return sorted(T for (s, T) in self._entries if s == statistic)
@@ -77,10 +81,16 @@ class LogisticCoeffTable:
         return self._entries[(statistic, int(T))]
 
     def coeffs_for(self, statistic: str, T: int) -> LogisticCoeffs:
-        """Entry at sample size ``T``, interpolated in T if necessary."""
+        """Entry at sample size ``T``, interpolated in T if necessary (once
+        per size: a streaming pass asks for the same size block after block)."""
         key = (statistic, int(T))
         if key in self._entries:
             return self._entries[key]
+        if (statistic, T) not in self._interpolated:
+            self._interpolated[statistic, T] = self._interpolate(statistic, T)
+        return self._interpolated[statistic, T]
+
+    def _interpolate(self, statistic: str, T: int) -> LogisticCoeffs:
         sizes = self.supported_sizes(statistic)
         if len(sizes) < 2:
             raise ValueError(f"cannot interpolate {statistic}: table has fewer than two sizes")
@@ -151,12 +161,10 @@ def approx_pvalues(quartet, table: LogisticCoeffTable, T: int) -> np.ndarray:
 
 def approx_pvalue_matrix(Q: np.ndarray, table: LogisticCoeffTable, T: int) -> np.ndarray:
     """Column-wise approximate p-values for a batch of quartets (n, 4)."""
-    Q = np.asarray(Q, dtype=float)
-    G = np.empty_like(Q)
-    for j, stat in enumerate(STATISTICS):
-        c = table.coeffs_for(stat, T)
-        G[:, j] = _logistic(-(c.gamma0 + c.gamma1 * Q[:, j]))
-    return G
+    coeffs = [table.coeffs_for(stat, T) for stat in STATISTICS]
+    gamma0 = np.array([c.gamma0 for c in coeffs])
+    gamma1 = np.array([c.gamma1 for c in coeffs])
+    return _logistic(-(gamma0 + gamma1 * np.asarray(Q, dtype=float)))
 
 
 def combine_min(pvals) -> float:
@@ -338,32 +346,47 @@ def tie_breaker_uniforms(N: int, master_seed: int) -> np.ndarray:
     return substream(master_seed, DOMAIN_TIEBREAK).uniform(size=N)
 
 
-def ensemble_pvalues(
-    Qz: np.ndarray, T: int, N: int, rules, table: LogisticCoeffTable | None, master_seed: int
-) -> tuple[dict[str, tuple[np.ndarray, ...]], int]:
-    """Exact MC p-values of every data row, given as its statistic quartet
-    (a row of ``Qz``) over ``T`` observations, under each combination rule.
+@dataclass(frozen=True)
+class NullEnsemble:
+    """The null side of an exact MC test over ``T`` observations: the
+    combined statistics of ``N - 1`` simulated replicates under each rule,
+    and the ``N`` tie-breakers, index 0 the data's.  Data rows are ranked
+    against it block by block, as they arrive."""
 
-    All rows and rules share one null ensemble of ``N - 1`` replicates and
-    one set of tie-breakers, both drawn from ``master_seed``.  Returns
-    ``{rule: (row statistics, replicate statistics, row ranks, row p-values)}``
-    and the degenerate-resample count.  A degenerate data row raises
-    :class:`~regimetest.moments.DegenerateSampleError`.
-    """
+    T: int
+    table: LogisticCoeffTable
+    statistics: dict[str, np.ndarray]
+    u: np.ndarray
+    resampled: int
+
+    def rank(self, Qz: np.ndarray) -> dict[str, tuple[np.ndarray, ...]]:
+        """``{rule: (row statistics, row ranks, row p-values)}`` of data rows,
+        given as their statistic quartets (the rows of ``Qz``), under every
+        rule of the ensemble.  A degenerate data row raises
+        :class:`~regimetest.moments.DegenerateSampleError`."""
+        raise_if_degenerate(Qz)
+        G = approx_pvalue_matrix(Qz, self.table, self.T)
+        out = {}
+        for rule, fs in self.statistics.items():
+            f0 = combine_matrix(G, rule)
+            out[rule] = (f0, *rank_pvalues(f0, fs, self.u[0], self.u[1:]))
+        return out
+
+
+def null_ensemble(
+    T: int, N: int, rules, table: LogisticCoeffTable | None, master_seed: int
+) -> NullEnsemble:
+    """The one null ensemble of a pass: ``N - 1`` replicates of length ``T``
+    and ``N`` tie-breakers, all drawn from ``master_seed``, with the
+    replicates' combined statistics under each of ``rules``."""
     if N < 2:
         raise ValueError("N must be at least 2")
     if table is None:
         table = LogisticCoeffTable.default()
-    raise_if_degenerate(Qz)
     Q, resampled = simulate_null_quartets(T, N, master_seed)
-    u = tie_breaker_uniforms(N, master_seed)
-    G = approx_pvalue_matrix(np.vstack([Qz, Q]), table, T)
-    out = {}
-    for rule in rules:
-        f = combine_matrix(G, rule)
-        f0, fs = f[: len(Qz)], f[len(Qz) :]
-        out[rule] = (f0, fs, *rank_pvalues(f0, fs, u[0], u[1:]))
-    return out, resampled
+    G = approx_pvalue_matrix(Q, table, T)
+    statistics = {rule: combine_matrix(G, rule) for rule in rules}
+    return NullEnsemble(T, table, statistics, tie_breaker_uniforms(N, master_seed), resampled)
 
 
 def mc_mixture_test(
@@ -385,8 +408,7 @@ def mc_mixture_test(
     value is a ``ValueError``.
     """
     z = finite_series(z)
-    ranked, resampled = ensemble_pvalues(
-        quartet_matrix(z[None, :]), len(z), N, (method,), table, master_seed
-    )
-    f0, fs, ranks, p = ranked[method]
-    return _report(f0[0], fs, ranks, p, master_seed, resampled)
+    Qz = quartet_matrix(z[None, :])
+    ensemble = null_ensemble(len(z), N, (method,), table, master_seed)
+    f0, ranks, p = ensemble.rank(Qz)[method]
+    return _report(f0[0], ensemble.statistics[method], ranks, p, master_seed, ensemble.resampled)

@@ -156,37 +156,56 @@ def _rows(X) -> np.ndarray:
     return X
 
 
-def _quartets(E: np.ndarray) -> np.ndarray:
+def _quartet_work(elements: int) -> tuple[np.ndarray, ...]:
+    """Scratch for :func:`_quartets` on blocks of up to ``elements`` values:
+    two float buffers and two flag buffers.  A pass over many blocks
+    allocates it once and spares every later block the page faults of
+    fresh temporaries."""
+    return np.empty(elements), np.empty(elements), np.empty(elements, bool), np.empty(elements, bool)
+
+
+def _quartets(E: np.ndarray, work: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """The statistic kernel: row-wise (M, V, S, K) of already-demeaned rows,
-    NaN where a statistic is undefined."""
+    NaN where a statistic is undefined.  Every temporary of the size of
+    ``E`` is written into ``work`` (from :func:`_quartet_work`, at least
+    ``E.size`` elements per buffer), fresh when it is not given; the
+    buffers move no number."""
     T = E.shape[1]
-    pos = E > 0
-    neg = E < 0
+    E2, tmp, pos, neg = (w[: E.size].reshape(E.shape) for w in (work or _quartet_work(E.size)))
+    np.greater(E, 0, out=pos)
+    np.less(E, 0, out=neg)
     n2 = pos.sum(axis=1)
     n1 = neg.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        floor = _dispersion_floor(np.abs(E).max(axis=1))
-        m2 = np.where(n2 > 0, (E * pos).sum(axis=1) / n2, np.nan)
-        m1 = np.where(n1 > 0, (E * neg).sum(axis=1) / n1, np.nan)
-        s22 = np.where(n2 > 0, ((E - m2[:, None]) ** 2 * pos).sum(axis=1) / n2, np.nan)
-        s12 = np.where(n1 > 0, ((E - m1[:, None]) ** 2 * neg).sum(axis=1) / n1, np.nan)
+        floor = _dispersion_floor(np.abs(E, out=tmp).max(axis=1))
+        m2 = np.where(n2 > 0, np.multiply(E, pos, out=tmp).sum(axis=1) / n2, np.nan)
+        m1 = np.where(n1 > 0, np.multiply(E, neg, out=tmp).sum(axis=1) / n1, np.nan)
+        s22 = np.where(n2 > 0, _partition_square_sum(E, m2, pos, tmp) / n2, np.nan)
+        s12 = np.where(n1 > 0, _partition_square_sum(E, m1, neg, tmp) / n1, np.nan)
         pooled = np.where(s22 + s12 > floor, s22 + s12, np.nan)
         m = np.abs(m2 - m1) / np.sqrt(pooled)
 
-        E2 = E**2
+        np.square(E, out=E2)
         sig2 = E2.mean(axis=1)
-        big = E2 > sig2[:, None]
-        small = E2 < sig2[:, None]
+        big = np.greater(E2, sig2[:, None], out=pos)
+        small = np.less(E2, sig2[:, None], out=neg)
         nb = big.sum(axis=1)
         ns = small.sum(axis=1)
-        v2 = np.where(nb > 0, (E2 * big).sum(axis=1) / nb, np.nan)
-        v1 = np.where(ns > 0, (E2 * small).sum(axis=1) / ns, np.nan)
+        v2 = np.where(nb > 0, np.multiply(E2, big, out=tmp).sum(axis=1) / nb, np.nan)
+        v1 = np.where(ns > 0, np.multiply(E2, small, out=tmp).sum(axis=1) / ns, np.nan)
         v = v2 / np.where(v1 > floor, v1, np.nan)
 
         # products of E2, not E**3 / E**4: libm pow was about 80% of this kernel
-        s = np.abs((E2 * E).sum(axis=1) / (T * sig2**1.5))
-        k = np.abs((E2 * E2).sum(axis=1) / (T * sig2**2) - 3.0)
+        s = np.abs(np.multiply(E2, E, out=tmp).sum(axis=1) / (T * sig2**1.5))
+        k = np.abs(np.multiply(E2, E2, out=tmp).sum(axis=1) / (T * sig2**2) - 3.0)
 
     Q = np.column_stack([m, v, s, k])
     Q[~np.isfinite(Q)] = np.nan
     return Q
+
+
+def _partition_square_sum(E, mean, mask, tmp) -> np.ndarray:
+    """Row sums of ``(E - mean)**2`` over the ``mask`` entries, formed in ``tmp``."""
+    np.subtract(E, mean[:, None], out=tmp)
+    np.square(tmp, out=tmp)
+    return np.multiply(tmp, mask, out=tmp).sum(axis=1)

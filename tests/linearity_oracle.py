@@ -4,7 +4,8 @@ This is the path the single linearity pass in ``regimetest.linearity``
 replaced: every method draws its own null ensemble, LMC reduces the filtered
 series with the scalar statistic formulas of ``moments_oracle`` and ranks it
 with the comparison-matrix rank rule below, and MMC filters the grid with
-one matrix product.  The grid is built as a list of ``itertools.product``
+one matrix product and ranks every grid row before it takes the first
+maximizer, with no early stop.  The grid is built as a list of ``itertools.product``
 tuples and filtered point by point with the ``np.roots`` rule (smallest root
 modulus above one), which the exact step-down rule
 ``regimetest.msar.stationary_rows`` replaced; the two agree on every grid the
@@ -90,20 +91,37 @@ def lmc(y: np.ndarray, r: int, N: int, rule: str, seed: int):
     return p, fit.phi.copy(), min_root_modulus(fit.phi), 1
 
 
-def mmc(y: np.ndarray, r: int, N: int, rule: str, seed: int, points_per_dim: int):
-    """(p-value, phi at report, min root modulus, grid points evaluated)."""
-    points = grid_points(ols_ar_fit(y, r), points_per_dim)
+def grid_quartets(y: np.ndarray, r: int, points: np.ndarray) -> np.ndarray:
+    """Quartets of the series filtered at every grid point by one matrix
+    product; a degenerate row raises as the scalar formulas do."""
     lags = np.stack([y[r - k : len(y) - k] for k in range(1, r + 1)])
     Z = y[r:][None, :] - points @ lags
-    Tz = Z.shape[1]
     Qz = quartet_matrix(Z)
     if np.isnan(Qz).any():
         compute_quartet(demean(Z[np.isnan(Qz).any(axis=1)][0]))
+    return Qz
+
+
+def grid_pvalues(Qz: np.ndarray, Tz: int, N: int, rule: str, seed: int) -> np.ndarray:
+    """The MC p-value of every grid row, all ranked at once against the
+    method's own null ensemble."""
     f0 = combine_matrix(approx_pvalue_matrix(Qz, LogisticCoeffTable.default(), Tz), rule)
     fs, u = _replicate_statistics(Tz, N, rule, seed)
-    _, pvals = rank_pvalues(f0, fs, u[0], u[1:])
+    return rank_pvalues(f0, fs, u[0], u[1:])[1]
+
+
+def mmc_at(points: np.ndarray, Qz: np.ndarray, Tz: int, N: int, rule: str, seed: int):
+    """(p-value, phi at report, min root modulus, grid points evaluated) of
+    the grid ``points`` with quartets ``Qz``: the first maximizer."""
+    pvals = grid_pvalues(Qz, Tz, N, rule, seed)
     best = int(np.argmax(pvals))
     return float(pvals[best]), points[best].copy(), min_root_modulus(points[best]), len(points)
+
+
+def mmc(y: np.ndarray, r: int, N: int, rule: str, seed: int, points_per_dim: int):
+    """(p-value, phi at report, min root modulus, grid points evaluated)."""
+    points = grid_points(ols_ar_fit(y, r), points_per_dim)
+    return mmc_at(points, grid_quartets(y, r, points), len(y) - r, N, rule, seed)
 
 
 def report(y: np.ndarray, r: int, method: str, N: int, seed: int, points_per_dim: int):

@@ -15,7 +15,7 @@ import regimetest.msar as msar
 from regimetest.linearity import (
     METHODS,
     NuisanceBox,
-    _filtered_quartets,
+    _quartet_blocks,
     ar_filter,
     build_grid,
     linearity_tests,
@@ -107,6 +107,16 @@ class TestArFilter:
 
 def _same_bits(a, b) -> bool:
     return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def _assert_report(report, expected) -> None:
+    """The report equals an oracle's (p-value, phi at report, min root
+    modulus, grid points evaluated), bit for bit."""
+    p, phi, root, points = expected
+    assert report.p_value == p, report.method
+    assert _same_bits(report.phi_at_report, phi), report.method
+    assert report.min_root_modulus == root, report.method
+    assert report.grid_points_evaluated == points, report.method
 
 
 def _gnp_fits(hamilton_growth, extended_growth):
@@ -388,13 +398,7 @@ class TestSinglePass:
         reports = linearity_tests(y, r, methods, master_seed=seed, points_per_dim=points_per_dim)
         assert [rep.method for rep in reports] == list(methods)
         for rep in reports:
-            p, phi, root, points = linearity_oracle.report(
-                y, r, rep.method, 100, seed, points_per_dim
-            )
-            assert rep.p_value == p, rep.method
-            np.testing.assert_array_equal(rep.phi_at_report, phi)
-            assert rep.min_root_modulus == root
-            assert rep.grid_points_evaluated == points
+            _assert_report(rep, linearity_oracle.report(y, r, rep.method, 100, seed, points_per_dim))
         return reports
 
     @pytest.mark.parametrize("rep", range(3))
@@ -485,7 +489,8 @@ class TestBlockPass:
         for y in (hamilton_growth, extended_growth):
             fit = ols_ar_fit(y, 4)
             rows = np.vstack([fit.phi[None, :], build_grid(fit, 9).points])
-            assert _same_bits(_filtered_quartets(y, rows), quartet_matrix(ar_filter(y, rows)))
+            blocked = np.vstack([Q for _, Q in _quartet_blocks(y, rows)])
+            assert _same_bits(blocked, quartet_matrix(ar_filter(y, rows)))
 
     def test_degenerate_row_after_the_first_block(self):
         # a two-valued series: the filter at phi = 0 leaves it two-valued, so
@@ -513,6 +518,146 @@ class TestBlockPass:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+@pytest.fixture(scope="module")
+def gnp_oracle(hamilton_growth, extended_growth):
+    """``linearity_oracle.report`` of every method for both GNP series at
+    r = 4, N = 100 and seeds 0-19, keyed by (series, seed); the grid and its
+    quartets are built once per series, as ``linearity_oracle.mmc`` builds
+    them."""
+    out = {}
+    for name, y in (("hamilton", hamilton_growth), ("extended", extended_growth)):
+        points = linearity_oracle.grid_points(ols_ar_fit(y, 4), 9)
+        Qz = linearity_oracle.grid_quartets(y, 4, points)
+        for seed in range(20):
+            out[name, seed] = [
+                linearity_oracle.lmc(y, 4, 100, rule, seed) if kind == "LMC"
+                else linearity_oracle.mmc_at(points, Qz, len(y) - 4, 100, rule, seed)
+                for kind, rule in (method.split("_") for method in METHODS)
+            ]
+    return out
+
+
+class TestStreamingPass:
+    """The pass ranks each block as it is computed and stops after the block
+    in which every requested MMC rule reaches p = 1.  Its reports equal the
+    full-grid oracle's, which ranks every row before taking the maximum."""
+
+    @pytest.mark.parametrize("budget", [None, 1, 7 * 131], ids=["default", "one-row", "7x131"])
+    def test_gnp_r4_matches_full_grid_oracle(self, monkeypatch, hamilton_growth, extended_growth,
+                                             gnp_oracle, budget):
+        if budget is not None:
+            monkeypatch.setattr(moments, "BLOCK_ELEMENTS", budget)
+        for name, y in (("hamilton", hamilton_growth), ("extended", extended_growth)):
+            for seed in range(20):
+                reports = linearity_tests(y, 4, METHODS, N=100, master_seed=seed)
+                for report, expected in zip(reports, gnp_oracle[name, seed], strict=True):
+                    _assert_report(report, expected)
+                assert len({report.rows_ranked for report in reports}) == 1
+
+    @staticmethod
+    def _kernel_rows(monkeypatch):
+        import regimetest.linearity as lin
+
+        rows = [0]
+        real = lin._quartets
+
+        def counted(E, work=None):
+            rows[0] += len(E)
+            return real(E, work)
+
+        monkeypatch.setattr(lin, "_quartets", counted)
+        return rows
+
+    def test_stop_skips_the_grid_after_its_block(self, monkeypatch, hamilton_growth, extended_growth):
+        # Hamilton seed 0: both rules reach p = 1 within the first block of
+        # 1000 rows (131 observations each); the extended series never does
+        for y, ranked in ((hamilton_growth, 1000), (extended_growth, 6562)):
+            rows = self._kernel_rows(monkeypatch)
+            reports = linearity_tests(y, 4, METHODS, N=100, master_seed=0)
+            assert rows[0] == ranked
+            assert [report.rows_ranked for report in reports] == [ranked] * 4
+            assert [report.grid_points_evaluated for report in reports] == [1, 1, 6561, 6561]
+
+    @staticmethod
+    def _candidates():
+        """An AR(1) path, candidate coefficients, and their full-grid p-values
+        (N = 20, seed 0) under both rules."""
+        y = _ar1_path(0.3, 100, seed=37)
+        phis = np.linspace(-0.9, 0.9, 361)[:, None]
+        Qz = linearity_oracle.grid_quartets(y, 1, phis)
+        p = {rule: linearity_oracle.grid_pvalues(Qz, len(y) - 1, 20, rule, 0) for rule in ("min", "prod")}
+        return y, phis, p
+
+    @pytest.mark.parametrize("methods, first_ones, stop", [
+        (("MMC_min", "MMC_prod"), (5, 7, 9), 8),   # mid-block; later ones in and after its block
+        (("MMC_min", "MMC_prod"), (8, 11, 13), 12),  # the first row of a block
+        (("MMC_prod", "MMC_min"), (7, 8, 10), 8),   # the last row of a block
+        (("MMC_min",), (2, 3, 6), 4),             # inside the first block, after the OLS row
+    ], ids=["mid-block", "block-start", "block-end", "first-block"])
+    def test_first_maximizer_is_kept(self, monkeypatch, methods, first_ones, stop):
+        # blocks of 4 rows; pass row 0 is the OLS point, grid row g is pass row g + 1
+        y, phis, p = self._candidates()
+        ones = np.flatnonzero((p["min"] == 1) & (p["prod"] == 1))
+        others = np.flatnonzero((p["min"] < 1) & (p["prod"] < 1))
+        assert len(ones) >= 3
+        picks = others[:16].copy()
+        picks[[row - 1 for row in first_ones]] = ones[:3]
+        grid = phis[picks]
+        monkeypatch.setattr(moments, "BLOCK_ELEMENTS", 4 * (len(y) - 1))
+        rows = self._kernel_rows(monkeypatch)
+        reports = linearity_tests(y, 1, methods, N=20, grid=NuisanceBox(grid))
+        Qz = linearity_oracle.grid_quartets(y, 1, grid)
+        for report in reports:
+            expected = linearity_oracle.mmc_at(grid, Qz, len(y) - 1, 20, report.method[4:], 0)
+            _assert_report(report, expected)
+            assert report.p_value == 1.0
+            assert _same_bits(report.phi_at_report, phis[ones[0]])
+            assert report.rows_ranked == stop
+        assert rows[0] == stop
+
+    def test_stop_waits_for_every_rule(self, monkeypatch):
+        # MMC_min reaches p = 1 in the second block, MMC_prod only in the third
+        y, phis, p = self._candidates()
+        min_only = np.flatnonzero((p["min"] == 1) & (p["prod"] < 1))
+        both = np.flatnonzero((p["min"] == 1) & (p["prod"] == 1))
+        others = np.flatnonzero((p["min"] < 1) & (p["prod"] < 1))
+        assert len(min_only) and len(both)
+        picks = others[:16].copy()
+        picks[[5 - 1, 10 - 1]] = min_only[0], both[0]
+        grid = phis[picks]
+        monkeypatch.setattr(moments, "BLOCK_ELEMENTS", 4 * (len(y) - 1))
+        reports = linearity_tests(y, 1, ("MMC_min", "MMC_prod"), N=20, grid=NuisanceBox(grid))
+        assert [report.rows_ranked for report in reports] == [12, 12]
+        assert [report.p_value for report in reports] == [1.0, 1.0]
+        assert _same_bits(reports[0].phi_at_report, phis[min_only[0]])
+        assert _same_bits(reports[1].phi_at_report, phis[both[0]])
+
+    def test_degenerate_row_after_the_stop_is_never_computed(self, monkeypatch):
+        # binary innovations: the filter at phi = 0.9 leaves them two-valued up
+        # to rounding, so the M statistic is undefined there (a full-grid pass
+        # raises), while coefficients near 0.17 give p = 1 (N = 20, seed 2)
+        w = np.where(np.random.default_rng(5).random(150) < 0.5, -1.0, 1.0)
+        y = np.zeros(150)
+        for t in range(1, 150):
+            y[t] = 0.9 * y[t - 1] + w[t]
+        assert np.isnan(quartet_matrix(ar_filter(y, [0.9]))).any()
+        phis = np.linspace(-0.9, 0.8, 171)[:, None]
+        p = linearity_oracle.grid_pvalues(linearity_oracle.grid_quartets(y, 1, phis), 149, 20, "min", 2)
+        ones, others = np.flatnonzero(p == 1), np.flatnonzero(p < 1)
+        assert len(ones) >= 2
+        # blocks of 4 rows: the p = 1 row is pass row 2, the degenerate one pass row 9
+        grid = np.vstack([phis[others[:1]], phis[ones[:1]], phis[others[1:7]], [[0.9]],
+                          phis[ones[1:2]], phis[others[7:10]]])
+        with pytest.raises(DegenerateSampleError, match="M"):
+            linearity_oracle.grid_quartets(y, 1, grid)
+        monkeypatch.setattr(moments, "BLOCK_ELEMENTS", 4 * 149)
+        (report,) = linearity_tests(y, 1, ("MMC_min",), N=20, grid=NuisanceBox(grid), master_seed=2)
+        assert report.p_value == 1.0
+        assert _same_bits(report.phi_at_report, phis[ones[0]])
+        assert report.rows_ranked == 4
+        assert report.grid_points_evaluated == len(grid)
 
 
 def test_readme_quickstart_pvalues(hamilton_growth):

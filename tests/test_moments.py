@@ -14,6 +14,8 @@ import moments_oracle
 from regimetest.moments import (
     BLOCK_ELEMENTS,
     DegenerateSampleError,
+    _quartet_work,
+    _quartets,
     compute_quartet,
     demean,
     quartet_matrix,
@@ -303,6 +305,34 @@ class TestQuartetMatrix:
             Qb = quartet_matrix(np.random.default_rng(2000 + T).standard_normal((n, T)))
             for j in range(4):
                 assert ks_2samp(Qa[:, j], Qb[:, j]).pvalue > 0.01
+
+
+class TestKernelWork:
+    """``_quartets(E, work)`` writes its temporaries into reused buffers; the
+    quartets are those of ``_quartets(E)`` bit for bit, NaN pattern included."""
+
+    @staticmethod
+    def _blocks():
+        rng = np.random.default_rng(11)
+        random = rng.standard_normal((37, 131))
+        tied = np.round(rng.standard_normal((23, 60)), 1)
+        zero_heavy = np.where(rng.random((19, 45)) < 0.8, 0.0, rng.standard_normal((19, 45)))
+        two_valued = np.vstack([np.tile([1.0, -1.0], 20), np.tile([2.0, 2.0, -1.0, -1.0], 10),
+                                np.zeros(40), np.r_[np.ones(39), -39.0]])
+        return [X - X.mean(axis=1, keepdims=True) for X in (random, tied, zero_heavy, two_valued)]
+
+    def test_reused_work_matches_fresh_temporaries(self):
+        blocks = self._blocks()
+        work = _quartet_work(max(E.size for E in blocks) + 17)
+        for buffer in work:  # stale values must not leak into any statistic
+            buffer.fill(np.nan if buffer.dtype == float else True)
+        nan_rows = 0
+        for E in blocks + blocks[::-1]:
+            expected = _quartets(E)
+            got = _quartets(E, work)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+            nan_rows += int(np.isnan(expected).any(axis=1).sum())
+        assert nan_rows > 0  # the degenerate rows were exercised
 
 
 class TestRowBlocks:
