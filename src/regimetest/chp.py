@@ -23,10 +23,14 @@ together: because h[1] = 0, the quadratic term and the score path are one
 matrix product each, the rho-weighted cross term is one recursion over time,
 and the projection is one rank-aware QR per series.  In the bootstrap test
 the standardized data is row 0 above its B standardized bootstrap samples,
-and the B + 1 rows take one pass over the blocks of
-:func:`~regimetest.moments.row_blocks`; each row is computed independently
-of its block, so every result depends only on ``(seed, B, draws)``.  The
-single-series views (:func:`gamma_star`, :func:`projection_residuals`,
+and the B + 1 rows take one pass at two levels of blocks.  The kernel runs
+over the blocks of :func:`~regimetest.moments.row_blocks` in one reused work
+buffer.  Consecutive kernel blocks form row chunks: a chunk's AR(1) fits,
+scores and score bases are set up in one call before its blocks run, and its
+criteria (the standardization, the Psi weight, the row max and mean) are
+finished in one call after them.  Each row is computed independently of its
+block and its chunk, so every result depends only on ``(seed, B, draws)``.
+The single-series views (:func:`gamma_star`, :func:`projection_residuals`,
 :func:`sup_ts`, :func:`exp_ts`) take a series as given, without
 standardizing it, and run it through the same kernel as a one-row block.
 """
@@ -44,6 +48,12 @@ from .moments import finite_series, row_blocks
 logger = logging.getLogger(__name__)
 
 RHO_BOUND = 0.7
+
+#: A row chunk of :func:`_row_chunks` takes whole kernel blocks while its
+#: series hold at most ``BLOCK_ELEMENTS // _SERIES_SHARE`` values.  Its series
+#: set-up peaks at about 13 arrays of that size, so it stays well inside the
+#: kernel's ``2 * BLOCK_ELEMENTS`` work buffer whatever the number of draws.
+_SERIES_SHARE = 32
 
 
 @dataclass(frozen=True)
@@ -141,14 +151,21 @@ def _hessian_entries(
 ) -> dict[tuple[int, int], np.ndarray]:
     """The upper-triangle entries (i, j) of the per-observation Hessian
     d2 l_t / d(c, phi, s2)^2."""
+    h00, h02, h22 = _curvature_hessian(eps, s2)
     return {
-        (0, 0): -1.0 / s2,
+        (0, 0): h00,
         (0, 1): -ylag / s2,
-        (0, 2): -eps / s2**2,
+        (0, 2): h02,
         (1, 1): -(ylag**2) / s2,
         (1, 2): -eps * ylag / s2**2,
-        (2, 2): 0.5 / s2**2 - eps**2 / s2**3,
+        (2, 2): h22,
     }
+
+
+def _curvature_hessian(eps: np.ndarray, s2: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The Hessian entries (0, 0), (0, 2) and (2, 2), the ones a nuisance
+    direction with h[1] = 0 reads."""
+    return -1.0 / s2, -eps / s2**2, 0.5 / s2**2 - eps**2 / s2**3
 
 
 def null_score_panel(y: np.ndarray) -> NullScorePanel:
@@ -213,58 +230,65 @@ def _series_block(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     _, _, s2, eps = _ar1_fit(Y)
     X = np.stack(_score_columns(eps, Y[:, :-1], s2), axis=-1)
     scores = X.transpose(1, 0, 2)
-    h = _hessian_entries(eps, Y[:, :-1], s2)
-    curv = _curvature(scores, h[0, 0].T, h[0, 2].T, h[2, 2].T)
+    curv = _curvature(scores, *(h.T for h in _curvature_hessian(eps, s2)))
     return scores, curv, _score_basis(X)
 
 
+def _draw_matrices(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (2, d) and (3, d) right-hand sides that map a block's scores to
+    g_t = h' l1_t and its curvature to the quadratic term, for draws ``H``."""
+    h0, h2 = H[:, 0], H[:, 2]
+    return np.stack([h0, h2]), np.stack([0.5 * h0 * h0, h0 * h2, 0.5 * h2 * h2])
+
+
 def _mu2_block(
-    scores: np.ndarray, curv: np.ndarray, H: np.ndarray, rhos: np.ndarray,
+    scores: np.ndarray, curv: np.ndarray, G: np.ndarray, C: np.ndarray, R: np.ndarray,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
     """mu2_t for every series and draw; shape (n, k, d).
 
     With h[1] = 0, g_t = h' l1_t needs the scores' columns 0 and 2, and
     h' l2_t h + g_t^2 the three curvature entries, so both are one matrix
-    product.  The rho-weighted cross term uses the running accumulator
+    product with the :func:`_draw_matrices` ``G`` and ``C``.  The
+    rho-weighted cross term uses the running accumulator
     ``a_t = rho (a_{t-1} + g_{t-1})``, so the cost is linear in the sample
-    size; the recursion runs in the rows that end up holding mu2, so no
-    separate (n, k, d) accumulator array is built.  ``work`` is scratch of
-    shape (2, >= n k d); mu2 is a view of its second row.
+    size; ``R`` holds the draws' rhos tiled to the block's k d columns (or
+    more).  The recursion runs in the rows that end up holding mu2, so no
+    separate accumulator array is built.  ``work`` is scratch of shape
+    (2, >= n k d); mu2 is a view of its second row.
     """
     n, k, _ = scores.shape
-    size = n * k * len(rhos)
+    width = k * G.shape[1]
+    size = n * width
     if work is None:
         work = np.empty((2, size))
-    h0, h2 = H[:, 0], H[:, 2]
-    g, mu2 = work[0, :size].reshape(n, k, -1), work[1, :size].reshape(n, k, -1)
-    np.matmul(scores[..., [0, 2]].reshape(n * k, 2), np.stack([h0, h2]), out=g.reshape(n * k, -1))
-    # the accumulator runs in mu2's rows, which then take the cross term g_t a_t
+    g, mu2 = work[0, :size].reshape(n, width), work[1, :size].reshape(n, width)
+    np.matmul(scores[..., [0, 2]].reshape(n * k, 2), G, out=g.reshape(n * k, -1))
+    # the accumulator runs in mu2's rows, which then take the cross term g_t a_t;
+    # the step rows are flat views built once, since a step's two ufunc calls
+    # span only k d elements and their fixed cost dominates
+    R = R[:width]
     mu2[0] = 0.0
-    for t in range(1, n):
-        np.add(mu2[t - 1], g[t - 1], out=mu2[t])
-        mu2[t] *= rhos
+    steps = list(mu2)
+    for prev, g_prev, cur in zip(steps, list(g), steps[1:]):
+        np.add(prev, g_prev, cur)
+        np.multiply(cur, R, cur)
     mu2 *= g
-    # g is spent: its row takes the quadratic term 1/2 (h' l2_t h + g_t^2)
-    np.matmul(
-        curv.reshape(n * k, 3), np.stack([0.5 * h0 * h0, h0 * h2, 0.5 * h2 * h2]),
-        out=g.reshape(n * k, -1),
-    )
+    # g is spent: its rows take the quadratic term 1/2 (h' l2_t h + g_t^2)
+    np.matmul(curv.reshape(n * k, 3), C, out=g.reshape(n * k, -1))
     mu2 += g
-    return mu2
+    return mu2.reshape(n, k, -1)
 
 
-def _criteria_kernel(
-    scores: np.ndarray, curv: np.ndarray, Q: np.ndarray, T: int, H: np.ndarray,
-    rhos: np.ndarray, work: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-draw supremum criterion and exponential weight Psi for every
-    series of a block; two (k, d) arrays.  ``work`` is as for ``_mu2_block``;
-    reusing it across calls spares the page faults of fresh large arrays."""
-    n, k, _ = scores.shape
-    if work is None:
-        work = np.empty((2, n * k * len(rhos)))
-    mu2 = _mu2_block(scores, curv, H, rhos, work)
+def _projection_sums(
+    scores: np.ndarray, curv: np.ndarray, Q: np.ndarray, T: int, G: np.ndarray,
+    C: np.ndarray, R: np.ndarray, work: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gamma, the residual sum of squares of the projection on the scores
+    and the total sum of squares of every (series, draw) mu2 path of a
+    block; three (k, d) arrays.  The arguments are as for
+    :func:`_mu2_block`, with ``Q`` the block's score bases."""
+    mu2 = _mu2_block(scores, curv, G, C, R, work)
     Gam = mu2.sum(axis=0) / np.sqrt(T)
     paths = mu2.transpose(1, 0, 2)
     # residuals of the projections on the scores, squared in place in the
@@ -274,6 +298,12 @@ def _criteria_kernel(
     np.subtract(paths, resid, out=resid)
     ss = np.square(resid, out=resid).sum(axis=1)
     total = np.square(paths, out=resid).sum(axis=1)
+    return Gam, ss, total
+
+
+def _criteria(Gam: np.ndarray, ss: np.ndarray, total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-draw supremum criterion and exponential weight Psi from the
+    :func:`_projection_sums` of any number of series; two (k, d) arrays."""
     # a path (numerically) inside the score span has no residual variation to
     # standardize by; such draws contribute 0 to the sup and weight 1
     nonzero = ss > 1.0e-24 * total
@@ -283,6 +313,20 @@ def _criteria_kernel(
     sup_criteria[~nonzero] = 0.0
     psi = np.where(nonzero, _psi_weight(gnorm), 1.0)
     return sup_criteria, psi
+
+
+def _criteria_kernel(
+    scores: np.ndarray, curv: np.ndarray, Q: np.ndarray, T: int, H: np.ndarray,
+    rhos: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-draw supremum criterion and exponential weight Psi for every
+    series of one block; two (k, d) arrays.  :func:`_row_statistics` runs
+    the same two steps, the sums per kernel block and the criteria per row
+    chunk."""
+    n, k, _ = scores.shape
+    work = np.empty((2, n * k * len(rhos)))
+    sums = _projection_sums(scores, curv, Q, T, *_draw_matrices(H), np.tile(rhos, k), work)
+    return _criteria(*sums)
 
 
 def _psi_weight(g: np.ndarray) -> np.ndarray:
@@ -306,7 +350,7 @@ def gamma_star(y: np.ndarray, d: NuisanceDraw) -> tuple[float, np.ndarray]:
     """Gamma = sum_t mu2_t / sqrt(T) and the mu2 path for one draw."""
     y = np.asarray(y, dtype=float)
     scores, curv, _ = _series_block(y[None])
-    mu2 = _mu2_block(scores, curv, d.h[None, :], np.array([d.rho]))[:, 0, 0]
+    mu2 = _mu2_block(scores, curv, *_draw_matrices(d.h[None, :]), np.array([d.rho]))[:, 0, 0]
     return float(mu2.sum() / np.sqrt(len(y))), mu2
 
 
@@ -375,18 +419,40 @@ def _bootstrap_paths(
     return Y
 
 
+def _row_chunks(k: int, T: int, d: int) -> list[list[slice]]:
+    """The ``row_blocks`` kernel blocks of k series of length T under d
+    draws, in consecutive row chunks of whole blocks (at least one each)."""
+    blocks = row_blocks(k, (T - 1) * d)
+    per_chunk = max(1, row_blocks(k, _SERIES_SHARE * T)[0].stop // blocks[0].stop)
+    return [blocks[i : i + per_chunk] for i in range(0, len(blocks), per_chunk)]
+
+
 def _row_statistics(Y: np.ndarray, H: np.ndarray, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """supTS and expTS of every row of a (k, T) array of series:
-    one kernel pass over its ``row_blocks``, with one reused work buffer."""
-    T = Y.shape[1]
-    row_elements = (T - 1) * len(rhos)
-    blocks = row_blocks(len(Y), row_elements)
-    work = np.empty((2, blocks[0].stop * row_elements))  # the first block is the largest
+    """supTS and expTS of every row of a (k, T) array of series.
+
+    The kernel runs block by block in one reused work buffer.  The AR(1)
+    fits and score bases of a :func:`_row_chunks` chunk are set up in one
+    call before its blocks run, and its criteria are finished in one call
+    after them."""
+    T, d = Y.shape[1], len(rhos)
+    chunks = _row_chunks(len(Y), T, d)
+    step = chunks[0][0].stop  # the first block is the largest
+    work = np.empty((2, step * (T - 1) * d))
+    G, C = _draw_matrices(H)
+    R = np.tile(rhos, step)
     sup, exp = np.empty(len(Y)), np.empty(len(Y))
-    for block in blocks:
-        sup_criteria, psi = _criteria_kernel(*_series_block(Y[block]), T, H, rhos, work)
-        sup[block] = sup_criteria.max(axis=1)
-        exp[block] = psi.mean(axis=1)
+    for blocks in chunks:
+        chunk = slice(blocks[0].start, blocks[-1].stop)
+        scores, curv, Q = _series_block(Y[chunk])
+        sums = np.empty((3, chunk.stop - chunk.start, d))
+        for block in blocks:
+            rows = slice(block.start - chunk.start, block.stop - chunk.start)
+            sums[:, rows] = _projection_sums(
+                scores[:, rows], curv[:, rows], Q[rows], T, G, C, R, work
+            )
+        sup_criteria, psi = _criteria(*sums)
+        sup[chunk] = sup_criteria.max(axis=1)
+        exp[chunk] = psi.mean(axis=1)
     return sup, exp
 
 

@@ -249,23 +249,24 @@ def linearity_tests(
             break
     rows_ranked = block.stop
 
-    reports = []
-    for method, kind, rule in requested:
-        p, row = (lmc_p[rule], 0) if kind == "LMC" else best[rule]
-        reports.append(
-            LinearityReport(
-                method=method,
-                p_value=float(p),
-                phi_at_report=rows[row].copy(),
-                min_root_modulus=min_root_modulus(rows[row]),
-                N=N,
-                seed=master_seed,
-                grid_points_evaluated=1 if kind == "LMC" else len(rows) - 1,
-                rows_ranked=rows_ranked,
-                degenerate_resamples=ensemble.resampled,
-            )
+    reported = [(method, kind, *((lmc_p[rule], 0) if kind == "LMC" else best[rule]))
+                for method, kind, rule in requested]
+    # one np.roots call per distinct reported row: the LMC reports share row 0
+    moduli = {row: min_root_modulus(rows[row]) for row in {row for *_, row in reported}}
+    return [
+        LinearityReport(
+            method=method,
+            p_value=float(p),
+            phi_at_report=rows[row].copy(),
+            min_root_modulus=moduli[row],
+            N=N,
+            seed=master_seed,
+            grid_points_evaluated=1 if kind == "LMC" else len(rows) - 1,
+            rows_ranked=rows_ranked,
+            degenerate_resamples=ensemble.resampled,
         )
-    return reports
+        for method, kind, p, row in reported
+    ]
 
 
 def _check_grid(points, r: int) -> None:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import chp_oracle
+import regimetest.moments as moments
 from regimetest._seeding import (
     DOMAIN_BOOTSTRAP,
     DOMAIN_CELL,
@@ -19,6 +21,7 @@ from regimetest.chp import (
     _bootstrap_paths,
     _criteria_kernel,
     _psi_weight,
+    _row_chunks,
     _row_statistics,
     _score_basis,
     _series_block,
@@ -358,6 +361,52 @@ class TestBatchedBootstrap:
         assert exp[0] == exp_ts(ys, cfg.chp_draws, substream(seed, DOMAIN_NUISANCE))
         report = chp_bootstrap_test(y, B=B, draws=cfg.chp_draws, master_seed=seed)
         assert (report.supTS, report.expTS) == (sup[0], exp[0])
+
+
+class TestTwoLevelPass:
+    """The bootstrap pass sets up and finishes its rows per chunk of kernel
+    blocks; no row may depend on either level of blocks."""
+
+    @pytest.mark.parametrize("rows_per_block, B", [(1, 12), (3, 28)])  # B + 1 = 13 and 29: primes
+    @pytest.mark.parametrize("cell", [0, 10])  # T = 100 and 200
+    def test_bit_identical_to_per_row_kernel(self, monkeypatch, cell, rows_per_block, B):
+        cfg, y, seed = _desk_case(cell, 4)
+        T, d = cfg.T, cfg.chp_draws
+        monkeypatch.setattr(moments, "BLOCK_ELEMENTS", rows_per_block * (T - 1) * d)
+        chunks = _row_chunks(B + 1, T, d)
+        blocks = [block for chunk in chunks for block in chunk]
+        assert {block.stop - block.start for block in blocks[:-1]} == {rows_per_block}
+        assert len(chunks[0]) > 1
+        assert chunks[-1][-1].stop - chunks[-1][0].start < chunks[0][-1].stop  # ends short
+        ys = standardize_series(y)
+        H, rhos = sample_nuisance_draws(d, substream(seed, DOMAIN_NUISANCE))
+        paths = _bootstrap_paths(null_score_panel(ys).theta0_hat, T, B, seed, ys[0])
+        Y = np.vstack([ys, _standardize_rows(np.ascontiguousarray(paths.T))])
+        sup, exp = _row_statistics(Y, H, rhos)
+        for i in range(B + 1):
+            sup_c, psi = _criteria_kernel(*_series_block(Y[i : i + 1]), T, H, rhos)
+            assert sup[i] == sup_c.max(axis=1)[0]
+            assert exp[i] == psi.mean(axis=1)[0]
+
+    def test_traced_peak_does_not_grow_with_rows(self):
+        # one chunk's set-up and criteria at a time: from B = 200 to B = 1000
+        # the traced peak may grow by no more than the input and the outputs
+        cfg, _, seed = _desk_case(10, 0)
+        assert cfg.T == 200
+        H, rhos = sample_nuisance_draws(cfg.chp_draws, substream(seed, DOMAIN_NUISANCE))
+        rng = substream(seed, 99)
+        peak, held = {}, {}
+        for B in (200, 1000):
+            Y = _standardize_rows(rng.standard_normal((B + 1, cfg.T)))
+            _row_statistics(Y[:2], H, rhos)  # the first call imports scipy.special
+            tracemalloc.start()
+            try:
+                sup, exp = _row_statistics(Y, H, rhos)
+                peak[B] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            held[B] = Y.nbytes + sup.nbytes + exp.nbytes
+        assert peak[1000] - peak[200] <= held[1000] - held[200]
 
 
 class TestRankDeficientPanel:

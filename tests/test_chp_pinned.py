@@ -40,3 +40,36 @@ def test_desk_case_is_pinned(cell, supTS, expTS, p_sup, p_exp):
     )
     assert (report.supTS, report.expTS) == (supTS, expTS)
     assert (report.bootstrap_p_sup, report.bootstrap_p_exp) == (p_sup, p_exp)
+
+
+#: the same fields at the desk profile's B=200, for one T=100 and one T=200
+#: cell, recorded while every row still had its own series set-up and
+#: finishing step; the row-chunked pass must reproduce them
+PINNED_DESK_B = [
+    (4, 0.028709895947205022, 0.6595506748549724, 0.0945273631840796, 0.21393034825870647),
+    (14, 0.013898685146755773, 0.6834888302561981, 0.09950248756218906, 0.009950248756218905),
+]
+
+
+@pytest.mark.parametrize("cell, supTS, expTS, p_sup, p_exp", PINNED_DESK_B, ids=["T100", "T200"])
+def test_desk_case_at_desk_B_is_pinned(cell, supTS, expTS, p_sup, p_exp):
+    cfg = default_study_grid("desk")[cell]
+    assert (cfg.T, cfg.B) == ((100, 200)[cell // 10 % 2], 200)
+    y = simulate_msar(cfg.dgp, cfg.T, substream(0, DOMAIN_DGP, cell, 0))
+    report = chp_bootstrap_test(
+        y, B=cfg.B, draws=cfg.chp_draws, master_seed=derive_seed(0, DOMAIN_CELL, cell, 0)
+    )
+    assert (report.supTS, report.expTS) == (supTS, expTS)
+    assert (report.bootstrap_p_sup, report.bootstrap_p_exp) == (p_sup, p_exp)
+
+
+def test_gnp_report_is_pinned(hamilton_growth):
+    # `regimetest chp --transform logdiff100 --reps 200 --draws 200 --seed 7`
+    # on the vendored Hamilton series; CI's console-script step requires the
+    # same p-values from the installed entry point.  At T = 135 the 201 rows
+    # span several row chunks, and the last kernel block holds one row.
+    report = chp_bootstrap_test(hamilton_growth, B=200, draws=200, master_seed=7)
+    assert (report.supTS, report.expTS) == (0.013835487661668398, 0.6565848008086484)
+    assert (report.bootstrap_p_sup, report.bootstrap_p_exp) == (
+        0.2835820895522388, 0.3283582089552239,
+    )

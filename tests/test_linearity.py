@@ -477,6 +477,24 @@ class TestSinglePass:
         linearity_tests(_ar1_path(0.3, 100, seed=33), 1, METHODS, master_seed=8)
         assert calls == {"simulate_null_quartets": 1, "build_grid": 1}
 
+    def test_one_root_modulus_per_distinct_reported_row(self, monkeypatch, hamilton_growth):
+        import regimetest.linearity as lin
+
+        calls = []
+
+        def counted(phi):
+            calls.append(phi.copy())
+            return min_root_modulus(phi)
+
+        monkeypatch.setattr(lin, "min_root_modulus", counted)
+        reports = linearity_tests(hamilton_growth, 2, METHODS, master_seed=8, points_per_dim=5)
+        distinct = {tuple(rep.phi_at_report) for rep in reports}
+        # the two LMC reports share row 0, so four reports take at most three calls
+        assert len(calls) == len(distinct) <= 3
+        assert {tuple(phi) for phi in calls} == distinct
+        for rep in reports:
+            assert _same_bits(rep.min_root_modulus, min_root_modulus(rep.phi_at_report))
+
 
 class TestBlockPass:
     """The single pass filters and reduces the coefficient rows in blocks;
