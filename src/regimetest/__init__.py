@@ -12,8 +12,6 @@ from .msar import (
     simulate_chain,
     simulate_msar,
     mixture_moments,
-    filtered_mixture_components,
-    four_state_transition,
     min_root_modulus,
     stationary_rows,
 )
@@ -21,10 +19,6 @@ from .moments import (
     DegenerateSampleError,
     StatQuartet,
     demean,
-    stat_m,
-    stat_v,
-    stat_s,
-    stat_k,
     compute_quartet,
     quartet_matrix,
 )
@@ -33,13 +27,11 @@ from .mctest import (
     LogisticCoeffTable,
     MCTestReport,
     logistic_cdf,
-    approx_pvalues,
     combine_min,
     combine_prod,
     mc_pvalue,
     mc_mixture_test,
     critical_rank,
-    bonferroni_decision,
     fit_logistic_cdf,
 )
 from .linearity import (
@@ -55,13 +47,8 @@ from .linearity import (
 )
 from .chp import (
     NullScorePanel,
-    NuisanceDraw,
     CHPReport,
     null_score_panel,
-    gamma_star,
-    projection_residuals,
-    sup_ts,
-    exp_ts,
     chp_bootstrap_test,
 )
 from .harness import (

@@ -30,9 +30,6 @@ scores and score bases are set up in one call before its blocks run, and its
 criteria (the standardization, the Psi weight, the row max and mean) are
 finished in one call after them.  Each row is computed independently of its
 block and its chunk, so every result depends only on ``(seed, B, draws)``.
-The single-series views (:func:`gamma_star`, :func:`projection_residuals`,
-:func:`sup_ts`, :func:`exp_ts`) take a series as given, without
-standardizing it, and run it through the same kernel as a one-row block.
 """
 
 from __future__ import annotations
@@ -64,27 +61,6 @@ class NullScorePanel:
     scores: np.ndarray
     hessians: np.ndarray
     theta0_hat: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
-class NuisanceDraw:
-    """One nuisance point: unit direction ``h`` with h[1] = 0 and serial
-    correlation ``rho`` in [-0.7, 0.7]."""
-
-    h: np.ndarray
-    rho: float
-
-    def __post_init__(self) -> None:
-        h = np.asarray(self.h, dtype=float)
-        object.__setattr__(self, "h", h)
-        if h.shape != (3,):
-            raise ValueError("h must be a 3-vector")
-        if abs(np.linalg.norm(h) - 1.0) > 1e-12:
-            raise ValueError("h must have unit norm")
-        if h[1] != 0.0:
-            raise ValueError("second component of h must be zero")
-        if not -RHO_BOUND <= self.rho <= RHO_BOUND:
-            raise ValueError(f"rho must lie in [-{RHO_BOUND}, {RHO_BOUND}]")
 
 
 @dataclass(frozen=True)
@@ -342,31 +318,6 @@ def _psi_weight(g: np.ndarray) -> np.ndarray:
     return np.sqrt(np.pi / 2.0) * erfcx(-x / np.sqrt(2.0))
 
 
-# ---------------------------------------------------------------------------
-# Single-series views of the kernel: one-row blocks of the series as given.
-
-
-def gamma_star(y: np.ndarray, d: NuisanceDraw) -> tuple[float, np.ndarray]:
-    """Gamma = sum_t mu2_t / sqrt(T) and the mu2 path for one draw."""
-    y = np.asarray(y, dtype=float)
-    scores, curv, _ = _series_block(y[None])
-    mu2 = _mu2_block(scores, curv, *_draw_matrices(d.h[None, :]), np.array([d.rho]))[:, 0, 0]
-    return float(mu2.sum() / np.sqrt(len(y))), mu2
-
-
-def projection_residuals(mu2_path: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Residuals of an OLS regression of a mu2 path on the three scores of
-    the AR(1) fit to ``y``.
-
-    The scores each sum to zero at the fitted point, so no intercept is
-    added.  Collinear score columns are dropped (and logged); the residuals
-    are unaffected by which basis of the column space survives.
-    """
-    path = np.asarray(mu2_path, dtype=float)
-    Q = _series_block(np.asarray(y, dtype=float)[None])[2][0]
-    return path - Q @ (Q.T @ path)
-
-
 def sample_nuisance_draws(count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample (h, rho) pairs: h uniform on the unit circle in the (mean,
     variance) coordinates, rho uniform on [-0.7, 0.7]."""
@@ -376,18 +327,6 @@ def sample_nuisance_draws(count: int, rng: np.random.Generator) -> tuple[np.ndar
     H = np.column_stack([np.cos(angles), np.zeros(count), np.sin(angles)])
     rhos = rng.uniform(-RHO_BOUND, RHO_BOUND, size=count)
     return H, rhos
-
-
-def sup_ts(y: np.ndarray, draws: int, rng: np.random.Generator) -> float:
-    """Supremum-type statistic over sampled nuisance draws."""
-    sup, _ = _row_statistics(np.asarray(y, dtype=float)[None], *sample_nuisance_draws(draws, rng))
-    return float(sup[0])
-
-
-def exp_ts(y: np.ndarray, draws: int, rng: np.random.Generator) -> float:
-    """Exponential-type statistic: Monte Carlo average of the Psi weight."""
-    _, exp = _row_statistics(np.asarray(y, dtype=float)[None], *sample_nuisance_draws(draws, rng))
-    return float(exp[0])
 
 
 # ---------------------------------------------------------------------------

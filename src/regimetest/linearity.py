@@ -138,10 +138,13 @@ def ar_filter(y: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
     An ``(n, r)`` coefficient matrix filters once per row and returns an
     ``(n, T - r)`` array; every row equals the filter at that row's
-    coefficients bit for bit.
+    coefficients bit for bit.  A non-finite value in ``y`` or ``phi`` is a
+    ``ValueError``.
     """
-    y = np.asarray(y, dtype=float)
+    y = finite_series(y)
     phi = np.asarray(phi, dtype=float)
+    if not np.isfinite(phi).all():
+        raise ValueError("AR coefficients must be finite")
     P = np.atleast_2d(phi)
     if len(y) <= P.shape[1]:
         raise ValueError("series too short for the requested filter")

@@ -14,8 +14,8 @@ block; the linearity tests build their data rows (the OLS point and the
 nuisance grid) and stream them through the same ensemble.
 
 The module also holds the rank rule itself, the one draw of its
-tie-breakers, critical ranks, Bonferroni-style induced decisions, and the
-regeneration of the logistic coefficients by non-linear least squares.
+tie-breakers, critical ranks, and the regeneration of the logistic
+coefficients by non-linear least squares.
 """
 
 from __future__ import annotations
@@ -54,8 +54,11 @@ class LogisticCoeffs:
     T: int = 0
 
     def __post_init__(self) -> None:
-        if not self.gamma1 > 0:
-            raise ValueError(f"gamma1 must be positive, got {self.gamma1}")
+        if not (math.isfinite(self.gamma0) and math.isfinite(self.gamma1) and self.gamma1 > 0):
+            raise ValueError(
+                f"{self.statistic} at T={self.T}: need finite gamma0 and finite positive "
+                f"gamma1, got ({self.gamma0}, {self.gamma1})"
+            )
 
 
 class LogisticCoeffTable:
@@ -75,10 +78,6 @@ class LogisticCoeffTable:
 
     def supported_sizes(self, statistic: str) -> list[int]:
         return sorted(T for (s, T) in self._entries if s == statistic)
-
-    def lookup(self, statistic: str, T: int) -> LogisticCoeffs:
-        """Exact entry; KeyError if (statistic, T) is not in the table."""
-        return self._entries[(statistic, int(T))]
 
     def coeffs_for(self, statistic: str, T: int) -> LogisticCoeffs:
         """Entry at sample size ``T``, interpolated in T if necessary (once
@@ -152,11 +151,6 @@ def _logistic(z):
     the survival function 1 - logistic(z), without cancellation."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
-
-
-def approx_pvalues(quartet, table: LogisticCoeffTable, T: int) -> np.ndarray:
-    """Approximate marginal p-values (G_M, G_V, G_S, G_K) = 1 - F(statistic)."""
-    return approx_pvalue_matrix(np.asarray(quartet, dtype=float)[None, :], table, T)[0]
 
 
 def approx_pvalue_matrix(Q: np.ndarray, table: LogisticCoeffTable, T: int) -> np.ndarray:
@@ -258,16 +252,6 @@ def critical_rank(N: int, alpha: float) -> int:
         raise ValueError("alpha must lie strictly inside (0, 1)")
     # guard against float representations like 100 * 0.29 = 28.999999...
     return N - math.floor(N * alpha + 1e-9) + 1
-
-
-def bonferroni_decision(pvals, alphas) -> bool:
-    """Induced test: reject iff any individual p-value is at or below its
-    allotted level.  The overall level is the sum of the individual levels."""
-    p = np.asarray(pvals, dtype=float)
-    a = np.asarray(alphas, dtype=float)
-    if p.shape != a.shape:
-        raise ValueError("pvals and alphas must have matching shapes")
-    return bool(np.any(p <= a))
 
 
 def fit_logistic_cdf(samples: np.ndarray, statistic: str = "?", T: int = 0) -> LogisticCoeffs:

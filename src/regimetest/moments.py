@@ -10,9 +10,9 @@ Partition boundaries use strict inequalities: residuals exactly equal to zero
 belong to neither partition.  Sample variances use the 1/T divisor.
 
 One kernel computes the four statistics over a batch of demeaned rows;
-``quartet_matrix`` demeans and calls it, and the scalar helpers
-(``compute_quartet``, ``stat_m`` ... ``stat_k``) call it on a single row
-and turn an undefined statistic into :class:`DegenerateSampleError`.
+``quartet_matrix`` demeans and calls it, and ``compute_quartet`` calls it
+on a single row and turns an undefined statistic into
+:class:`DegenerateSampleError`.
 
 The kernel forms the skewness and kurtosis sums from products, ``E2 * E``
 and ``E2 * E2``, of the squares the V statistic already needs.  numpy
@@ -84,34 +84,10 @@ def demean(y: np.ndarray) -> np.ndarray:
     return y - y.mean()
 
 
-def stat_m(e: np.ndarray) -> float:
-    """Standardized gap between the means of positive and negative residuals.
-
-    ``M = |m2 - m1| / sqrt(s2^2 + s1^2)`` where (m2, s2^2) are the mean and
-    variance of the residuals above zero and (m1, s1^2) of those below.
-    """
-    return _statistic(e, 0)
-
-
-def stat_v(e: np.ndarray) -> float:
-    """Ratio of the average squared residual above the sample variance to the
-    average below it; exceeds one on any non-degenerate sample."""
-    return _statistic(e, 1)
-
-
-def stat_s(e: np.ndarray) -> float:
-    """Absolute skewness coefficient |sum e^3 / (T sigma^3)|."""
-    return _statistic(e, 2)
-
-
-def stat_k(e: np.ndarray) -> float:
-    """Absolute excess-kurtosis coefficient |sum e^4 / (T sigma^4) - 3|."""
-    return _statistic(e, 3)
-
-
 def compute_quartet(e: np.ndarray) -> StatQuartet:
-    """All four statistics of a demeaned series of length >= 4."""
-    q = _quartets(_rows(e))
+    """All four statistics of a demeaned series of length >= 4.  A
+    non-finite value is a ``ValueError`` naming its index."""
+    q = _quartets(_rows(finite_series(e)))
     raise_if_degenerate(q)
     return StatQuartet(*map(float, q[0]))
 
@@ -122,13 +98,6 @@ def raise_if_degenerate(Q: np.ndarray) -> None:
     bad = np.argwhere(np.isnan(Q))
     if len(bad):
         raise _degenerate(bad[0][-1])
-
-
-def _statistic(e: np.ndarray, column: int) -> float:
-    value = float(_quartets(_rows(e))[0, column])
-    if np.isnan(value):
-        raise _degenerate(column)
-    return value
 
 
 def _degenerate(column: int) -> DegenerateSampleError:

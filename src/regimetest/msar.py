@@ -222,36 +222,6 @@ def mixture_moments(regimes: RegimeParams, pi1: float) -> MixtureMoments:
     return MixtureMoments(mean, variance, skewness, excess_kurtosis)
 
 
-def filtered_mixture_components(mu1: float, mu2: float, phi: float) -> tuple[float, float, float, float]:
-    """Component means of ``y_t - phi y_{t-1}`` under mean switching.
-
-    Filtering a two-regime mean-switching series at lag one yields a mixture
-    whose means depend on the current and previous regime:
-
-        (mu1 (1 - phi), mu2 - phi mu1, mu1 - phi mu2, mu2 (1 - phi))
-
-    For ``mu1 != mu2`` these take two distinct values when ``phi = 0``, three
-    when ``|phi| = 1`` and four otherwise.
-    """
-    return (
-        mu1 * (1.0 - phi),
-        mu2 - phi * mu1,
-        mu1 - phi * mu2,
-        mu2 * (1.0 - phi),
-    )
-
-
-def four_state_transition(P: TransitionMatrix) -> np.ndarray:
-    """Transition matrix of the four-state chain tracking (s_t, s_{t-1}).
-
-    States are ordered (1,1), (2,1), (1,2), (2,2); rows 1 and 3 equal
-    ``(p11, p12, 0, 0)`` and rows 2 and 4 equal ``(0, 0, p21, p22)``.
-    """
-    row_a = [P.p11, P.p12, 0.0, 0.0]
-    row_b = [0.0, 0.0, P.p21, P.p22]
-    return np.array([row_a, row_b, row_a, row_b])
-
-
 # unit roundoff of float64
 _U = np.finfo(float).eps / 2
 

@@ -2,7 +2,7 @@
 
 These are the per-statistic formulas, written with boolean-mask indexing and
 ``mean`` over each partition, that the batch kernel in ``regimetest.moments``
-replaced.  Tests compare the kernel and its scalar wrappers against them.
+replaced.  Tests compare the kernel's columns against them.
 
 ``pow_quartets`` is the batch kernel as it was before its skewness and
 kurtosis sums became ``E2 * E`` and ``E2 * E2``: the M and V columns of the

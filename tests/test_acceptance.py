@@ -14,8 +14,9 @@ import pytest
 from conftest import TEST_WORKERS
 from regimetest._seeding import derive_seed, substream
 from regimetest.chp import (
-    NuisanceDraw,
-    gamma_star,
+    _draw_matrices,
+    _mu2_block,
+    _series_block,
     null_score_panel,
     sample_nuisance_draws,
 )
@@ -120,7 +121,7 @@ def test_criterion_05_coefficient_table_regeneration():
     for j, stat in enumerate(("M", "V", "S", "K")):
         fitted = fit_logistic_cdf(Q[:, j], statistic=stat, T=T)
         xq = np.quantile(Q[:, j], grid)
-        gap = np.abs(logistic_cdf(xq, fitted) - logistic_cdf(xq, shipped.lookup(stat, T)))
+        gap = np.abs(logistic_cdf(xq, fitted) - logistic_cdf(xq, shipped.coeffs_for(stat, T)))
         worst[stat] = float(gap.max())
     ok = all(v < 0.02 for v in worst.values())
     check(5, ok,
@@ -250,14 +251,17 @@ def test_criterion_09_chp_correctness_identities():
             )
             worst_hess = max(worst_hess, float(rel.max()))
 
-        gamma, _ = gamma_star(y, NuisanceDraw(np.array([1.0, 0.0, 0.0]), 0.0))
+        # mu2 paths of y as given, one draw per kernel call
+        scores, curv, _ = _series_block(y[None])
+        G, C = _draw_matrices(np.array([[1.0, 0.0, 0.0]]))
+        gamma = _mu2_block(scores, curv, G, C, np.array([0.0]))[:, 0, 0].sum() / np.sqrt(len(y))
         worst_gamma = max(worst_gamma, abs(gamma))
 
         H, rhos = sample_nuisance_draws(4, substream(910, k))
         g_all = panel.scores @ H.T
         quad = np.einsum("tij,di,dj->td", panel.hessians, H, H)
         for d in range(4):
-            _, mu2 = gamma_star(y, NuisanceDraw(H[d], float(rhos[d])))
+            mu2 = _mu2_block(scores, curv, *_draw_matrices(H[d : d + 1]), rhos[d : d + 1])[:, 0, 0]
             n = len(mu2)
             brute = np.empty(n)
             for t in range(n):

@@ -17,9 +17,11 @@ from regimetest._seeding import (
     substream,
 )
 from regimetest.chp import (
-    NuisanceDraw,
+    RHO_BOUND,
     _bootstrap_paths,
     _criteria_kernel,
+    _draw_matrices,
+    _mu2_block,
     _psi_weight,
     _row_chunks,
     _row_statistics,
@@ -27,13 +29,9 @@ from regimetest.chp import (
     _series_block,
     _standardize_rows,
     chp_bootstrap_test,
-    exp_ts,
-    gamma_star,
     null_score_panel,
-    projection_residuals,
     sample_nuisance_draws,
     standardize_series,
-    sup_ts,
 )
 from regimetest.harness import default_study_grid
 from regimetest.moments import row_blocks
@@ -111,18 +109,24 @@ class TestNullScorePanel:
 
 
 class TestGammaStar:
+    """Gamma and its mu2 path for one draw: a one-row, one-draw block of the
+    kernel on the series as given."""
+
     def test_variance_direction_identity(self):
         # with the 1/n variance divisor the mean-direction expansion term sums
         # to zero exactly at the fitted parameters
         y = _ar1_path(0.4, 100, seed=5)
-        gamma, _ = gamma_star(y, NuisanceDraw(np.array([1.0, 0.0, 0.0]), 0.0))
-        assert abs(gamma) < 1e-8
+        scores, curv, _ = _series_block(y[None])
+        G, C = _draw_matrices(np.array([[1.0, 0.0, 0.0]]))
+        mu2 = _mu2_block(scores, curv, G, C, np.array([0.0]))[:, 0, 0]
+        assert abs(mu2.sum() / np.sqrt(len(y))) < 1e-8
 
     def test_zero_rho_has_no_cross_term(self):
         y = _ar1_path(0.1, 50, seed=6)
         panel = null_score_panel(y)
         h = np.array([0.6, 0.0, 0.8])
-        _, mu2 = gamma_star(y, NuisanceDraw(h, 0.0))
+        scores, curv, _ = _series_block(y[None])
+        mu2 = _mu2_block(scores, curv, *_draw_matrices(h[None]), np.array([0.0]))[:, 0, 0]
         g = panel.scores @ h
         quad = np.einsum("tij,i,j->t", panel.hessians, h, h)
         np.testing.assert_allclose(mu2, 0.5 * (quad + g**2), rtol=1e-12)
@@ -132,7 +136,8 @@ class TestGammaStar:
         panel = null_score_panel(y)
         h = np.array([np.cos(0.7), 0.0, np.sin(0.7)])
         rho = 0.55
-        _, mu2 = gamma_star(y, NuisanceDraw(h, rho))
+        scores, curv, _ = _series_block(y[None])
+        mu2 = _mu2_block(scores, curv, *_draw_matrices(h[None]), np.array([rho]))[:, 0, 0]
         g = panel.scores @ h
         quad = np.einsum("tij,i,j->t", panel.hessians, h, h)
         n = len(g)
@@ -142,13 +147,14 @@ class TestGammaStar:
             brute[t] = 0.5 * (quad[t] + g[t] ** 2 + 2.0 * cross)
         np.testing.assert_allclose(mu2, brute, rtol=1e-10)
 
-    def test_draw_validation(self):
-        with pytest.raises(ValueError, match="unit"):
-            NuisanceDraw(np.array([1.0, 0.0, 1.0]), 0.0)
-        with pytest.raises(ValueError, match="second"):
-            NuisanceDraw(np.array([0.6, 0.8, 0.0]), 0.0)
-        with pytest.raises(ValueError, match="rho"):
-            NuisanceDraw(np.array([1.0, 0.0, 0.0]), 0.9)
+    def test_sampled_draws_meet_the_contract(self):
+        # unit directions with h[1] = 0, which the kernel's two-column
+        # products assume, and rho within its bound
+        H, rhos = sample_nuisance_draws(500, substream(2, 2))
+        assert H.shape == (500, 3) and rhos.shape == (500,)
+        np.testing.assert_allclose(np.linalg.norm(H, axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert (H[:, 1] == 0.0).all()
+        assert (np.abs(rhos) <= RHO_BOUND).all()
 
 
 class TestProjectionResiduals:
@@ -156,22 +162,26 @@ class TestProjectionResiduals:
         y = _ar1_path(0.2, 60, seed=8)
         rng = substream(1, 1)
         raw = rng.standard_normal(len(y) - 1)
-        resid = projection_residuals(raw, y)
+        Q = _series_block(y[None])[2][0]
+        resid = raw - Q @ (Q.T @ raw)
         # residuals are themselves orthogonal: projecting again changes nothing
-        np.testing.assert_allclose(projection_residuals(resid, y), resid, atol=1e-10)
+        np.testing.assert_allclose(resid - Q @ (Q.T @ resid), resid, atol=1e-10)
 
     def test_score_combination_projects_to_zero(self):
         y = _ar1_path(0.2, 60, seed=9)
         panel = null_score_panel(y)
         path = panel.scores @ np.array([1.5, -0.3, 2.0])
-        resid = projection_residuals(path, y)
+        Q = _series_block(y[None])[2][0]
+        resid = path - Q @ (Q.T @ path)
         assert np.abs(resid).max() < 1e-8 * np.abs(path).max()
 
     def test_orthogonality_to_scores(self):
         y = _ar1_path(0.6, 90, seed=10)
         panel = null_score_panel(y)
-        _, mu2 = gamma_star(y, NuisanceDraw(np.array([0.0, 0.0, 1.0]), 0.3))
-        resid = projection_residuals(mu2, y)
+        scores, curv, Q = _series_block(y[None])
+        G, C = _draw_matrices(np.array([[0.0, 0.0, 1.0]]))
+        mu2 = _mu2_block(scores, curv, G, C, np.array([0.3]))[:, 0, 0]
+        resid = mu2 - Q[0] @ (Q[0].T @ mu2)
         inner = panel.scores.T @ resid
         scale = np.abs(panel.scores).sum(axis=0) * np.abs(resid).max()
         assert np.all(np.abs(inner) <= 1e-8 * np.maximum(scale, 1.0))
@@ -209,12 +219,10 @@ class TestCriteria:
         # affine maps of the observations cannot move the statistics
         y = _ar1_path(0.5, 150, seed=13)
         a, b = standardize_series(y), standardize_series(3.0 * y - 7.0)
-        np.testing.assert_allclose(
-            sup_ts(a, 64, substream(5, 5)), sup_ts(b, 64, substream(5, 5)), rtol=1e-8
-        )
-        np.testing.assert_allclose(
-            exp_ts(a, 64, substream(5, 5)), exp_ts(b, 64, substream(5, 5)), rtol=1e-8
-        )
+        sup_a, exp_a = _row_statistics(a[None], *sample_nuisance_draws(64, substream(5, 5)))
+        sup_b, exp_b = _row_statistics(b[None], *sample_nuisance_draws(64, substream(5, 5)))
+        np.testing.assert_allclose(sup_a, sup_b, rtol=1e-8)
+        np.testing.assert_allclose(exp_a, exp_b, rtol=1e-8)
 
     def test_bootstrap_report_is_location_scale_invariant(self):
         y = _ar1_path(0.2, 120, seed=19)
@@ -227,20 +235,23 @@ class TestCriteria:
 
 
 class TestPublicStatistics:
+    """supTS and expTS of one series as given: a one-row pass of the kernel."""
+
     def test_sup_requires_draws(self):
-        y = _ar1_path(0.1, 50, seed=14)
         with pytest.raises(ValueError):
-            sup_ts(y, 0, substream(0, 0))
+            sample_nuisance_draws(0, substream(0, 0))
 
     def test_sup_and_exp_are_deterministic_given_stream(self):
         y = _ar1_path(0.1, 60, seed=15)
-        assert sup_ts(y, 50, substream(8, 8)) == sup_ts(y, 50, substream(8, 8))
-        assert exp_ts(y, 50, substream(8, 8)) == exp_ts(y, 50, substream(8, 8))
+        first = _row_statistics(y[None], *sample_nuisance_draws(50, substream(8, 8)))
+        second = _row_statistics(y[None], *sample_nuisance_draws(50, substream(8, 8)))
+        assert (first[0][0], first[1][0]) == (second[0][0], second[1][0])
 
     def test_sup_nonnegative_exp_positive(self):
         y = _ar1_path(0.7, 100, seed=16)
-        assert sup_ts(y, 40, substream(9, 9)) >= 0.0
-        assert exp_ts(y, 40, substream(9, 9)) > 0.0
+        sup, exp = _row_statistics(y[None], *sample_nuisance_draws(40, substream(9, 9)))
+        assert sup[0] >= 0.0
+        assert exp[0] > 0.0
 
 
 class TestBootstrapTest:
@@ -356,9 +367,9 @@ class TestBatchedBootstrap:
         sup, exp = _row_statistics(np.vstack([ys, Y]), H, rhos)
         np.testing.assert_array_equal(sup[1:], whole[0].max(axis=1))
         np.testing.assert_array_equal(exp[1:], whole[1].mean(axis=1))
-        # the single-series views are row 0 too
-        assert sup[0] == sup_ts(ys, cfg.chp_draws, substream(seed, DOMAIN_NUISANCE))
-        assert exp[0] == exp_ts(ys, cfg.chp_draws, substream(seed, DOMAIN_NUISANCE))
+        # the data alone, in a one-row pass, is row 0 too
+        sup_data, exp_data = _row_statistics(ys[None], H, rhos)
+        assert (sup[0], exp[0]) == (sup_data[0], exp_data[0])
         report = chp_bootstrap_test(y, B=B, draws=cfg.chp_draws, master_seed=seed)
         assert (report.supTS, report.expTS) == (sup[0], exp[0])
 
@@ -432,9 +443,9 @@ class TestRankDeficientPanel:
         np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0.0)
 
     def test_duplicated_column_leaves_residuals_unchanged(self, caplog):
-        y, scores, _, _, duplicated = self._bases(caplog)
+        _, scores, _, basis, duplicated = self._bases(caplog)
         path = substream(7, 7).standard_normal(scores.shape[0])
-        Q = duplicated[0]
+        Q, P = duplicated[0], basis[0]
         np.testing.assert_allclose(
-            path - Q @ (Q.T @ path), projection_residuals(path, y), rtol=0.0, atol=1e-12,
+            path - Q @ (Q.T @ path), path - P @ (P.T @ path), rtol=0.0, atol=1e-12,
         )

@@ -251,8 +251,8 @@ class TestRegenerateCoeffTable:
         shipped = LogisticCoeffTable.default()
         grid = np.linspace(0.001, 0.999, 999)
         for stat in ("M", "V", "S", "K"):
-            mine = table.lookup(stat, 100)
-            ref = shipped.lookup(stat, 100)
+            mine = table.coeffs_for(stat, 100)
+            ref = shipped.coeffs_for(stat, 100)
             # compare on the fitted curve's own quantile range
             x = (np.log(grid / (1 - grid)) - mine.gamma0) / mine.gamma1
             gap = np.abs(logistic_cdf(x, mine) - logistic_cdf(x, ref))
@@ -270,7 +270,7 @@ class TestRegenerateCoeffTable:
             assert len(row_blocks(draws, T)) > 1
             Q = quartet_matrix(substream(seed, DOMAIN_TABLE, T).standard_normal((draws, T)))
             for j, stat in enumerate(STATISTICS):
-                assert table.lookup(stat, T) == fit_logistic_cdf(Q[:, j], statistic=stat, T=T)
+                assert table.coeffs_for(stat, T) == fit_logistic_cdf(Q[:, j], statistic=stat, T=T)
 
 
 def test_config_digest_is_order_insensitive():

@@ -79,6 +79,15 @@ class TestArFilter:
     def test_hand_value(self):
         np.testing.assert_allclose(ar_filter([1.0, 2.0, 3.0, 4.0], [0.5]), [1.5, 2.0, 2.5])
 
+    def test_non_finite_series_value_names_its_index(self):
+        with pytest.raises(ValueError, match=r"non-finite value \(nan\) at index 1"):
+            ar_filter([1.0, np.nan, 3.0, 4.0], [0.5])
+
+    @pytest.mark.parametrize("phi", [[np.nan], [[0.5], [np.inf]]])
+    def test_non_finite_coefficients_are_rejected(self, phi):
+        with pytest.raises(ValueError, match="AR coefficients must be finite"):
+            ar_filter([1.0, 2.0, 3.0, 4.0], phi)
+
     def test_zero_lags_copy_the_series(self):
         y = np.array([1.0, -2.0, 3.5])
         z, Z = ar_filter(y, []), ar_filter(y, np.empty((2, 0)))

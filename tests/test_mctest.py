@@ -11,8 +11,6 @@ from regimetest.mctest import (
     LogisticCoeffTable,
     LogisticCoeffs,
     approx_pvalue_matrix,
-    approx_pvalues,
-    bonferroni_decision,
     combine_matrix,
     combine_min,
     combine_prod,
@@ -35,7 +33,7 @@ class TestLogisticCdf:
 
     def test_table_value(self):
         # statistic M at T=100 evaluated at x = 2
-        c = LogisticCoeffTable.default().lookup("M", 100)
+        c = LogisticCoeffTable.default().coeffs_for("M", 100)
         assert (c.gamma0, c.gamma1) == (-23.041, 12.125)
         assert logistic_cdf(2.0, c) == pytest.approx(0.7701219627439947, rel=1e-12)
 
@@ -47,6 +45,11 @@ class TestLogisticCdf:
     def test_increasing_slope_required(self):
         with pytest.raises(ValueError):
             LogisticCoeffs(0.0, 0.0)
+
+    @pytest.mark.parametrize("gamma0, gamma1", [(np.nan, 1.0), (np.inf, 1.0), (0.0, np.inf)])
+    def test_finite_coefficients_required(self, gamma0, gamma1):
+        with pytest.raises(ValueError, match="V at T=100: need finite gamma0"):
+            LogisticCoeffs(gamma0, gamma1, statistic="V", T=100)
 
 
 class TestLogisticCoeffTable:
@@ -67,7 +70,7 @@ class TestLogisticCoeffTable:
         above = table.coeffs_for("K", 260)
         assert below.gamma1 > 0 and above.gamma1 > 0
         # extrapolation continues the local linear trend
-        assert above.gamma1 > table.lookup("K", 250).gamma1
+        assert above.gamma1 > table.coeffs_for("K", 250).gamma1
 
     def test_csv_round_trip(self, tmp_path):
         table = LogisticCoeffTable.default()
@@ -76,25 +79,36 @@ class TestLogisticCoeffTable:
         back = LogisticCoeffTable.from_csv(path)
         for stat in ("M", "V", "S", "K"):
             for T in (50, 100, 150, 200, 250):
-                assert back.lookup(stat, T) == table.lookup(stat, T)
+                assert back.coeffs_for(stat, T) == table.coeffs_for(stat, T)
+
+    def test_csv_with_an_infinite_coefficient_is_rejected(self, tmp_path):
+        # an infinite gamma0 would set every approximate p-value of S to 0
+        path = tmp_path / "coeffs.csv"
+        LogisticCoeffTable.default().to_csv(path)
+        lines = path.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("S,150,"))
+        lines[row] = "S,150,inf,1.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="S at T=150"):
+            LogisticCoeffTable.from_csv(path)
 
 
 class TestApproxPvalues:
     def test_midpoints_give_half(self):
         table = LogisticCoeffTable.default()
-        mids = [-table.lookup(s, 100).gamma0 / table.lookup(s, 100).gamma1
+        mids = [-table.coeffs_for(s, 100).gamma0 / table.coeffs_for(s, 100).gamma1
                 for s in ("M", "V", "S", "K")]
-        np.testing.assert_allclose(approx_pvalues(mids, table, 100), 0.5, rtol=1e-12)
+        np.testing.assert_allclose(approx_pvalue_matrix([mids], table, 100)[0], 0.5, rtol=1e-12)
 
     def test_known_value(self):
         table = LogisticCoeffTable.default()
-        G = approx_pvalues([2.0, 5.0, 0.1, 0.5], table, 100)
+        G = approx_pvalue_matrix([[2.0, 5.0, 0.1, 0.5]], table, 100)[0]
         assert G[0] == pytest.approx(0.2298780372560053, rel=1e-10)
 
     def test_monotone_in_statistic(self):
         table = LogisticCoeffTable.default()
-        small = approx_pvalues([1.0, 2.0, 0.1, 0.2], table, 100)
-        large = approx_pvalues([2.0, 4.0, 0.3, 0.9], table, 100)
+        small = approx_pvalue_matrix([[1.0, 2.0, 0.1, 0.2]], table, 100)[0]
+        large = approx_pvalue_matrix([[2.0, 4.0, 0.3, 0.9]], table, 100)[0]
         assert np.all(large < small)
 
 
@@ -250,14 +264,6 @@ class TestCriticalRank:
     def test_alpha_bounds(self):
         with pytest.raises(ValueError):
             critical_rank(100, 0.0)
-
-
-class TestBonferroni:
-    def test_examples(self):
-        alphas = (0.025, 0.025, 0.025, 0.025)
-        assert not bonferroni_decision((1.0, 1.0, 1.0, 1.0), alphas)
-        assert bonferroni_decision((0.02, 0.5, 0.5, 0.5), alphas)
-        assert not bonferroni_decision((0.03, 0.03, 0.03, 0.03), alphas)
 
 
 class TestFitLogisticCdf:

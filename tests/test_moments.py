@@ -16,14 +16,11 @@ from regimetest.moments import (
     DegenerateSampleError,
     _quartet_work,
     _quartets,
+    _rows,
     compute_quartet,
     demean,
     quartet_matrix,
     row_blocks,
-    stat_k,
-    stat_m,
-    stat_s,
-    stat_v,
 )
 
 E4 = np.array([-1.5, -0.5, 0.5, 1.5])
@@ -33,6 +30,11 @@ series = arrays(
     st.integers(8, 40),
     elements=st.floats(-100, 100, allow_nan=False, width=64),
 )
+
+
+def _kernel_row(e):
+    """The kernel's (M, V, S, K) of ``e`` as given, NaN where undefined."""
+    return _quartets(_rows(e))[0]
 
 
 def _quartet_or_none(e):
@@ -66,73 +68,69 @@ class TestDemean:
 class TestStatM:
     def test_hand_value(self):
         # m2 - m1 = 2, pooled dispersion s1^2 + s2^2 = 0.5
-        assert stat_m(E4) == pytest.approx(2.82842712474619, rel=1e-12)
+        assert _kernel_row(E4)[0] == pytest.approx(2.82842712474619, rel=1e-12)
 
     def test_zero_dispersion_is_degenerate(self):
-        with pytest.raises(DegenerateSampleError, match="M"):
-            stat_m(np.array([-1.0, -1.0, 1.0, 1.0]))
+        assert np.isnan(_kernel_row(np.array([-1.0, -1.0, 1.0, 1.0]))[0])
 
     def test_one_sided_sample_is_degenerate(self):
-        with pytest.raises(DegenerateSampleError, match="M"):
-            stat_m(np.array([1.0, 2.0, 3.0, 4.0]))
+        assert np.isnan(_kernel_row(np.array([1.0, 2.0, 3.0, 4.0]))[0])
 
     def test_scale_invariance(self):
-        assert stat_m(17.3 * E4) == pytest.approx(stat_m(E4), rel=1e-12)
+        assert _kernel_row(17.3 * E4)[0] == pytest.approx(_kernel_row(E4)[0], rel=1e-12)
 
     def test_zeros_belong_to_neither_partition(self):
         e = np.array([-1.5, -0.5, 0.0, 0.5, 1.5])
-        assert stat_m(e) == pytest.approx(stat_m(E4), rel=1e-12)
+        assert _kernel_row(e)[0] == pytest.approx(_kernel_row(E4)[0], rel=1e-12)
 
 
 class TestStatV:
     def test_hand_value(self):
         # sigma2 = 1.25; above-average squares avg 2.25, below-average avg 0.25
-        assert stat_v(E4) == pytest.approx(9.0, rel=1e-12)
+        assert _kernel_row(E4)[1] == pytest.approx(9.0, rel=1e-12)
 
     def test_exceeds_one(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            assert stat_v(demean(rng.standard_normal(30))) > 1.0
+            assert _kernel_row(demean(rng.standard_normal(30)))[1] > 1.0
 
     def test_scale_invariance(self):
-        assert stat_v(0.002 * E4) == pytest.approx(stat_v(E4), rel=1e-12)
+        assert _kernel_row(0.002 * E4)[1] == pytest.approx(_kernel_row(E4)[1], rel=1e-12)
 
     def test_degenerate_partition(self):
         # all squared residuals equal the sample variance
-        with pytest.raises(DegenerateSampleError, match="V"):
-            stat_v(np.array([-1.0, 1.0, -1.0, 1.0]))
+        assert np.isnan(_kernel_row(np.array([-1.0, 1.0, -1.0, 1.0]))[1])
 
 
 class TestStatS:
     def test_symmetric_sample(self):
-        assert stat_s(E4) == 0.0
+        assert _kernel_row(E4)[2] == 0.0
 
     def test_hand_value(self):
         # sum of cubes 24, T sigma^3 = 4 * 3^(3/2): 2 / sqrt(3)
-        assert stat_s(np.array([-1.0, -1.0, -1.0, 3.0])) == pytest.approx(
+        assert _kernel_row(np.array([-1.0, -1.0, -1.0, 3.0]))[2] == pytest.approx(
             1.1547005383792517, rel=1e-12
         )
 
     def test_sign_flip_invariance(self):
         e = demean(np.array([0.1, 0.5, -2.0, 3.0, 1.1]))
-        assert stat_s(-e) == pytest.approx(stat_s(e), rel=1e-12)
+        assert _kernel_row(-e)[2] == pytest.approx(_kernel_row(e)[2], rel=1e-12)
 
     def test_zero_variance(self):
-        with pytest.raises(DegenerateSampleError, match="S"):
-            stat_s(np.zeros(5))
+        assert np.isnan(_kernel_row(np.zeros(5))[2])
 
 
 class TestStatK:
     def test_hand_value(self):
-        assert stat_k(E4) == pytest.approx(1.36, rel=1e-12)
+        assert _kernel_row(E4)[3] == pytest.approx(1.36, rel=1e-12)
 
     def test_normal_sample_has_no_excess(self):
         e = demean(np.random.default_rng(4).standard_normal(1_000_000))
         # se of sample kurtosis under normality is sqrt(24 / T)
-        assert stat_k(e) < 3 * np.sqrt(24 / len(e))
+        assert _kernel_row(e)[3] < 3 * np.sqrt(24 / len(e))
 
     def test_scale_invariance(self):
-        assert stat_k(3.7 * E4) == pytest.approx(stat_k(E4), rel=1e-12)
+        assert _kernel_row(3.7 * E4)[3] == pytest.approx(_kernel_row(E4)[3], rel=1e-12)
 
 
 class TestComputeQuartet:
@@ -146,9 +144,14 @@ class TestComputeQuartet:
         with pytest.raises(DegenerateSampleError, match="M"):
             compute_quartet(np.array([-1.0, -1.0, 1.0, 1.0]))
 
+    def test_non_finite_value_names_its_index(self):
+        # not a degenerate statistic: the series itself is rejected
+        with pytest.raises(ValueError, match=r"non-finite value \(inf\) at index 2"):
+            compute_quartet([1.0, 2.0, np.inf, 4.0, 5.0])
+
     def test_minimum_length(self):
-        # one length rule for the quartet and for each statistic alone
-        for helper in (compute_quartet, stat_m, stat_v, stat_s, stat_k):
+        # one length rule for the quartet and for the kernel on a row as given
+        for helper in (compute_quartet, _kernel_row):
             with pytest.raises(ValueError, match="at least 4 observations"):
                 helper(np.array([2.0, -1.5, -0.5]))
         for X in (np.zeros((2, 0)), np.array([[-1.0, 0.0, 1.0]])):
@@ -203,8 +206,9 @@ class TestQuartetMatrix:
             )
 
     def test_scalar_wrappers_match_oracle(self):
-        # finite values to the kernel tolerance; undefined ones raise naming
-        # the same statistic as the scalar formulas
+        # the kernel's columns on each row as given: finite values to the
+        # kernel tolerance; NaN exactly where the scalar formula raises for
+        # that statistic
         rng = np.random.default_rng(13)
         samples = [demean(rng.standard_normal(T)) for T in (4, 7, 30, 200)] + [
             np.array([-1.0, -1.0, 1.0, 1.0]),
@@ -212,17 +216,16 @@ class TestQuartetMatrix:
             np.array([-1.0, 1.0, -1.0, 1.0]),
             np.zeros(6),
         ]
-        wrappers = (stat_m, stat_v, stat_s, stat_k)
         for e in samples:
-            for wrapper, oracle in zip(wrappers, moments_oracle.STATS):
+            q = _kernel_row(e)
+            for j, oracle in enumerate(moments_oracle.STATS):
                 try:
                     expected = oracle(e)
                 except DegenerateSampleError as err:
-                    with pytest.raises(DegenerateSampleError) as got:
-                        wrapper(e)
-                    assert got.value.statistic == err.statistic
+                    assert err.statistic == "MVSK"[j]
+                    assert np.isnan(q[j])
                 else:
-                    assert wrapper(e) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+                    assert q[j] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_m_and_v_columns_are_bitwise_the_pow_kernel(self):
         rng = np.random.default_rng(14)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regimetest.msar import (
@@ -17,8 +17,6 @@ from regimetest.msar import (
     RegimeParams,
     TransitionMatrix,
     ergodic_probabilities,
-    filtered_mixture_components,
-    four_state_transition,
     min_root_modulus,
     mixture_moments,
     simulate_chain,
@@ -250,64 +248,6 @@ class TestMixtureMoments:
             mixture_moments(RegimeParams(0.0, 1.0, 1.0, 1.0), 0.0)
         with pytest.raises(ValueError):
             mixture_moments(RegimeParams(0.0, 1.0, 1.0, 1.0), 1.0)
-
-
-class TestFilteredMixtureComponents:
-    @pytest.mark.parametrize(
-        "mu1,mu2,phi,expected,n_distinct",
-        [
-            (0.0, 2.0, 0.0, (0.0, 2.0, 0.0, 2.0), 2),
-            (0.0, 2.0, 1.0, (0.0, 2.0, -2.0, 0.0), 3),
-            (0.0, 2.0, 0.5, (0.0, 2.0, -1.0, 1.0), 4),
-        ],
-    )
-    def test_component_means(self, mu1, mu2, phi, expected, n_distinct):
-        got = filtered_mixture_components(mu1, mu2, phi)
-        assert got == pytest.approx(expected)
-        assert len(set(got)) == n_distinct
-
-    @given(
-        st.floats(-5, 5), st.floats(-5, 5),
-        st.floats(-0.99, 0.99).filter(lambda p: abs(p) > 1e-6),
-    )
-    @settings(max_examples=200)
-    @example(mu1=0.0, mu2=3.6783867378194687e-06, phi=3.6783867378194687e-06)
-    def test_distinct_count_cases(self, mu1, mu2, phi):
-        if abs(mu1 - mu2) < 1e-6:
-            return
-        values = filtered_mixture_components(mu1, mu2, phi)
-        # the pairwise gaps are |dmu| times 1, |phi|, 1 - phi and 1 + phi
-        gap = 0.5 * abs(mu2 - mu1) * min(abs(phi), 1.0 - abs(phi))
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert abs(values[i] - values[j]) >= gap
-
-
-class TestFourStateTransition:
-    def test_block_pattern(self):
-        M = four_state_transition(TransitionMatrix(0.9, 0.5))
-        expected = np.array(
-            [[0.9, 0.1, 0.0, 0.0],
-             [0.0, 0.0, 0.5, 0.5],
-             [0.9, 0.1, 0.0, 0.0],
-             [0.0, 0.0, 0.5, 0.5]]
-        )
-        np.testing.assert_allclose(M, expected)
-
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-    def test_rows_sum_to_one(self, p11, p22):
-        M = four_state_transition(TransitionMatrix(p11, p22))
-        np.testing.assert_allclose(M.sum(axis=1), 1.0)
-
-    def test_stationary_distribution_marginalizes_to_ergodic(self):
-        P = TransitionMatrix(0.8, 0.6)
-        M = four_state_transition(P)
-        w, v = np.linalg.eig(M.T)
-        stat = np.real(v[:, np.argmin(np.abs(w - 1.0))])
-        stat = stat / stat.sum()
-        pi1, _ = ergodic_probabilities(P)
-        # states 1 and 3 carry current regime 1
-        assert stat[0] + stat[2] == pytest.approx(pi1, rel=1e-10)
 
 
 class TestMinRootModulus:
