@@ -3,6 +3,8 @@ variances in autoregressive models."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .msar import (
     TransitionMatrix,
     RegimeParams,
@@ -60,4 +62,6 @@ from .harness import (
     regenerate_coeff_table,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names above; the submodules stay attributes, not star-import names
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

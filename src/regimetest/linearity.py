@@ -23,10 +23,14 @@ null ensemble and tie-breakers first (:func:`~regimetest.mctest.null_ensemble`),
 then filters, demeans and reduces the rows to their statistic quartets over
 the row-major blocks of :func:`~regimetest.moments.row_blocks`, in one
 scratch allocated for the first block, and ranks each block as soon as it is
-computed, keeping a running maximum and its first row per MMC rule.  A rank
-p-value k/N is at most 1, so once every requested MMC rule has reached
-p = 1 its first maximizer is final, and the pass stops after that block;
-``LinearityReport.rows_ranked`` says how many rows it ranked.  The reports
+computed, keeping a running maximum and its first row per MMC rule.  A
+block's filter is one einsum contraction of ``[1, -phi_1, ..., -phi_r]``
+with the lagged series: one pass over the block, with the values of
+subtracting one lag at a time, and no BLAS call, whose rows would depend on
+the block's row count.  A rank p-value k/N is at most 1, so once every
+requested MMC rule has reached p = 1 its first maximizer is final, and the
+pass stops after that block; ``LinearityReport.rows_ranked`` says how many
+rows it ranked.  The reports
 equal those of ranking every row, except that a degenerate grid row after
 the stopping block is never computed and so raises nothing.  The LMC
 p-value is the p-value of the OLS row, which must be stationary: an LMC
@@ -152,17 +156,23 @@ def ar_filter(y: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return Z if phi.ndim == 2 else Z[0]
 
 
-def _filter_rows(y: np.ndarray, P: np.ndarray, out: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
-    """The filter at every row of ``P``, written into ``out``; each lag's
-    product goes through ``tmp`` (fresh when not given)."""
+def _filter_rows(y: np.ndarray, P: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The filter at every row of ``P``, written into ``out``: one contraction
+    of the rows ``[1, -phi_1, ..., -phi_r]`` with the lag stack
+    ``y[r-k : T-k]``, k = 0 ... r.  einsum adds the r + 1 products in lag
+    order, so each value is that of subtracting ``phi_k y_{t-k}`` from ``y_t``
+    one lag at a time (an exact zero may change sign, which no statistic
+    reads).  Not ``np.matmul``: its BLAS kernels make a row's value depend
+    on the number of rows beside it."""
     r = P.shape[1]
     if r == 0:
         out[:] = y
         return out
-    np.subtract(y[r:], np.multiply(P[:, :1], y[r - 1 : -1], out=out), out=out)
-    for k in range(2, r + 1):
-        out -= np.multiply(P[:, k - 1 : k], y[r - k : len(y) - k], out=tmp)
-    return out
+    coef = np.empty((len(P), r + 1))
+    coef[:, 0] = 1.0
+    np.negative(P, out=coef[:, 1:])
+    lags = np.stack([y[r - k : len(y) - k] for k in range(r + 1)])
+    return np.einsum("ik,kt->it", coef, lags, out=out)
 
 
 def _quartet_blocks(y: np.ndarray, rows: np.ndarray):
@@ -177,8 +187,7 @@ def _quartet_blocks(y: np.ndarray, rows: np.ndarray):
     work = _quartet_work(size)
     for block in blocks:
         n = block.stop - block.start
-        # the kernel's second float buffer holds the filter's lag products first
-        E = _filter_rows(y, rows[block], Z[: n * Tz].reshape(n, Tz), work[1][: n * Tz].reshape(n, Tz))
+        E = _filter_rows(y, rows[block], Z[: n * Tz].reshape(n, Tz))
         E -= E.mean(axis=1, keepdims=True)
         yield block, _quartets(_rows(E), work)
 

@@ -4,11 +4,12 @@ Statistic quartets become approximate marginal p-values through logistic
 approximations of their null distribution functions; the two combination
 rules (minimum and product) reduce them to one statistic per row.
 :func:`null_ensemble` draws the N - 1 simulated standard-normal vectors and
-the N uniform tie-breakers of a test once, and :meth:`NullEnsemble.rank`
-ranks the combined statistic of each block of data rows among the
-replicates' as the block arrives, through the one rank rule
-:func:`rank_pvalues`.  The rank p-value is exact at any N, however crude the
-approximations, since data and replicate statistics share them.
+the N uniform tie-breakers of a test once and sorts the replicates' combined
+statistics once; :meth:`NullEnsemble.rank` ranks the combined statistic of
+each block of data rows among them as the block arrives, by the one rank
+rule of :func:`rank_pvalues` (the sort, then a lookup per block).  The rank
+p-value is exact at any N, however crude the approximations, since data and
+replicate statistics share them.
 :func:`mc_mixture_test` is that test on one series, ranked as a one-row
 block; the linearity tests build their data rows (the OLS point and the
 nuisance grid) and stream them through the same ensemble.
@@ -224,21 +225,35 @@ def rank_pvalues(
     A rank is one plus the count of replicates below, a tied replicate
     counting as below when its tie-breaker in ``us`` is below the data's
     ``u0``, which keeps the test exact for discrete statistics.  The counts
-    are taken once against the sorted replicates.  A NaN statistic, which
-    has no rank, or an empty replicate set raises ``ValueError``.
+    are looked up in the sorted replicates (:func:`_sorted_replicates`, which
+    a :class:`NullEnsemble` does once for every block it ranks).  A NaN
+    statistic, which has no rank, or an empty replicate set raises
+    ``ValueError``.
     """
-    xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))
+    return _rank_lookup(xi0, *_sorted_replicates(xi_sim, u0, us))
+
+
+def _sorted_replicates(xi_sim: np.ndarray, u0: float, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The replicate statistics in ascending order, and the count of those
+    with a tie-breaker below ``u0`` among the first i of them, i = 0 ... N - 1."""
     if len(xi_sim) == 0:
         raise ValueError("the ensemble needs at least one simulated statistic")
-    if np.isnan(xi0).any() or np.isnan(xi_sim).any():
+    if np.isnan(xi_sim).any():
         raise ValueError("an MC statistic is NaN and has no rank")
     order = np.argsort(xi_sim)
-    sims = xi_sim[order]
+    return xi_sim[order], np.concatenate([[0], np.cumsum(us[order] < u0)])
+
+
+def _rank_lookup(xi0, sims: np.ndarray, below_u0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks and p-values of data statistics against sorted replicates: the
+    replicates strictly below, plus the tied ones whose tie-breaker is below."""
+    xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))
+    if np.isnan(xi0).any():
+        raise ValueError("an MC statistic is NaN and has no rank")
     lo = np.searchsorted(sims, xi0, "left")
     hi = np.searchsorted(sims, xi0, "right")
-    below_u0 = np.concatenate([[0], np.cumsum(us[order] < u0)])
     ranks = 1 + lo + below_u0[hi] - below_u0[lo]
-    N = len(xi_sim) + 1
+    N = len(sims) + 1
     return ranks, (N + 1 - ranks) / N
 
 
@@ -288,10 +303,8 @@ def fit_logistic_cdf(samples: np.ndarray, statistic: str = "?", T: int = 0) -> L
             f"logistic fit did not converge: status={sol.status}, "
             f"message={sol.message!r}, cost={sol.cost:.3e}"
         )
-    g0, g1 = float(sol.x[0]), float(sol.x[1])
-    if g1 <= 0.0:
-        raise ValueError(f"fitted slope must be positive, got gamma1={g1}")
-    return LogisticCoeffs(g0, g1, statistic=statistic, T=int(T))
+    # LogisticCoeffs rejects a non-increasing fit, naming the statistic and T
+    return LogisticCoeffs(float(sol.x[0]), float(sol.x[1]), statistic=statistic, T=int(T))
 
 
 def simulate_null_quartets(T: int, N: int, master_seed: int) -> tuple[np.ndarray, int]:
@@ -332,28 +345,29 @@ def tie_breaker_uniforms(N: int, master_seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NullEnsemble:
-    """The null side of an exact MC test over ``T`` observations: the
-    combined statistics of ``N - 1`` simulated replicates under each rule,
-    and the ``N`` tie-breakers, index 0 the data's.  Data rows are ranked
-    against it block by block, as they arrive."""
+    """The null side of an exact MC test over ``T`` observations: under each
+    rule, the combined statistics of ``N - 1`` simulated replicates, sorted
+    once, with the running count of their tie-breakers below the data's
+    (:func:`_sorted_replicates`).  Data rows are ranked against it block by
+    block, as they arrive."""
 
     T: int
     table: LogisticCoeffTable
-    statistics: dict[str, np.ndarray]
-    u: np.ndarray
+    replicates: dict[str, tuple[np.ndarray, np.ndarray]]
     resampled: int
 
     def rank(self, Qz: np.ndarray) -> dict[str, tuple[np.ndarray, ...]]:
         """``{rule: (row statistics, row ranks, row p-values)}`` of data rows,
         given as their statistic quartets (the rows of ``Qz``), under every
-        rule of the ensemble.  A degenerate data row raises
+        rule of the ensemble, by the rule of :func:`rank_pvalues`.  A
+        degenerate data row raises
         :class:`~regimetest.moments.DegenerateSampleError`."""
         raise_if_degenerate(Qz)
         G = approx_pvalue_matrix(Qz, self.table, self.T)
         out = {}
-        for rule, fs in self.statistics.items():
+        for rule, replicates in self.replicates.items():
             f0 = combine_matrix(G, rule)
-            out[rule] = (f0, *rank_pvalues(f0, fs, self.u[0], self.u[1:]))
+            out[rule] = (f0, *_rank_lookup(f0, *replicates))
         return out
 
 
@@ -369,8 +383,9 @@ def null_ensemble(
         table = LogisticCoeffTable.default()
     Q, resampled = simulate_null_quartets(T, N, master_seed)
     G = approx_pvalue_matrix(Q, table, T)
-    statistics = {rule: combine_matrix(G, rule) for rule in rules}
-    return NullEnsemble(T, table, statistics, tie_breaker_uniforms(N, master_seed), resampled)
+    u = tie_breaker_uniforms(N, master_seed)
+    replicates = {rule: _sorted_replicates(combine_matrix(G, rule), u[0], u[1:]) for rule in rules}
+    return NullEnsemble(T, table, replicates, resampled)
 
 
 def mc_mixture_test(
@@ -395,4 +410,4 @@ def mc_mixture_test(
     Qz = quartet_matrix(z[None, :])
     ensemble = null_ensemble(len(z), N, (method,), table, master_seed)
     f0, ranks, p = ensemble.rank(Qz)[method]
-    return _report(f0[0], ensemble.statistics[method], ranks, p, master_seed, ensemble.resampled)
+    return _report(f0[0], ensemble.replicates[method][0], ranks, p, master_seed, ensemble.resampled)

@@ -17,10 +17,16 @@ on a single row and turns an undefined statistic into
 The kernel forms the skewness and kurtosis sums from products, ``E2 * E``
 and ``E2 * E2``, of the squares the V statistic already needs.  numpy
 evaluates ``E**3`` and ``E**4`` through libm ``pow`` (it special-cases only
-``**2``), and those two calls were about 80% of the kernel's time.  The
-products move S and K by rounding only (at most 2e-15 in absolute terms,
-a few 1e-12 relative where S is near zero); M and V are unchanged bit for
-bit.
+``**2``), and those two calls were about 80% of the kernel's time.
+
+Every masked or moment sum (the partition means, the partition square sums,
+the V partition sums and the skewness and kurtosis sums) is a row dot
+product, ``einsum("ij,ij->i", ...)``, taken directly against the partition
+flags: one pass over the block, where a product written out and then summed
+took two.  The buffers stay two float and two flag arrays.  einsum adds
+along each row in its own order rather than numpy's pairwise one, so M, V,
+S and K moved by a few ulps when the sums changed form; ranks and p-values
+did not move on any pinned case.
 """
 
 from __future__ import annotations
@@ -147,8 +153,8 @@ def _quartets(E: np.ndarray, work: tuple[np.ndarray, ...] | None = None) -> np.n
     n1 = neg.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         floor = _dispersion_floor(np.abs(E, out=tmp).max(axis=1))
-        m2 = np.where(n2 > 0, np.multiply(E, pos, out=tmp).sum(axis=1) / n2, np.nan)
-        m1 = np.where(n1 > 0, np.multiply(E, neg, out=tmp).sum(axis=1) / n1, np.nan)
+        m2 = np.where(n2 > 0, _row_dots(E, pos) / n2, np.nan)
+        m1 = np.where(n1 > 0, _row_dots(E, neg) / n1, np.nan)
         s22 = np.where(n2 > 0, _partition_square_sum(E, m2, pos, tmp) / n2, np.nan)
         s12 = np.where(n1 > 0, _partition_square_sum(E, m1, neg, tmp) / n1, np.nan)
         pooled = np.where(s22 + s12 > floor, s22 + s12, np.nan)
@@ -160,21 +166,27 @@ def _quartets(E: np.ndarray, work: tuple[np.ndarray, ...] | None = None) -> np.n
         small = np.less(E2, sig2[:, None], out=neg)
         nb = big.sum(axis=1)
         ns = small.sum(axis=1)
-        v2 = np.where(nb > 0, np.multiply(E2, big, out=tmp).sum(axis=1) / nb, np.nan)
-        v1 = np.where(ns > 0, np.multiply(E2, small, out=tmp).sum(axis=1) / ns, np.nan)
+        v2 = np.where(nb > 0, _row_dots(E2, big) / nb, np.nan)
+        v1 = np.where(ns > 0, _row_dots(E2, small) / ns, np.nan)
         v = v2 / np.where(v1 > floor, v1, np.nan)
 
         # products of E2, not E**3 / E**4: libm pow was about 80% of this kernel
-        s = np.abs(np.multiply(E2, E, out=tmp).sum(axis=1) / (T * sig2**1.5))
-        k = np.abs(np.multiply(E2, E2, out=tmp).sum(axis=1) / (T * sig2**2) - 3.0)
+        s = np.abs(_row_dots(E2, E) / (T * sig2**1.5))
+        k = np.abs(_row_dots(E2, E2) / (T * sig2**2) - 3.0)
 
     Q = np.column_stack([m, v, s, k])
     Q[~np.isfinite(Q)] = np.nan
     return Q
 
 
+def _row_dots(A, B) -> np.ndarray:
+    """Row sums of ``A * B`` in one pass, with no product array; a flag
+    matrix ``B`` selects the entries of ``A`` it sums.  einsum's own loop,
+    not BLAS, so a row's sum does not depend on the rows beside it."""
+    return np.einsum("ij,ij->i", A, B)
+
+
 def _partition_square_sum(E, mean, mask, tmp) -> np.ndarray:
-    """Row sums of ``(E - mean)**2`` over the ``mask`` entries, formed in ``tmp``."""
+    """Row sums of ``(E - mean)**2`` over the ``mask`` entries, the squares formed in ``tmp``."""
     np.subtract(E, mean[:, None], out=tmp)
-    np.square(tmp, out=tmp)
-    return np.multiply(tmp, mask, out=tmp).sum(axis=1)
+    return _row_dots(np.square(tmp, out=tmp), mask)

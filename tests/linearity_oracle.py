@@ -1,15 +1,16 @@
 """Per-method reference for the LMC and MMC linearity tests.
 
 This is the path the single linearity pass in ``regimetest.linearity``
-replaced: every method draws its own null ensemble, LMC reduces the filtered
-series with the scalar statistic formulas of ``moments_oracle`` and ranks it
-with the comparison-matrix rank rule below, and MMC filters the grid with
-one matrix product and ranks every grid row before it takes the first
-maximizer, with no early stop.  The grid is built as a list of ``itertools.product``
-tuples and filtered point by point with the ``np.roots`` rule (smallest root
-modulus above one), which the exact step-down rule
-``regimetest.msar.stationary_rows`` replaced; the two agree on every grid the
-tests build.  Tests compare the pass against it.
+replaced: every method draws its own null ensemble, LMC filters the series
+one lag at a time (:func:`ar_filter`, the filter the pass's one einsum
+contraction replaced), reduces it with the scalar statistic formulas of
+``moments_oracle`` and ranks it with the comparison-matrix rank rule below,
+and MMC filters the grid with one matrix product and ranks every grid row
+before it takes the first maximizer, with no early stop.  The grid is built
+as a list of ``itertools.product`` tuples and filtered point by point with
+the ``np.roots`` rule (smallest root modulus above one), which the exact
+step-down rule ``regimetest.msar.stationary_rows`` replaced; the two agree on
+every grid the tests build.  Tests compare the pass against it.
 """
 
 from __future__ import annotations
@@ -44,6 +45,18 @@ def rank_pvalues(xi0, xi_sim, u0: float, us: np.ndarray):
     ranks = 1 + below.sum(axis=1)
     N = len(xi_sim) + 1
     return ranks, (N + 1 - ranks) / N
+
+
+def ar_filter(y: np.ndarray, P) -> np.ndarray:
+    """``y_t - phi_1 y_{t-1} - ... - phi_r y_{t-r}`` for t = r+1 ... T at every
+    row of the ``(n, r)`` coefficients ``P``, subtracting one lag's products
+    at a time."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    r = P.shape[1]
+    Z = np.repeat(y[None, r:], len(P), axis=0)
+    for k in range(1, r + 1):
+        Z -= P[:, k - 1 : k] * y[r - k : len(y) - k]
+    return Z
 
 
 def min_root_modulus(phi: np.ndarray) -> float:
@@ -81,9 +94,7 @@ def _replicate_statistics(Tz: int, N: int, rule: str, seed: int):
 def lmc(y: np.ndarray, r: int, N: int, rule: str, seed: int):
     """(p-value, phi at report, min root modulus, grid points evaluated)."""
     fit = ols_ar_fit(y, r)
-    z = y[r:].copy()
-    for k in range(1, r + 1):
-        z -= fit.phi[k - 1] * y[r - k : len(y) - k]
+    z = ar_filter(y, fit.phi)[0]
     q = compute_quartet(demean(z))
     f0 = combine_matrix(approx_pvalue_matrix(q[None, :], LogisticCoeffTable.default(), len(z)), rule)[0]
     fs, u = _replicate_statistics(len(z), N, rule, seed)

@@ -104,6 +104,20 @@ class TestArFilter:
         for row, phi in zip(Z, P):
             np.testing.assert_array_equal(row, ar_filter(y, phi))
 
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_equals_the_lag_by_lag_subtraction(self, r):
+        # one einsum contraction adds the lags' products in the order the
+        # subtraction does; only the sign of an exact zero may differ
+        rng = np.random.default_rng(r)
+        for n in (1, 2, 9, 40, 600):
+            T = int(rng.integers(r + 2, 260))
+            y = np.round(rng.standard_normal(T), 1)  # exact zeros and repeated values
+            P = rng.uniform(-1.0, 1.0, (n, r))
+            P[rng.random(P.shape) < 0.3] = 0.0
+            P[: n // 2] = np.round(P[: n // 2], 1)
+            assert np.array_equal(ar_filter(y, P), linearity_oracle.ar_filter(y, P))
+            assert np.array_equal(ar_filter(y, P[0]), linearity_oracle.ar_filter(y, P[0])[0])
+
     def test_filtered_series_is_white_at_true_coefficient(self):
         y = _ar1_path(0.6, 20_000, seed=3)
         z = ar_filter(y, [0.6])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -279,6 +281,18 @@ class TestFitLogisticCdf:
     def test_sample_size_floor(self):
         with pytest.raises(ValueError, match="10\\^4"):
             fit_logistic_cdf(np.random.default_rng(0).standard_normal(1000))
+
+    def test_non_increasing_fit_names_the_statistic_and_size(self, monkeypatch):
+        import scipy.optimize
+
+        def decreasing(fun, x0, method):
+            return SimpleNamespace(success=True, x=np.array([0.5, -2.0]), status=1, message="", cost=0.0)
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", decreasing)
+        samples = np.random.default_rng(0).standard_normal(10_000)
+        with pytest.raises(ValueError, match=r"K at T=150: need finite gamma0 and finite positive gamma1, "
+                                             r"got \(0\.5, -2\.0\)"):
+            fit_logistic_cdf(samples, statistic="K", T=150)
 
     def test_stability_under_doubling(self):
         g0, g1 = -1.0, 3.0

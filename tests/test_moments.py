@@ -227,7 +227,32 @@ class TestQuartetMatrix:
                 else:
                     assert q[j] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
-    def test_m_and_v_columns_are_bitwise_the_pow_kernel(self):
+    @staticmethod
+    def _exact_m_v(e):
+        # M and V of the float values in e in exact rational arithmetic (40
+        # significant digits for the square root), NaN where undefined: an
+        # empty partition or a zero dispersion
+        T = len(e)
+        f = [Fraction(x) for x in e]
+        up, down = [x for x in f if x > 0], [x for x in f if x < 0]
+        m = v = float("nan")
+        if up and down:
+            m2, m1 = sum(up) / len(up), sum(down) / len(down)
+            pooled = (sum((x - m2) ** 2 for x in up) / len(up)
+                      + sum((x - m1) ** 2 for x in down) / len(down))
+            if pooled > 0:
+                with localcontext() as ctx:
+                    ctx.prec = 40
+                    root = (Decimal(pooled.numerator) / Decimal(pooled.denominator)).sqrt()
+                    m = float(Decimal((m2 - m1).numerator) / Decimal((m2 - m1).denominator) / root)
+        sig2 = sum(x * x for x in f) / T
+        big = [x * x for x in f if x * x > sig2]
+        small = [x * x for x in f if x * x < sig2]
+        if big and small and sum(small) > 0:
+            v = float(sum(big) / len(big) / (sum(small) / len(small)))
+        return m, v
+
+    def test_m_and_v_columns_within_a_few_ulps_of_exact(self):
         rng = np.random.default_rng(14)
         rows = [rng.standard_normal(33) for _ in range(200)]
         rows += [rng.standard_t(3, 33), rng.exponential(size=33), rng.uniform(-1, 1, 33)]
@@ -243,9 +268,20 @@ class TestQuartetMatrix:
         E = X - X.mean(axis=1, keepdims=True)
         assert (E[-5:-3] == 0.0).sum() == 20 and (E[-5] ** 2 == 1.0).sum() == 6
         Q = quartet_matrix(X)
-        ref = moments_oracle.pow_quartets(E)
-        np.testing.assert_array_equal(np.isnan(Q), np.isnan(ref))
-        np.testing.assert_array_equal(Q[:, :2].view(np.int64), ref[:, :2].view(np.int64))
+        exact = np.array([self._exact_m_v(e) for e in E])
+        # S and K are undefined exactly where the variance is zero
+        undefined = np.column_stack([np.isnan(exact), np.repeat((E == 0).all(axis=1)[:, None], 2, axis=1)])
+        np.testing.assert_array_equal(np.isnan(Q), undefined)
+        # M and V are ratios of sums of like-signed terms, each within about
+        # T eps of its exact value
+        T, eps = E.shape[1], np.finfo(float).eps
+        defined = ~np.isnan(exact)
+        assert (np.abs(Q[:, :2] - exact)[defined] <= 4 * T * eps * exact[defined]).all()
+        # on the dyadic rows, where exact zeros and squares exactly equal to
+        # the variance decide the partitions, the values are the scalar
+        # formulas' bit for bit
+        scalar = [[moments_oracle.stat_m(e), moments_oracle.stat_v(e)] for e in E[-5:-3]]
+        np.testing.assert_array_equal(Q[-5:-3, :2].view(np.int64), np.array(scalar).view(np.int64))
         # the tie row is defined; each degenerate row has an undefined statistic
         assert np.isfinite(Q[-5]).all()
         assert np.isnan(Q[-3:]).any(axis=1).all()
