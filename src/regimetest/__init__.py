@@ -47,12 +47,7 @@ from .linearity import (
     build_grid,
     mmc_test,
 )
-from .chp import (
-    NullScorePanel,
-    CHPReport,
-    null_score_panel,
-    chp_bootstrap_test,
-)
+from .chp import CHPReport, chp_bootstrap_test
 from .harness import (
     SeriesDataset,
     ExperimentConfig,

@@ -22,11 +22,12 @@ the AR(1) null to each in closed form and evaluates every nuisance draw
 together: because h[1] = 0, the quadratic term and the score path are one
 matrix product each, the rho-weighted cross term is one recursion over time,
 and the projection is one rank-aware QR per series.  In the bootstrap test
-the standardized data is row 0 above its B standardized bootstrap samples,
-and the B + 1 rows take one pass at two levels of blocks.  The kernel runs
-over the blocks of :func:`~regimetest.moments.row_blocks` in one reused work
-buffer.  Consecutive kernel blocks form row chunks: a chunk's AR(1) fits,
-scores and score bases are set up in one call before its blocks run, and its
+the standardized data is row 0 above B standardized samples from that same
+closed-form AR(1) fit of it, and the B + 1 rows take one pass at two levels
+of blocks.  The kernel runs over the blocks of
+:func:`~regimetest.moments.row_blocks` in one reused work buffer.
+Consecutive kernel blocks form row chunks: a chunk's AR(1) fits, scores and
+score bases are set up in one call before its blocks run, and its
 criteria (the standardization, the Psi weight, the row max and mean) are
 finished in one call after them.  Each row is computed independently of its
 block and its chunk, so every result depends only on ``(seed, B, draws)``.
@@ -54,16 +55,6 @@ _SERIES_SHARE = 32
 
 
 @dataclass(frozen=True)
-class NullScorePanel:
-    """Per-observation gradients (n, 3) and Hessians (n, 3, 3) of the null
-    log density at the OLS fit, for t = 2 ... T."""
-
-    scores: np.ndarray
-    hessians: np.ndarray
-    theta0_hat: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
 class CHPReport:
     """Benchmark test outcome with bootstrap p-values."""
 
@@ -76,18 +67,14 @@ class CHPReport:
     seed: int
 
 
-def standardize_series(y: np.ndarray) -> np.ndarray:
-    """Center and scale a series by its own mean and standard deviation.
-
-    The statistic pipeline applies this to the data and to every bootstrap
-    sample, which makes the reported statistics exactly invariant to affine
-    transformations of the observations.
-    """
-    return _standardize_rows(np.asarray(y, dtype=float)[None, :])[0]
-
-
 def _standardize_rows(Y: np.ndarray) -> np.ndarray:
-    """``standardize_series`` applied to every row of a (k, T) block."""
+    """Center and scale every row of a (k, T) block by its own mean and
+    standard deviation.
+
+    The test applies this to the data and to every bootstrap sample, which
+    makes the reported statistics exactly invariant to affine transformations
+    of the observations.
+    """
     sd = Y.std(axis=1, keepdims=True)
     if np.any(sd <= 0.0):
         raise ValueError("cannot standardize a constant series")
@@ -122,47 +109,10 @@ def _score_columns(eps: np.ndarray, ylag: np.ndarray, s2: np.ndarray) -> list[np
     return [eps / s2, eps * ylag / s2, -0.5 / s2 + eps**2 / (2.0 * s2**2)]
 
 
-def _hessian_entries(
-    eps: np.ndarray, ylag: np.ndarray, s2: np.ndarray
-) -> dict[tuple[int, int], np.ndarray]:
-    """The upper-triangle entries (i, j) of the per-observation Hessian
-    d2 l_t / d(c, phi, s2)^2."""
-    h00, h02, h22 = _curvature_hessian(eps, s2)
-    return {
-        (0, 0): h00,
-        (0, 1): -ylag / s2,
-        (0, 2): h02,
-        (1, 1): -(ylag**2) / s2,
-        (1, 2): -eps * ylag / s2**2,
-        (2, 2): h22,
-    }
-
-
 def _curvature_hessian(eps: np.ndarray, s2: np.ndarray) -> tuple[np.ndarray, ...]:
     """The Hessian entries (0, 0), (0, 2) and (2, 2), the ones a nuisance
     direction with h[1] = 0 reads."""
     return -1.0 / s2, -eps / s2**2, 0.5 / s2**2 - eps**2 / s2**3
-
-
-def null_score_panel(y: np.ndarray) -> NullScorePanel:
-    """Scores and Hessians of the AR(1) null log density at the OLS fit.
-
-    Only the first-order model is supported; higher lag orders are outside
-    this module's scope.
-    """
-    y = np.asarray(y, dtype=float)
-    c, phi, s2, eps = _ar1_fit(y[None, :])
-    # s2 stays an array, so the derivatives take numpy's powers, as the
-    # bootstrap resamples' blocks do, and match theirs bit for bit
-    s2, eps = s2[0], eps[0]
-    ylag = y[:-1]
-
-    scores = np.column_stack(_score_columns(eps, ylag, s2))
-    hess = np.empty((len(eps), 3, 3))
-    for (i, j), h_ij in _hessian_entries(eps, ylag, s2).items():
-        hess[:, i, j] = hess[:, j, i] = h_ij
-    theta0_hat = (float(c[0, 0]), float(phi[0, 0]), float(s2[0]))
-    return NullScorePanel(scores=scores, hessians=hess, theta0_hat=theta0_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -403,19 +353,23 @@ def chp_bootstrap_test(
 ) -> CHPReport:
     """Benchmark tests with parametric-bootstrap p-values.
 
-    ``B`` artificial samples are generated from the fitted linear AR(1); the
-    same nuisance draws are reused for the data and every bootstrap sample.
-    The data is row 0 of one blocked kernel pass over the B + 1 standardized
-    series.  Bootstrap p-values use the (1 + #{boot >= data}) / (B + 1) convention.
-    A non-finite value is a ``ValueError``.
+    ``B`` artificial samples are generated from the linear AR(1) that
+    :func:`_ar1_fit` fits to the standardized data, the fit the kernel makes
+    of row 0; the same nuisance draws are reused for the data and every
+    bootstrap sample.  The data is row 0 of one blocked kernel pass over the
+    B + 1 standardized series.  Bootstrap p-values use the
+    (1 + #{boot >= data}) / (B + 1) convention.  A non-finite value is a
+    ``ValueError``.
     """
     y = finite_series(y)
     if B < 2:
         raise ValueError("B must be at least 2")
     H, rhos = sample_nuisance_draws(draws, substream(master_seed, DOMAIN_NUISANCE))
 
-    ys = standardize_series(y)
-    paths = _bootstrap_paths(null_score_panel(ys).theta0_hat, len(ys), B, master_seed, ys[0])
+    ys = _standardize_rows(y[None])
+    c, phi, s2, _ = _ar1_fit(ys)
+    theta = (float(c[0, 0]), float(phi[0, 0]), float(s2[0, 0]))
+    paths = _bootstrap_paths(theta, ys.shape[1], B, master_seed, ys[0, 0])
     Y = np.vstack([ys, _standardize_rows(np.ascontiguousarray(paths.T))])
     sup, exp = _row_statistics(Y, H, rhos)
     n_sup = int(np.count_nonzero(sup[1:] >= sup[0]))

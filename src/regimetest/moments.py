@@ -170,8 +170,10 @@ def _quartets(E: np.ndarray, work: tuple[np.ndarray, ...] | None = None) -> np.n
         v1 = np.where(ns > 0, _row_dots(E2, small) / ns, np.nan)
         v = v2 / np.where(v1 > floor, v1, np.nan)
 
-        # products of E2, not E**3 / E**4: libm pow was about 80% of this kernel
-        s = np.abs(_row_dots(E2, E) / (T * sig2**1.5))
+        # products of E2, not E**3 / E**4: libm pow was about 80% of this kernel;
+        # sig2 * sqrt(sig2), not sig2**1.5: numpy picks its pow loop per CPU,
+        # while products and square roots round correctly on every CPU
+        s = np.abs(_row_dots(E2, E) / (T * sig2 * np.sqrt(sig2)))
         k = np.abs(_row_dots(E2, E2) / (T * sig2**2) - 3.0)
 
     Q = np.column_stack([m, v, s, k])

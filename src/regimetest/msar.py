@@ -52,14 +52,6 @@ class TransitionMatrix:
     def p21(self) -> float:
         return 1.0 - self.p22
 
-    @property
-    def is_ergodic(self) -> bool:
-        """True iff p11 < 1, p22 < 1 and p11 + p22 > 0."""
-        return self.p11 < 1.0 and self.p22 < 1.0 and self.p11 + self.p22 > 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.p11, self.p12], [self.p21, self.p22]])
-
 
 @dataclass(frozen=True)
 class RegimeParams:

@@ -11,13 +11,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import chp_oracle
 from conftest import TEST_WORKERS
 from regimetest._seeding import derive_seed, substream
 from regimetest.chp import (
+    _ar1_fit,
+    _curvature_hessian,
     _draw_matrices,
     _mu2_block,
     _series_block,
-    null_score_panel,
     sample_nuisance_draws,
 )
 from regimetest.harness import (
@@ -222,8 +224,13 @@ def test_criterion_09_chp_correctness_identities():
     for k in range(5):
         rng = substream(909, k)
         y = np.cumsum(rng.standard_normal(50)) * 0.2 + rng.standard_normal(50)
-        panel = null_score_panel(y)
-        theta = np.array(panel.theta0_hat)
+        # the kernel's own scores and the curvature entries a draw with h[1] = 0
+        # reads, (0, 0), (0, 2) and (2, 2)
+        scores, curv, _ = _series_block(y[None])
+        c, phi, s2, eps = _ar1_fit(y[None])
+        theta = np.array([c[0, 0], phi[0, 0], s2[0, 0]])
+        h00, h02, h22 = (np.broadcast_to(h, eps.shape)[0] for h in _curvature_hessian(eps, s2))
+        hessian_columns = {0: (h00, h02), 2: (h02, h22)}
 
         def loglik_terms(th):
             c, phi, s2 = th
@@ -243,23 +250,24 @@ def test_criterion_09_chp_correctness_identities():
             up[j] += h
             down[j] -= h
             fd_score = (loglik_terms(up) - loglik_terms(down)) / (2 * h)
-            rel = np.abs(fd_score - panel.scores[:, j]) / np.maximum(np.abs(panel.scores[:, j]), 1e-3)
+            score = scores[:, 0, j]
+            rel = np.abs(fd_score - score) / np.maximum(np.abs(score), 1e-3)
             worst_score = max(worst_score, float(rel.max()))
-            fd_hess = (scores_at(up) - scores_at(down)) / (2 * h)
-            rel = np.abs(fd_hess - panel.hessians[:, :, j]) / np.maximum(
-                np.abs(panel.hessians[:, :, j]), 1.0
-            )
-            worst_hess = max(worst_hess, float(rel.max()))
+            if j in hessian_columns:
+                fd_hess = (scores_at(up) - scores_at(down)) / (2 * h)
+                for i, want in zip((0, 2), hessian_columns[j]):
+                    rel = np.abs(fd_hess[:, i] - want) / np.maximum(np.abs(want), 1.0)
+                    worst_hess = max(worst_hess, float(rel.max()))
 
         # mu2 paths of y as given, one draw per kernel call
-        scores, curv, _ = _series_block(y[None])
         G, C = _draw_matrices(np.array([[1.0, 0.0, 0.0]]))
         gamma = _mu2_block(scores, curv, G, C, np.array([0.0]))[:, 0, 0].sum() / np.sqrt(len(y))
         worst_gamma = max(worst_gamma, abs(gamma))
 
         H, rhos = sample_nuisance_draws(4, substream(910, k))
-        g_all = panel.scores @ H.T
-        quad = np.einsum("tij,di,dj->td", panel.hessians, H, H)
+        ref_scores, ref_hessians, _ = chp_oracle.score_panel(y)
+        g_all = ref_scores @ H.T
+        quad = np.einsum("tij,di,dj->td", ref_hessians, H, H)
         for d in range(4):
             mu2 = _mu2_block(scores, curv, *_draw_matrices(H[d : d + 1]), rhos[d : d + 1])[:, 0, 0]
             n = len(mu2)

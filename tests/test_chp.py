@@ -18,8 +18,10 @@ from regimetest._seeding import (
 )
 from regimetest.chp import (
     RHO_BOUND,
+    _ar1_fit,
     _bootstrap_paths,
     _criteria_kernel,
+    _curvature_hessian,
     _draw_matrices,
     _mu2_block,
     _psi_weight,
@@ -29,9 +31,7 @@ from regimetest.chp import (
     _series_block,
     _standardize_rows,
     chp_bootstrap_test,
-    null_score_panel,
     sample_nuisance_draws,
-    standardize_series,
 )
 from regimetest.harness import default_study_grid
 from regimetest.moments import row_blocks
@@ -56,56 +56,68 @@ def _loglik_terms(y: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return -0.5 * np.log(2 * np.pi * s2) - eps**2 / (2 * s2)
 
 
+def _scores_at(y: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    c, phi, s2 = theta
+    eps = y[1:] - c - phi * y[:-1]
+    return np.column_stack([eps / s2, eps * y[:-1] / s2, -0.5 / s2 + eps**2 / (2 * s2**2)])
+
+
+def _theta_hat(y: np.ndarray) -> np.ndarray:
+    """(c, phi, s2) of the kernel's AR(1) fit to one series."""
+    c, phi, s2, _ = _ar1_fit(y[None])
+    return np.array([c[0, 0], phi[0, 0], s2[0, 0]])
+
+
+def _null_fit(y: np.ndarray) -> tuple[np.ndarray, tuple[float, float, float]]:
+    """The standardized series and the AR(1) fit to it that
+    ``chp_bootstrap_test`` draws its bootstrap paths from."""
+    ys = _standardize_rows(np.asarray(y, dtype=float)[None])
+    return ys[0], tuple(float(v) for v in _theta_hat(ys[0]))
+
+
 class TestNullScorePanel:
+    """The scores and curvature the kernel's ``_series_block`` computes for
+    one series, against finite differences at the AR(1) fit."""
+
     def test_scores_match_finite_differences(self):
         y = _ar1_path(0.4, 80, seed=1)
-        panel = null_score_panel(y)
-        theta = np.array(panel.theta0_hat)
+        scores = _series_block(y[None])[0][:, 0]
+        theta = _theta_hat(y)
         for j in range(3):
             h = 1e-6 * max(1.0, abs(theta[j]))
             up, down = theta.copy(), theta.copy()
             up[j] += h
             down[j] -= h
             numeric = (_loglik_terms(y, up) - _loglik_terms(y, down)) / (2 * h)
-            rel = np.abs(numeric - panel.scores[:, j]) / np.maximum(np.abs(panel.scores[:, j]), 1e-3)
+            rel = np.abs(numeric - scores[:, j]) / np.maximum(np.abs(scores[:, j]), 1e-3)
             assert rel.max() < 1e-6
 
     def test_hessians_match_score_differences(self):
+        # the entries (0, 0), (0, 2) and (2, 2), the ones a draw with h[1] = 0 reads
         y = _ar1_path(0.3, 60, seed=2)
-        panel = null_score_panel(y)
-        theta = np.array(panel.theta0_hat)
-
-        def scores_at(th):
-            c, phi, s2 = th
-            eps = y[1:] - c - phi * y[:-1]
-            return np.column_stack(
-                [eps / s2, eps * y[:-1] / s2, -0.5 / s2 + eps**2 / (2 * s2**2)]
-            )
-
-        for j in range(3):
+        theta = _theta_hat(y)
+        _, _, s2, eps = _ar1_fit(y[None])
+        h00, h02, h22 = (np.broadcast_to(h, eps.shape)[0] for h in _curvature_hessian(eps, s2))
+        for j, column in ((0, (h00, h02)), (2, (h02, h22))):
             h = 1e-6 * max(1.0, abs(theta[j]))
             up, down = theta.copy(), theta.copy()
             up[j] += h
             down[j] -= h
-            numeric = (scores_at(up) - scores_at(down)) / (2 * h)
-            scale = np.maximum(np.abs(panel.hessians[:, :, j]), 1.0)
-            rel = np.abs(numeric - panel.hessians[:, :, j]) / scale
-            assert rel.max() < 1e-5
+            numeric = (_scores_at(y, up) - _scores_at(y, down)) / (2 * h)
+            for i, want in zip((0, 2), column):
+                rel = np.abs(numeric[:, i] - want) / np.maximum(np.abs(want), 1.0)
+                assert rel.max() < 1e-5
 
     def test_score_sums_vanish_at_fit(self):
         y = _ar1_path(0.5, 120, seed=3)
-        panel = null_score_panel(y)
-        total = panel.scores.sum(axis=0)
-        scale = np.abs(panel.scores).sum(axis=0)
+        scores = _series_block(y[None])[0][:, 0]
+        total = scores.sum(axis=0)
+        scale = np.abs(scores).sum(axis=0)
         assert np.all(np.abs(total) <= 1e-8 * scale)
-
-    def test_hessians_symmetric(self):
-        panel = null_score_panel(_ar1_path(0.2, 40, seed=4))
-        np.testing.assert_array_equal(panel.hessians, panel.hessians.transpose(0, 2, 1))
 
     def test_minimum_length(self):
         with pytest.raises(ValueError):
-            null_score_panel(np.arange(5.0))
+            _series_block(np.arange(5.0)[None])
 
 
 class TestGammaStar:
@@ -123,23 +135,23 @@ class TestGammaStar:
 
     def test_zero_rho_has_no_cross_term(self):
         y = _ar1_path(0.1, 50, seed=6)
-        panel = null_score_panel(y)
+        ref_scores, ref_hessians, _ = chp_oracle.score_panel(y)
         h = np.array([0.6, 0.0, 0.8])
         scores, curv, _ = _series_block(y[None])
         mu2 = _mu2_block(scores, curv, *_draw_matrices(h[None]), np.array([0.0]))[:, 0, 0]
-        g = panel.scores @ h
-        quad = np.einsum("tij,i,j->t", panel.hessians, h, h)
+        g = ref_scores @ h
+        quad = np.einsum("tij,i,j->t", ref_hessians, h, h)
         np.testing.assert_allclose(mu2, 0.5 * (quad + g**2), rtol=1e-12)
 
     def test_accumulator_equals_double_sum(self):
         y = _ar1_path(0.3, 50, seed=7)
-        panel = null_score_panel(y)
+        ref_scores, ref_hessians, _ = chp_oracle.score_panel(y)
         h = np.array([np.cos(0.7), 0.0, np.sin(0.7)])
         rho = 0.55
         scores, curv, _ = _series_block(y[None])
         mu2 = _mu2_block(scores, curv, *_draw_matrices(h[None]), np.array([rho]))[:, 0, 0]
-        g = panel.scores @ h
-        quad = np.einsum("tij,i,j->t", panel.hessians, h, h)
+        g = ref_scores @ h
+        quad = np.einsum("tij,i,j->t", ref_hessians, h, h)
         n = len(g)
         brute = np.empty(n)
         for t in range(n):
@@ -169,21 +181,20 @@ class TestProjectionResiduals:
 
     def test_score_combination_projects_to_zero(self):
         y = _ar1_path(0.2, 60, seed=9)
-        panel = null_score_panel(y)
-        path = panel.scores @ np.array([1.5, -0.3, 2.0])
-        Q = _series_block(y[None])[2][0]
+        scores, _, Q = _series_block(y[None])
+        path = scores[:, 0] @ np.array([1.5, -0.3, 2.0])
+        Q = Q[0]
         resid = path - Q @ (Q.T @ path)
         assert np.abs(resid).max() < 1e-8 * np.abs(path).max()
 
     def test_orthogonality_to_scores(self):
         y = _ar1_path(0.6, 90, seed=10)
-        panel = null_score_panel(y)
         scores, curv, Q = _series_block(y[None])
         G, C = _draw_matrices(np.array([[0.0, 0.0, 1.0]]))
         mu2 = _mu2_block(scores, curv, G, C, np.array([0.3]))[:, 0, 0]
         resid = mu2 - Q[0] @ (Q[0].T @ mu2)
-        inner = panel.scores.T @ resid
-        scale = np.abs(panel.scores).sum(axis=0) * np.abs(resid).max()
+        inner = scores[:, 0].T @ resid
+        scale = np.abs(scores[:, 0]).sum(axis=0) * np.abs(resid).max()
         assert np.all(np.abs(inner) <= 1e-8 * np.maximum(scale, 1.0))
 
 
@@ -218,9 +229,9 @@ class TestCriteria:
         # the pipeline standardizes the series before fitting the null, so
         # affine maps of the observations cannot move the statistics
         y = _ar1_path(0.5, 150, seed=13)
-        a, b = standardize_series(y), standardize_series(3.0 * y - 7.0)
-        sup_a, exp_a = _row_statistics(a[None], *sample_nuisance_draws(64, substream(5, 5)))
-        sup_b, exp_b = _row_statistics(b[None], *sample_nuisance_draws(64, substream(5, 5)))
+        a, b = _standardize_rows(y[None]), _standardize_rows(3.0 * y[None] - 7.0)
+        sup_a, exp_a = _row_statistics(a, *sample_nuisance_draws(64, substream(5, 5)))
+        sup_b, exp_b = _row_statistics(b, *sample_nuisance_draws(64, substream(5, 5)))
         np.testing.assert_allclose(sup_a, sup_b, rtol=1e-8)
         np.testing.assert_allclose(exp_a, exp_b, rtol=1e-8)
 
@@ -301,34 +312,27 @@ class TestBatchedBootstrap:
             assert (rep.bootstrap_p_sup, rep.bootstrap_p_exp) == p_values
             # every bootstrap statistic agrees, not only the counts behind the
             # p-values; small ones to 1e-12 of the largest
-            ys = standardize_series(y)
+            ys, theta = _null_fit(y)
             H, rhos = sample_nuisance_draws(cfg.chp_draws, substream(rep_seed, DOMAIN_NUISANCE))
-            paths = _bootstrap_paths(
-                null_score_panel(ys).theta0_hat, len(ys), ORACLE_B, rep_seed, ys[0]
-            )
+            paths = _bootstrap_paths(theta, len(ys), ORACLE_B, rep_seed, ys[0])
             got_sup, got_exp = _row_statistics(
                 _standardize_rows(np.ascontiguousarray(paths.T)), H, rhos
             )
             for got, want in ((got_sup, sup_b), (got_exp, exp_b)):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max())
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_data_panel_bit_identical_to_series_block(self, seed):
-        # the score panel and the kernel's block take the same arithmetic, numpy's
-        # powers of s2 included, so the finite-difference checks of the panel's
-        # scores and Hessians cover the numbers the kernel runs on
-        for cell in range(len(default_study_grid("desk"))):
-            ys = standardize_series(_desk_case(cell, seed)[1])
-            panel = null_score_panel(ys)
-            scores, curv, _ = _series_block(ys[None])
-            np.testing.assert_array_equal(panel.scores, scores[:, 0])
-            s0, sv, hs = panel.scores[:, 0], panel.scores[:, 2], panel.hessians
-            np.testing.assert_array_equal(
-                np.column_stack(
-                    [hs[:, 0, 0] + s0 * s0, hs[:, 0, 2] + s0 * sv, hs[:, 2, 2] + sv * sv]
-                ),
-                curv[:, 0],
-            )
+    def test_explosive_series_takes_the_unit_root_fallback(self):
+        # the standardized fit has phi about 1.078, so the bootstrap paths start
+        # from the data's first value rather than a stationary draw
+        y = 1.08 ** np.arange(60) + substream(3, 9).standard_normal(60)
+        _, theta = _null_fit(y)
+        assert theta[1] >= 1.0 - 1e-8
+        draws, seed = 40, 11
+        rep = chp_bootstrap_test(y, B=ORACLE_B, draws=draws, master_seed=seed)
+        (sup0, exp0), p_values, _ = chp_oracle.bootstrap_test(y, ORACLE_B, draws, seed)
+        assert (rep.bootstrap_p_sup, rep.bootstrap_p_exp) == p_values
+        assert rep.supTS == pytest.approx(sup0, rel=1e-12, abs=0.0)
+        assert rep.expTS == pytest.approx(exp0, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("phi", [0.4, 1.0])
     def test_paths_bit_identical_to_scalar_simulation(self, phi):
@@ -344,10 +348,9 @@ class TestBatchedBootstrap:
     def test_criteria_bit_identical_across_chunk_sizes(self, cell):
         cfg, y, seed = _desk_case(cell, 3)
         B, T = 13, cfg.T  # a prime: chunks of 3 end short, as does the production pass over B + 1 rows
-        ys = standardize_series(y)
-        panel = null_score_panel(ys)
+        ys, theta = _null_fit(y)
         H, rhos = sample_nuisance_draws(cfg.chp_draws, substream(seed, DOMAIN_NUISANCE))
-        paths = _bootstrap_paths(panel.theta0_hat, T, B, seed, ys[0])
+        paths = _bootstrap_paths(theta, T, B, seed, ys[0])
         Y = _standardize_rows(np.ascontiguousarray(paths.T))
 
         def in_chunks(chunk):
@@ -389,9 +392,9 @@ class TestTwoLevelPass:
         assert {block.stop - block.start for block in blocks[:-1]} == {rows_per_block}
         assert len(chunks[0]) > 1
         assert chunks[-1][-1].stop - chunks[-1][0].start < chunks[0][-1].stop  # ends short
-        ys = standardize_series(y)
+        ys, theta = _null_fit(y)
         H, rhos = sample_nuisance_draws(d, substream(seed, DOMAIN_NUISANCE))
-        paths = _bootstrap_paths(null_score_panel(ys).theta0_hat, T, B, seed, ys[0])
+        paths = _bootstrap_paths(theta, T, B, seed, ys[0])
         Y = np.vstack([ys, _standardize_rows(np.ascontiguousarray(paths.T))])
         sup, exp = _row_statistics(Y, H, rhos)
         for i in range(B + 1):
@@ -426,7 +429,7 @@ class TestRankDeficientPanel:
 
     @staticmethod
     def _bases(caplog):
-        y = standardize_series(_ar1_path(0.3, 80, seed=20))
+        y = _standardize_rows(_ar1_path(0.3, 80, seed=20)[None])[0]
         scores, curv, basis = _series_block(y[None])
         X = scores.transpose(1, 0, 2)
         with caplog.at_level(logging.WARNING, logger="regimetest.chp"):

@@ -14,7 +14,6 @@ import numpy as np
 
 import regimetest
 from regimetest import harness
-from regimetest.chp import null_score_panel
 from regimetest.linearity import NuisanceBox, build_grid, ols_ar_fit
 from regimetest.mctest import rank_pvalues, simulate_null_quartets
 from regimetest.moments import quartet_matrix
@@ -27,14 +26,14 @@ def test_root_exports_exactly_the_documented_names():
     assert sorted(regimetest.__all__) == [
         "ARFit", "CHPReport", "DegenerateSampleError", "ExperimentConfig",
         "LinearityReport", "LogisticCoeffTable", "LogisticCoeffs", "MCTestReport",
-        "MSARSpec", "MixtureMoments", "NuisanceBox", "NullScorePanel", "RegimeParams",
+        "MSARSpec", "MixtureMoments", "NuisanceBox", "RegimeParams",
         "SeriesDataset", "StatQuartet", "TransitionMatrix",
         "ar_filter", "build_grid", "chp_bootstrap_test", "combine_min",
         "combine_prod", "compute_quartet", "critical_rank", "default_study_grid",
         "demean", "ergodic_probabilities", "fit_logistic_cdf",
         "ingest_series", "linearity_tests", "lmc_test", "logistic_cdf",
         "mc_mixture_test", "mc_pvalue", "min_root_modulus",
-        "mixture_moments", "mmc_test", "null_score_panel",
+        "mixture_moments", "mmc_test",
         "ols_ar_fit", "quartet_matrix", "regenerate_coeff_table",
         "run_size_power_study", "simulate_chain", "simulate_msar", "stationary_rows",
     ]
@@ -61,10 +60,6 @@ def test_names_the_benchmark_reads():
 
     Q, resampled = simulate_null_quartets(20, 5, 0)
     assert Q.shape == (4, 4) and isinstance(resampled, int)
-
-    assert list(inspect.signature(null_score_panel).parameters) == ["y"]
-    theta0_hat = null_score_panel(y).theta0_hat
-    assert len(theta0_hat) == 3 and all(isinstance(v, float) for v in theta0_hat)
 
     assert harness.STUDY_METHODS[-2:] == ("supTS", "expTS")
     assert "methods" in inspect.signature(harness.default_study_grid).parameters
