@@ -217,13 +217,14 @@ def _projection_sums(
     mu2 = _mu2_block(scores, curv, G, C, R, work)
     Gam = mu2.sum(axis=0) / np.sqrt(T)
     paths = mu2.transpose(1, 0, 2)
-    # residuals of the projections on the scores, squared in place in the
-    # scratch row that held g
+    # residuals of the projections on the scores, in the scratch row that
+    # held g; einsum sums the squares over time in order, as .sum(axis=1)
+    # would, without a squared copy
     resid = work[0, : mu2.size].reshape(paths.shape)
     np.matmul(Q, Q.transpose(0, 2, 1) @ paths, out=resid)
     np.subtract(paths, resid, out=resid)
-    ss = np.square(resid, out=resid).sum(axis=1)
-    total = np.square(paths, out=resid).sum(axis=1)
+    ss = np.einsum("knd,knd->kd", resid, resid)
+    total = np.einsum("knd,knd->kd", paths, paths)
     return Gam, ss, total
 
 
