@@ -256,19 +256,6 @@ def _criteria_kernel(
     return _criteria(*sums)
 
 
-def _psi_weight(g: np.ndarray) -> np.ndarray:
-    """sqrt(2 pi) exp((g-1)^2 / 2) Phi(g - 1), evaluated without the 0 * inf
-    breakdown of the naive product in the deep left tail.
-
-    With x = g - 1, the product equals sqrt(pi/2) erfcx(-x / sqrt(2)).
-    """
-    # imported here: scipy.special costs a quarter second of import time
-    from scipy.special import erfcx
-
-    x = np.asarray(g, dtype=float) - 1.0
-    return np.sqrt(np.pi / 2.0) * erfcx(-x / np.sqrt(2.0))
-
-
 def sample_nuisance_draws(count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample (h, rho) pairs: h uniform on the unit circle in the (mean,
     variance) coordinates, rho uniform on [-0.7, 0.7]."""
@@ -278,6 +265,119 @@ def sample_nuisance_draws(count: int, rng: np.random.Generator) -> tuple[np.ndar
     H = np.column_stack([np.cos(angles), np.zeros(count), np.sin(angles)])
     rhos = rng.uniform(-RHO_BOUND, RHO_BOUND, size=count)
     return H, rhos
+
+
+# ---------------------------------------------------------------------------
+# The Psi weight, from + - * /, rint and ldexp alone: numpy's exp and log pick
+# their loops per CPU, these ufuncs round the same everywhere.
+
+#: Cody's (1969, Math. Comp. 23) rational approximations as in his CALERF,
+#: (numerator, denominator) coefficients from the highest degree down: erf(u)
+#: / u in u^2 for |u| <= 0.46875, erfcx(u) in u on (0.46875, 4], and
+#: (1/sqrt(pi) - u erfcx(u)) u^2 in z = 1/u^2 above 4
+_ERF_SMALL = (
+    (1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
+     3.77485237685302021e02, 3.20937758913846947e03),
+    (1.0, 2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+     2.84423683343917062e03),
+)
+_ERFCX_MID = (
+    (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
+     6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
+     1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03),
+    (1.0, 1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+     1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+     3.43936767414372164e03, 1.23033935480374942e03),
+)
+_ERFCX_LARGE = (
+    (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+     1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4),
+    (1.0, 2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+     6.05183413124413191e-2, 2.33520497626869185e-3),
+)
+_ERF_THRESH = 0.46875
+_INV_SQRT_PI = 5.6418958354775628695e-1
+
+#: fdlibm's Cody-Waite split of ln 2 (the high part has 32 significant bits,
+#: so n * _LN2_HI is exact) and its Remez coefficients for exp on
+#: |r| <= ln(2) / 2, from the highest degree down
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_LOG2_E = 1.44269504088896338700e00
+_EXP_REMEZ = (4.13813679705723846039e-08, -1.65339022054652515390e-06,
+              6.61375632143793436117e-05, -2.77777777770155933842e-03,
+              1.66666666666666019037e-01)
+
+
+def _horner(x: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
+    """The polynomial with ``coeffs`` (highest degree first) at x."""
+    acc = coeffs[0] * x
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= x
+    return acc + coeffs[-1]
+
+
+def _exp(hi: np.ndarray, lo: np.ndarray | float = 0.0) -> np.ndarray:
+    """exp(hi + lo) for |lo| at most an ulp of hi, within an ulp: fdlibm's
+    exp, the reduction hi + lo = n ln 2 + r carried in two parts."""
+    n = np.rint(hi * _LOG2_E)
+    r_hi = hi - n * _LN2_HI
+    r_lo = n * _LN2_LO - lo
+    r = r_hi - r_lo
+    c = r - r * r * _horner(r * r, _EXP_REMEZ)
+    return np.ldexp(1.0 - ((r_lo - r * c / (2.0 - c)) - r_hi), n.astype(np.int32))
+
+
+def _exact_square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x^2 as hi + lo exactly (Dekker's product by Veltkamp's split), for
+    |x| < 2^500."""
+    split = 134217729.0 * x  # 2^27 + 1
+    x_hi = split - (split - x)
+    x_lo = x - x_hi
+    hi = x * x
+    return hi, ((x_hi * x_hi - hi) + 2.0 * x_hi * x_lo) + x_lo * x_lo
+
+
+def _erfcx(u: np.ndarray) -> np.ndarray:
+    """The scaled complementary error function exp(u^2) erfc(u) for u >=
+    -0.46875 (or NaN), by Cody's approximations."""
+    y = np.abs(u)
+    out = np.empty_like(y)
+    small, mid = y <= _ERF_THRESH, (y > _ERF_THRESH) & (y <= 4.0)
+    large = ~(small | mid)
+    s = u[small]
+    s2 = s * s
+    out[small] = _exp(s2) * (1.0 - s * np.divide(*(_horner(s2, c) for c in _ERF_SMALL)))
+    ym = y[mid]
+    out[mid] = np.divide(*(_horner(ym, c) for c in _ERFCX_MID))
+    yl = y[large]
+    z = 1.0 / yl / yl  # not 1 / (yl * yl), which overflows from yl = 1e154 on
+    out[large] = (_INV_SQRT_PI - z * np.divide(*(_horner(z, c) for c in _ERFCX_LARGE))) / yl
+    return out
+
+
+def _psi_weight(g: np.ndarray) -> np.ndarray:
+    """sqrt(2 pi) exp((g-1)^2 / 2) Phi(g - 1), evaluated without the 0 * inf
+    breakdown of the naive product in the deep left tail.
+
+    With x = g - 1 and u = -x / sqrt(2), the product equals sqrt(pi/2)
+    erfcx(u), which :func:`_erfcx` gives for u >= -0.46875.  Below, Phi(x) =
+    1 - Phi(-x) gives sqrt(2 pi) exp(x^2 / 2) - sqrt(pi/2) erfcx(-u), that is
+    sqrt(pi/2) (2 exp(u^2) - erfcx(-u)), with x^2 / 2 formed exactly from x;
+    the weight overflows to inf from about g = 38.7.  Against 50-digit values
+    at the same double g it is within 6 ulps wherever it is finite.
+    """
+    x = np.asarray(g, dtype=float) - 1.0
+    u = -x / np.sqrt(2.0)
+    right = u < -_ERF_THRESH
+    psi = _erfcx(np.where(right, -u, u))
+    psi *= np.sqrt(np.pi / 2.0)
+    # past x = 40 the weight is inf anyway; the cap keeps n of _exp an integer
+    hi, lo = _exact_square(np.minimum(x[right], 40.0))
+    with np.errstate(over="ignore"):
+        psi[right] = np.sqrt(2.0 * np.pi) * _exp(0.5 * hi, 0.5 * lo) - psi[right]
+    return psi
 
 
 # ---------------------------------------------------------------------------

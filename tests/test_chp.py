@@ -8,6 +8,7 @@ import pytest
 
 import chp_oracle
 import regimetest.moments as moments
+from probe import dispatched_cpu_features, run_probe
 from regimetest._seeding import (
     DOMAIN_BOOTSTRAP,
     DOMAIN_CELL,
@@ -245,6 +246,78 @@ class TestCriteria:
         assert a.bootstrap_p_exp == b.bootstrap_p_exp
 
 
+class TestPsiWeight:
+    """The weight against scipy's erfcx and against 50-digit values, on grids
+    over [-1e6, 40] that hold 0, 1, 38 and the last g below overflow."""
+
+    @staticmethod
+    def _scipy_weight(g: np.ndarray) -> np.ndarray:
+        from scipy.special import erfcx
+
+        with np.errstate(over="ignore"):
+            return np.sqrt(np.pi / 2.0) * erfcx(-(g - 1.0) / np.sqrt(2.0))
+
+    @classmethod
+    def _grid(cls, n: int) -> tuple[np.ndarray, float]:
+        """A grid of about 2.2 n points and the largest double at which
+        scipy's weight is finite, found by bisection."""
+        last, first_inf = 38.0, 40.0
+        while np.nextafter(last, first_inf) < first_inf:
+            mid = 0.5 * (last + first_inf)
+            if np.isfinite(cls._scipy_weight(np.array([mid]))[0]):
+                last = mid
+            else:
+                first_inf = mid
+        g = np.r_[np.linspace(-1e6, 40.0, n), np.linspace(-40.0, 40.0, n),
+                  -np.geomspace(1e-9, 1e6, n // 10), np.geomspace(1e-9, 40.0, n // 10),
+                  0.0, 1.0, 38.0, np.nextafter(last, -np.inf), last, first_inf]
+        return np.unique(g), last
+
+    @staticmethod
+    def _switch_to_inf_agrees(a: np.ndarray, b: np.ndarray, g: np.ndarray, last: float) -> bool:
+        """a and b are finite at the same points, but for the last ulp of g
+        below overflow and the one above it."""
+        return set(g[np.isfinite(a) != np.isfinite(b)]) <= {last, np.nextafter(last, np.inf)}
+
+    def test_agrees_with_scipy_erfcx(self):
+        g, last = self._grid(200_001)
+        new, old = _psi_weight(g), self._scipy_weight(g)
+        assert not np.isnan(new).any()
+        assert self._switch_to_inf_agrees(new, old, g, last)
+        both = np.isfinite(new) & np.isfinite(old)
+        # right of g = 1 scipy rounds u = -(g - 1) / sqrt(2) and u * u before
+        # its exp(u^2), errors that u^2 = (g - 1)^2 / 2 multiplies; the weight
+        # forms (g - 1)^2 / 2 exactly
+        u2 = np.maximum(g[both] - 1.0, 0.0) ** 2 / 2.0
+        ulps = np.abs(new[both] - old[both]) / np.spacing(old[both])
+        assert np.all(ulps <= 10.0 + 4.0 * u2)
+
+    def test_no_less_accurate_than_scipy(self):
+        mpmath = pytest.importorskip("mpmath")
+        g, last = self._grid(2001)
+        with mpmath.workdps(50):
+            exact = np.array([
+                float(mpmath.sqrt(2 * mpmath.pi) * mpmath.exp(x * x / 2) * mpmath.ncdf(x))
+                for x in (mpmath.mpf(v) - 1 for v in g)
+            ])
+        new, old = _psi_weight(g), self._scipy_weight(g)
+        assert self._switch_to_inf_agrees(new, exact, g, last)
+        finite = np.isfinite(new) & np.isfinite(exact) & np.isfinite(old)
+        err_new, err_old = (np.abs(w[finite] - exact[finite]) for w in (new, old))
+        assert np.all(err_new <= 6 * np.spacing(exact[finite]))  # the docstring's bound
+        assert (err_new / exact[finite]).max() <= (err_old / exact[finite]).max()
+
+    def test_bytes_do_not_depend_on_the_cpu(self):
+        # built from ufuncs that round the same under every SIMD dispatch
+        features = dispatched_cpu_features()
+        if not features:
+            pytest.skip("numpy dispatches no CPU feature here")
+        code = ("import hashlib, numpy as np; from regimetest.chp import _psi_weight; "
+                "g = np.r_[np.linspace(-1e6, 40.0, 100_001), np.linspace(-40.0, 40.0, 100_001)]; "
+                "print(hashlib.sha256(_psi_weight(g).tobytes()).hexdigest())")
+        assert run_probe(code) == run_probe(code, NPY_DISABLE_CPU_FEATURES=" ".join(features))
+
+
 class TestPublicStatistics:
     """supTS and expTS of one series as given: a one-row pass of the kernel."""
 
@@ -412,7 +485,8 @@ class TestTwoLevelPass:
         peak, held = {}, {}
         for B in (200, 1000):
             Y = _standardize_rows(rng.standard_normal((B + 1, cfg.T)))
-            _row_statistics(Y[:2], H, rhos)  # the first call imports scipy.special
+            # an untraced first call, so that no one-time set-up inflates peak[200]
+            _row_statistics(Y[:2], H, rhos)
             tracemalloc.start()
             try:
                 sup, exp = _row_statistics(Y, H, rhos)

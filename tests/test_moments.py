@@ -1,11 +1,7 @@
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.stats import ks_2samp
 
 import moments_oracle
-import regimetest
+from probe import dispatched_cpu_features, run_probe
 from regimetest.moments import (
     BLOCK_ELEMENTS,
     DegenerateSampleError,
@@ -353,28 +349,18 @@ class TestQuartetMatrix:
     def test_columns_do_not_depend_on_the_cpu(self):
         # numpy picks some ufunc loops per CPU at run time; with every such
         # feature of this CPU switched off, each column keeps its bytes
-        try:
-            from numpy._core import _multiarray_umath as umath
-        except ImportError:  # numpy < 2
-            from numpy.core import _multiarray_umath as umath
-        features = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+        features = dispatched_cpu_features()
         if not features:
             pytest.skip("numpy dispatches no CPU feature here")
-        src = str(Path(regimetest.__file__).resolve().parents[1])
-        probe = ("import hashlib, numpy as np; from regimetest.moments import quartet_matrix; "
-                 "Q = quartet_matrix(np.random.default_rng(5).standard_normal((557, 235))); "
-                 "print(*(hashlib.sha256(np.ascontiguousarray(c).tobytes()).hexdigest() for c in Q.T))")
+        code = ("import hashlib, numpy as np; from regimetest.moments import quartet_matrix; "
+                "Q = quartet_matrix(np.random.default_rng(5).standard_normal((557, 235))); "
+                "print(*(hashlib.sha256(np.ascontiguousarray(c).tobytes()).hexdigest() for c in Q.T))")
 
-        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
-        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        def column_digests(**env):
+            return dict(zip("MVSK", run_probe(code, **env).split()))
 
-        def column_digests(env):
-            out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                                 text=True, check=True, timeout=120).stdout
-            return dict(zip("MVSK", out.split()))
-
-        default = column_digests(env)
-        reduced = column_digests({**env, "NPY_DISABLE_CPU_FEATURES": " ".join(features)})
+        default = column_digests()
+        reduced = column_digests(NPY_DISABLE_CPU_FEATURES=" ".join(features))
         assert [c for c in "MVSK" if default[c] != reduced[c]] == []
 
 

@@ -1,17 +1,14 @@
 from __future__ import annotations
 
 import itertools
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probe import run_probe
 from regimetest.msar import (
     MSARSpec,
     RegimeParams,
@@ -117,22 +114,15 @@ class TestSimulateChain:
 
 class TestSimulateMSAR:
     def test_package_import_leaves_scipy_signal_unloaded(self):
-        # fit_logistic_cdf imports scipy.optimize on first use and the CHP
-        # weight scipy.special: each is a large import that serves one
-        # function, so the package loads neither at start.  simulate_msar runs
-        # its AR recursion itself and never loads scipy.signal
-        import regimetest
-
-        src = str(Path(regimetest.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        probe = ("import sys, numpy, regimetest as rt; "
-                 "rt.simulate_msar(rt.MSARSpec(rt.RegimeParams(0, 1, 1, 2), rt.TransitionMatrix(0.9, 0.8), "
-                 "(0.3, 0.2)), 50, numpy.random.default_rng(0)); "
-                 "print(sorted(m for m in sys.modules if m.startswith("
-                 "('scipy.signal', 'scipy.optimize', 'scipy.special'))))")
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                             text=True, check=True, timeout=120).stdout
-        assert out.strip() == "[]"
+        # scipy serves fit_logistic_cdf alone, which imports scipy.optimize on
+        # first use: importing the package, simulating a path (whose AR
+        # recursion needs no scipy.signal) and a CHP test load no scipy module
+        code = ("import sys, numpy, regimetest as rt; "
+                "y = rt.simulate_msar(rt.MSARSpec(rt.RegimeParams(0, 1, 1, 2), rt.TransitionMatrix(0.9, 0.8), "
+                "(0.3, 0.2)), 50, numpy.random.default_rng(0)); "
+                "rt.chp_bootstrap_test(y, B=5, draws=5); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert run_probe(code).strip() == "[]"
 
     @pytest.mark.parametrize("phi", [(0.6,), (0.5, -0.3), (0.2, 0.1, -0.4), (-0.3, 0.2, 0.1, 0.25)])
     def test_ar_recursion_bit_identical_to_lfilter(self, phi):
