@@ -31,6 +31,13 @@ score bases are set up in one call before its blocks run, and its
 criteria (the standardization, the Psi weight, the row max and mean) are
 finished in one call after them.  Each row is computed independently of its
 block and its chunk, so every result depends only on ``(seed, B, draws)``.
+
+A study replication needs only the decisions p <= alpha.  Its pass stops
+after the first chunk at which both bootstrap p-values over the rows so
+far exceed alpha: the count of samples at or above the data only grows, so
+no later row can change either decision (the sequential Monte Carlo test of
+Besag & Clifford 1991).  :func:`chp_bootstrap_test` runs the same loop at
+alpha = 1, where that never happens, and evaluates all B samples.
 """
 
 from __future__ import annotations
@@ -417,14 +424,35 @@ def _row_chunks(k: int, T: int, d: int) -> list[list[slice]]:
     return [blocks[i : i + per_chunk] for i in range(0, len(blocks), per_chunk)]
 
 
-def _row_statistics(Y: np.ndarray, H: np.ndarray, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """supTS and expTS of every row of a (k, T) array of series.
+def _bootstrap_p(stat: np.ndarray, B: int) -> float:
+    """The bootstrap p-value (1 + #{boot >= data}) / (B + 1) of the data's
+    ``stat[0]`` against the samples ``stat[1:]``.  Over the first rows of
+    the B samples it is a lower bound of the p-value over all of them: the
+    count only grows as rows are added."""
+    return (1 + int(np.count_nonzero(stat[1:] >= stat[0]))) / (B + 1)
+
+
+def _settled(stat: np.ndarray, B: int, alpha: float) -> bool:
+    """Whether the decision p <= alpha is final after the rows of ``stat``:
+    their :func:`_bootstrap_p` already exceeds alpha, and the p-value over
+    all B samples can only be larger."""
+    return _bootstrap_p(stat, B) > alpha
+
+
+def _row_statistics(
+    Y: np.ndarray, H: np.ndarray, rhos: np.ndarray, alpha: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """supTS and expTS of the rows of a (k, T) array of series, row 0 the
+    data above k - 1 bootstrap samples, through the rows it evaluated.
 
     The kernel runs block by block in one reused work buffer.  The AR(1)
     fits and score bases of a :func:`_row_chunks` chunk are set up in one
     call before its blocks run, and its criteria are finished in one call
-    after them."""
+    after them.  After each chunk the pass stops once both decisions
+    ``p <= alpha`` are :func:`_settled`.  At ``alpha = 1`` that never
+    happens and every row is evaluated."""
     T, d = Y.shape[1], len(rhos)
+    B = len(Y) - 1
     chunks = _row_chunks(len(Y), T, d)
     step = chunks[0][0].stop  # the first block is the largest
     work = np.empty((2, step * (T - 1) * d))
@@ -443,7 +471,29 @@ def _row_statistics(Y: np.ndarray, H: np.ndarray, rhos: np.ndarray) -> tuple[np.
         sup_criteria, psi = _criteria(*sums)
         sup[chunk] = sup_criteria.max(axis=1)
         exp[chunk] = psi.mean(axis=1)
-    return sup, exp
+        done = chunk.stop
+        if _settled(sup[:done], B, alpha) and _settled(exp[:done], B, alpha):
+            break
+    return sup[:done], exp[:done]
+
+
+def _bootstrap_statistics(
+    y: np.ndarray, B: int, draws: int, master_seed: int, alpha: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """supTS and expTS of the standardized data (row 0) and of its bootstrap
+    samples, through the rows that :func:`_row_statistics` evaluated at
+    ``alpha``.  All B paths are drawn before the pass."""
+    y = finite_series(y)
+    if B < 2:
+        raise ValueError("B must be at least 2")
+    H, rhos = sample_nuisance_draws(draws, substream(master_seed, DOMAIN_NUISANCE))
+
+    ys = _standardize_rows(y[None])
+    c, phi, s2, _ = _ar1_fit(ys)
+    theta = (float(c[0, 0]), float(phi[0, 0]), float(s2[0, 0]))
+    paths = _bootstrap_paths(theta, ys.shape[1], B, master_seed, ys[0, 0])
+    Y = np.vstack([ys, _standardize_rows(np.ascontiguousarray(paths.T))])
+    return _row_statistics(Y, H, rhos, alpha)
 
 
 def chp_bootstrap_test(
@@ -458,28 +508,16 @@ def chp_bootstrap_test(
     :func:`_ar1_fit` fits to the standardized data, the fit the kernel makes
     of row 0; the same nuisance draws are reused for the data and every
     bootstrap sample.  The data is row 0 of one blocked kernel pass over the
-    B + 1 standardized series.  Bootstrap p-values use the
-    (1 + #{boot >= data}) / (B + 1) convention.  A non-finite value is a
-    ``ValueError``.
+    B + 1 standardized series, all of them evaluated.  Bootstrap p-values
+    use the (1 + #{boot >= data}) / (B + 1) convention.  A non-finite value
+    is a ``ValueError``.
     """
-    y = finite_series(y)
-    if B < 2:
-        raise ValueError("B must be at least 2")
-    H, rhos = sample_nuisance_draws(draws, substream(master_seed, DOMAIN_NUISANCE))
-
-    ys = _standardize_rows(y[None])
-    c, phi, s2, _ = _ar1_fit(ys)
-    theta = (float(c[0, 0]), float(phi[0, 0]), float(s2[0, 0]))
-    paths = _bootstrap_paths(theta, ys.shape[1], B, master_seed, ys[0, 0])
-    Y = np.vstack([ys, _standardize_rows(np.ascontiguousarray(paths.T))])
-    sup, exp = _row_statistics(Y, H, rhos)
-    n_sup = int(np.count_nonzero(sup[1:] >= sup[0]))
-    n_exp = int(np.count_nonzero(exp[1:] >= exp[0]))
+    sup, exp = _bootstrap_statistics(y, B, draws, master_seed)
     return CHPReport(
         supTS=float(sup[0]),
         expTS=float(exp[0]),
-        bootstrap_p_sup=(1 + n_sup) / (B + 1),
-        bootstrap_p_exp=(1 + n_exp) / (B + 1),
+        bootstrap_p_sup=_bootstrap_p(sup, B),
+        bootstrap_p_exp=_bootstrap_p(exp, B),
         B=B,
         draws=draws,
         seed=master_seed,

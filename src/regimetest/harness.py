@@ -10,7 +10,10 @@ in one linearity pass (:func:`~regimetest.linearity.linearity_tests`): one
 OLS fit, at most one nuisance grid and one null ensemble per series; supTS
 and expTS come from one CHP pass with the data as row 0 above its bootstrap
 samples.  Both passes and the table refit go through the blocks of
-:func:`~regimetest.moments.row_blocks`.
+:func:`~regimetest.moments.row_blocks`.  A replication returns its decisions
+p <= alpha, not p-values, so its CHP pass stops at the first row chunk where
+both decisions are final; every reject rate is the one the full bootstrap
+gives, and only a row's ``wall_time_s`` changes with the stop.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ._seeding import DOMAIN_CELL, DOMAIN_DGP, DOMAIN_TABLE, derive_seed, substream
-from .chp import chp_bootstrap_test
+from .chp import _bootstrap_p, _bootstrap_statistics
 from .linearity import METHODS as LINEARITY_METHODS, LinearityReport, linearity_tests
 from .mctest import STATISTICS, LogisticCoeffTable, fit_logistic_cdf
 from .moments import quartet_matrix, row_blocks
@@ -75,6 +78,10 @@ class ExperimentConfig:
             raise ValueError("replications must be at least 1")
         if self.N < 2:
             raise ValueError("N must be at least 2")
+        if self.B < 2:
+            raise ValueError("B must be at least 2")
+        if self.chp_draws < 1:
+            raise ValueError("chp_draws must be at least 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         unknown = set(self.methods) - set(STUDY_METHODS)
@@ -163,23 +170,25 @@ def _is_number(s: str) -> bool:
         return False
 
 
-def _study_rep(task: tuple[ExperimentConfig, int, int]) -> dict[str, float]:
+def _study_rep(task: tuple[ExperimentConfig, int, int]) -> dict[str, bool]:
     """One study replication ``(cfg, cell_index, rep)``: simulate the cell's
-    DGP, run every requested method, return p-values keyed by method.  The
-    LMC/MMC methods share one linearity pass.  Top level so process pools
-    can pickle it."""
+    DGP, run every requested method, return its decision ``p <= alpha``
+    keyed by method.  The LMC/MMC methods share one linearity pass; the CHP
+    pass stops at the first row chunk where both decisions are final, so
+    its p-values over the rows evaluated decide as the full test's would.
+    Top level so process pools can pickle it."""
     cfg, cell_index, rep = task
     y = simulate_msar(cfg.dgp, cfg.T, substream(cfg.master_seed, DOMAIN_DGP, cell_index, rep))
     rep_seed = derive_seed(cfg.master_seed, DOMAIN_CELL, cell_index, rep)
-    out: dict[str, float] = {}
+    out: dict[str, bool] = {}
     linear = [m for m in cfg.methods if m in LINEARITY_METHODS]
     if linear:
         reports = linearity_tests(y, cfg.dgp.r, linear, N=cfg.N, master_seed=rep_seed)
-        out.update((report.method, report.p_value) for report in reports)
+        out.update((report.method, report.p_value <= cfg.alpha) for report in reports)
     if "supTS" in cfg.methods or "expTS" in cfg.methods:
-        report = chp_bootstrap_test(y, B=cfg.B, draws=cfg.chp_draws, master_seed=rep_seed)
-        out["supTS"] = report.bootstrap_p_sup
-        out["expTS"] = report.bootstrap_p_exp
+        sup, exp = _bootstrap_statistics(y, cfg.B, cfg.chp_draws, rep_seed, cfg.alpha)
+        out["supTS"] = _bootstrap_p(sup, cfg.B) <= cfg.alpha
+        out["expTS"] = _bootstrap_p(exp, cfg.B) <= cfg.alpha
     return out
 
 
@@ -200,7 +209,9 @@ def run_size_power_study(
 
     Each cell emits one row per method with the rejection frequency at the
     cell's level, its binomial Monte Carlo standard error, and the cell wall
-    time.  A failing cell is reported as failed without aborting the study.
+    time.  A failing cell is reported as failed without aborting the study;
+    bootstrap rows after a replication's CHP stop are never evaluated, so a
+    failure confined to them does not fail the cell.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -222,7 +233,7 @@ def run_size_power_study(
             continue
         elapsed = time.perf_counter() - start
         for method in cfg.methods:
-            rejects = sum(1 for res in results if res[method] <= cfg.alpha)
+            rejects = sum(res[method] for res in results)
             rate = rejects / cfg.replications
             # 0/1 outcomes with a single replication get SE 0 by convention
             se = float(np.sqrt(rate * (1.0 - rate) / cfg.replications))

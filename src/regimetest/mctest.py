@@ -150,8 +150,11 @@ def logistic_cdf(x, c: LogisticCoeffs):
 def _logistic(z):
     """exp(z) / (1 + exp(z)), without overflow for large |z|; at ``-z`` it is
     the survival function 1 - logistic(z), without cancellation."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+    # one exp of -|z|, which never overflows; taken as z where z is NaN, so
+    # that a NaN keeps its sign bit as in exp(z) / (1 + exp(z))
+    nonneg = z >= 0.0
+    e = np.exp(np.where(nonneg, -z, z))
+    return np.where(nonneg, 1.0, e) / (1.0 + e)
 
 
 def approx_pvalue_matrix(Q: np.ndarray, table: LogisticCoeffTable, T: int) -> np.ndarray:

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import logging
 import tracemalloc
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import chp_oracle
+import regimetest.chp as chp
 import regimetest.moments as moments
 from probe import dispatched_cpu_features, run_probe
 from regimetest._seeding import (
@@ -20,7 +23,9 @@ from regimetest._seeding import (
 from regimetest.chp import (
     RHO_BOUND,
     _ar1_fit,
+    _bootstrap_p,
     _bootstrap_paths,
+    _bootstrap_statistics,
     _criteria_kernel,
     _curvature_hessian,
     _draw_matrices,
@@ -30,11 +35,12 @@ from regimetest.chp import (
     _row_statistics,
     _score_basis,
     _series_block,
+    _settled,
     _standardize_rows,
     chp_bootstrap_test,
     sample_nuisance_draws,
 )
-from regimetest.harness import default_study_grid
+from regimetest.harness import _study_rep, default_study_grid
 from regimetest.moments import row_blocks
 from regimetest.msar import MSARSpec, RegimeParams, TransitionMatrix, simulate_msar
 
@@ -495,6 +501,81 @@ class TestTwoLevelPass:
                 tracemalloc.stop()
             held[B] = Y.nbytes + sup.nbytes + exp.nbytes
         assert peak[1000] - peak[200] <= held[1000] - held[200]
+
+
+class TestStudyStop:
+    """A study replication stops its bootstrap pass at the first row chunk
+    where both decisions p <= alpha are final."""
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+    @pytest.mark.parametrize("B", [19, 199, 200, 499])
+    def test_settled_exactly_when_the_final_p_exceeds_alpha(self, B, alpha):
+        for n in range(B + 1):
+            # n bootstrap statistics at or above the data's, the rest below it
+            stat = np.concatenate([[0.5], np.full(n, 0.5), np.zeros(B - n)])
+            settled = _settled(stat, B, alpha)
+            # the study's rule on the full test's p-value, and in exact arithmetic
+            assert settled == (not (1 + n) / (B + 1) <= alpha)
+            assert settled == (Fraction(1 + n, B + 1) > Fraction(alpha))
+
+    def test_p_equal_to_alpha_still_rejects(self):
+        stat = np.concatenate([[0.5], np.ones(9), np.zeros(190)])
+        assert _bootstrap_p(stat, 199) == 10 / 200 == 0.05
+        assert not _settled(stat, 199, 0.05)
+
+    def test_p_over_the_first_rows_never_exceeds_the_final_p(self):
+        # ties with the data count as exceedances in every prefix
+        stat = np.round(substream(4, 4).standard_normal(201), 1)
+        final = _bootstrap_p(stat, 200)
+        assert all(_bootstrap_p(stat[:m], 200) <= final for m in range(1, 202))
+
+    def test_decisions_equal_the_full_test(self):
+        rows = []
+        # null and switching cells at T = 100 and 200, phi = 0.1 and 0.9
+        for cell in (0, 10, 20, 30, 8, 18, 24, 37):
+            cfg = replace(default_study_grid("desk")[cell], methods=("supTS", "expTS"))
+            for rep in (0, 1):
+                y = simulate_msar(cfg.dgp, cfg.T, substream(cfg.master_seed, DOMAIN_DGP, cell, rep))
+                seed = derive_seed(cfg.master_seed, DOMAIN_CELL, cell, rep)
+                full = chp_bootstrap_test(y, B=cfg.B, draws=cfg.chp_draws, master_seed=seed)
+                for alpha in (0.05, 0.1):
+                    decisions = _study_rep((replace(cfg, alpha=alpha), cell, rep))
+                    assert decisions == {
+                        "supTS": full.bootstrap_p_sup <= alpha,
+                        "expTS": full.bootstrap_p_exp <= alpha,
+                    }
+                sup, exp = _bootstrap_statistics(y, cfg.B, cfg.chp_draws, seed, cfg.alpha)
+                assert (sup[0], exp[0]) == (full.supTS, full.expTS)
+                reject = full.bootstrap_p_sup <= cfg.alpha or full.bootstrap_p_exp <= cfg.alpha
+                rows.append((len(sup), reject))
+                if reject:
+                    assert len(sup) == cfg.B + 1
+        assert any(evaluated < cfg.B + 1 for evaluated, _ in rows)
+        assert any(reject for _, reject in rows)
+
+    def test_stop_leaves_the_remaining_rows_unevaluated(self, monkeypatch):
+        cfg, y, seed = _desk_case(0, 0)
+        stops = [chunk[-1].stop for chunk in _row_chunks(cfg.B + 1, cfg.T, cfg.chp_draws)]
+        sup, _ = _bootstrap_statistics(y, cfg.B, cfg.chp_draws, seed, cfg.alpha)
+        assert len(sup) in stops[:-1]  # settled before the last chunk
+        full_sup, _ = _bootstrap_statistics(y, cfg.B, cfg.chp_draws, seed)
+        np.testing.assert_array_equal(sup, full_sup[: len(sup)])
+        # a failure confined to the chunks after the stop no longer fails the replication
+        series_block = chp._series_block
+        calls = []
+
+        def failing_after_the_stop(Y):
+            calls.append(len(Y))
+            if sum(calls) > len(sup):
+                raise ValueError("degenerate regression")
+            return series_block(Y)
+
+        monkeypatch.setattr(chp, "_series_block", failing_after_the_stop)
+        _bootstrap_statistics(y, cfg.B, cfg.chp_draws, seed, cfg.alpha)
+        assert sum(calls) == len(sup)
+        calls.clear()
+        with pytest.raises(ValueError, match="degenerate"):
+            _bootstrap_statistics(y, cfg.B, cfg.chp_draws, seed)
 
 
 class TestRankDeficientPanel:

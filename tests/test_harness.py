@@ -146,6 +146,19 @@ class TestStudy:
             )
             assert not row.failed
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("replications", 0, "replications must be at least 1"),
+        ("N", 1, "N must be at least 2"),
+        ("alpha", 1.0, "alpha must lie in"),
+        ("methods", ("FOO",), "unknown methods"),
+        ("B", 1, "B must be at least 2"),
+        ("chp_draws", 0, "chp_draws must be at least 1"),
+    ])
+    def test_config_rejects_invalid_fields(self, field, value, message):
+        # rejected when the cell is built, not as a failed row at run time
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{"dgp": NULL_AR1, "T": 60, "replications": 2, field: value})
+
     def test_single_replication_convention(self):
         cfg = ExperimentConfig(dgp=NULL_AR1, T=60, replications=1, N=20,
                                methods=("LMC_min",), master_seed=1)

@@ -11,6 +11,7 @@ import linearity_oracle
 from regimetest._seeding import DOMAIN_REPLICATE, substream
 from regimetest.mctest import (
     LogisticCoeffTable,
+    _logistic,
     LogisticCoeffs,
     approx_pvalue_matrix,
     combine_matrix,
@@ -43,6 +44,18 @@ class TestLogisticCdf:
         c = LogisticCoeffs(0.0, 1.0)
         assert logistic_cdf(1e6, c) == 1.0
         assert logistic_cdf(-1e6, c) == 0.0
+
+    def test_one_exp_keeps_every_bit_of_the_two_branch_form(self):
+        # exp(-z) where z >= 0, exp(z) below and at NaN, as the two branches had it;
+        # a NaN keeps its sign bit, which exp(-|z|) would set
+        z = np.concatenate([
+            substream(1, 1).standard_normal(20_000) * 40,
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 800.0, -800.0,
+             1e308, -1e308, 5e-324, -5e-324],
+        ])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+        assert _logistic(z).tobytes() == want.tobytes()
 
     def test_increasing_slope_required(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,10 @@ statistics under them by a few ulps.  Its S row was recorded again, moving
 by about 1.4e-10 relative, when the skewness denominator became
 ``sig2 * sqrt(sig2)`` in place of ``sig2**1.5``, whose bits depend on the CPU.
 The ``chp`` text's expTS was recorded again, one ulp up, when the Psi weight
-came from the package's own erfcx in place of scipy's."""
+came from the package's own erfcx in place of scipy's.  The CHP-only
+study text, recorded before a study replication stopped its bootstrap pass
+at the first row chunk where both decisions are final, shows that the stop
+moves no reject rate."""
 
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ from regimetest.cli import main
 
 RUNS = {
     "study": ["study", "--reps", "2", "--mc", "20", "--methods", "LMC_min", "--seed", "5"],
+    "study-chp": ["study", "--reps", "1", "--methods", "supTS,expTS", "--seed", "5"],
     "test": ["test", "--series", "gnp.csv", "--transform", "logdiff100", "--lags", "2",
              "--mc", "20", "--grid-points", "3", "--seed", "7"],
     "chp": ["chp", "--series", "gnp.csv", "--transform", "logdiff100", "--reps", "20",
@@ -74,6 +78,90 @@ label,method,T,replications,reject_rate,mc_se,wall_time_s,failed,error
 "dmu=2.0,dsig=1.0,p=(0.9,0.9),phi=0.9,T=200",LMC_min,200,2,1.0,0.0,X,0,
 "dmu=2.0,dsig=1.0,p=(0.9,0.5),phi=0.9,T=200",LMC_min,200,2,1.0,0.0,X,0,
 "dmu=2.0,dsig=1.0,p=(0.9,0.1),phi=0.9,T=200",LMC_min,200,2,1.0,0.0,X,0,
+""",
+    "study-chp": """\
+# regimetest=0.1.0 seed=5 config_sha=a91ec92e9e09
+label,method,T,replications,reject_rate,mc_se,wall_time_s,failed,error
+"null,phi=0.1,T=100",supTS,100,1,0.0,0.0,X,0,
+"null,phi=0.1,T=100",expTS,100,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=0.0,p=(0.9,0.9),phi=0.1,T=100",supTS,100,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=0.0,p=(0.9,0.9),phi=0.1,T=100",expTS,100,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=0.0,p=(0.9,0.5),phi=0.1,T=100",supTS,100,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=0.0,p=(0.9,0.5),phi=0.1,T=100",expTS,100,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=0.0,p=(0.9,0.1),phi=0.1,T=100",supTS,100,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=0.0,p=(0.9,0.1),phi=0.1,T=100",expTS,100,1,0.0,0.0,X,0,
+"dmu=0.0,dsig=1.0,p=(0.9,0.9),phi=0.1,T=100",supTS,100,1,0.0,0.0,X,0,
+"dmu=0.0,dsig=1.0,p=(0.9,0.9),phi=0.1,T=100",expTS,100,1,0.0,0.0,X,0,
+"dmu=0.0,dsig=1.0,p=(0.9,0.5),phi=0.1,T=100",supTS,100,1,0.0,0.0,X,0,
+"dmu=0.0,dsig=1.0,p=(0.9,0.5),phi=0.1,T=100",expTS,100,1,1.0,0.0,X,0,
+"dmu=0.0,dsig=1.0,p=(0.9,0.1),phi=0.1,T=100",supTS,100,1,0.0,0.0,X,0,
+"dmu=0.0,dsig=1.0,p=(0.9,0.1),phi=0.1,T=100",expTS,100,1,1.0,0.0,X,0,
+"dmu=2.0,dsig=1.0,p=(0.9,0.9),phi=0.1,T=100",supTS,100,1,1.0,0.0,X,0,
+"dmu=2.0,dsig=1.0,p=(0.9,0.9),phi=0.1,T=100",expTS,100,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=1.0,p=(0.9,0.5),phi=0.1,T=100",supTS,100,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=1.0,p=(0.9,0.5),phi=0.1,T=100",expTS,100,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=1.0,p=(0.9,0.1),phi=0.1,T=100",supTS,100,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=1.0,p=(0.9,0.1),phi=0.1,T=100",expTS,100,1,1.0,0.0,X,0,
+"null,phi=0.1,T=200",supTS,200,1,0.0,0.0,X,0,
+"null,phi=0.1,T=200",expTS,200,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=0.0,p=(0.9,0.9),phi=0.1,T=200",supTS,200,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=0.0,p=(0.9,0.9),phi=0.1,T=200",expTS,200,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=0.0,p=(0.9,0.5),phi=0.1,T=200",supTS,200,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=0.0,p=(0.9,0.5),phi=0.1,T=200",expTS,200,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=0.0,p=(0.9,0.1),phi=0.1,T=200",supTS,200,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=0.0,p=(0.9,0.1),phi=0.1,T=200",expTS,200,1,0.0,0.0,X,0,
+"dmu=0.0,dsig=1.0,p=(0.9,0.9),phi=0.1,T=200",supTS,200,1,0.0,0.0,X,0,
+"dmu=0.0,dsig=1.0,p=(0.9,0.9),phi=0.1,T=200",expTS,200,1,1.0,0.0,X,0,
+"dmu=0.0,dsig=1.0,p=(0.9,0.5),phi=0.1,T=200",supTS,200,1,0.0,0.0,X,0,
+"dmu=0.0,dsig=1.0,p=(0.9,0.5),phi=0.1,T=200",expTS,200,1,1.0,0.0,X,0,
+"dmu=0.0,dsig=1.0,p=(0.9,0.1),phi=0.1,T=200",supTS,200,1,0.0,0.0,X,0,
+"dmu=0.0,dsig=1.0,p=(0.9,0.1),phi=0.1,T=200",expTS,200,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=1.0,p=(0.9,0.9),phi=0.1,T=200",supTS,200,1,1.0,0.0,X,0,
+"dmu=2.0,dsig=1.0,p=(0.9,0.9),phi=0.1,T=200",expTS,200,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=1.0,p=(0.9,0.5),phi=0.1,T=200",supTS,200,1,1.0,0.0,X,0,
+"dmu=2.0,dsig=1.0,p=(0.9,0.5),phi=0.1,T=200",expTS,200,1,1.0,0.0,X,0,
+"dmu=2.0,dsig=1.0,p=(0.9,0.1),phi=0.1,T=200",supTS,200,1,1.0,0.0,X,0,
+"dmu=2.0,dsig=1.0,p=(0.9,0.1),phi=0.1,T=200",expTS,200,1,1.0,0.0,X,0,
+"null,phi=0.9,T=100",supTS,100,1,0.0,0.0,X,0,
+"null,phi=0.9,T=100",expTS,100,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=0.0,p=(0.9,0.9),phi=0.9,T=100",supTS,100,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=0.0,p=(0.9,0.9),phi=0.9,T=100",expTS,100,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=0.0,p=(0.9,0.5),phi=0.9,T=100",supTS,100,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=0.0,p=(0.9,0.5),phi=0.9,T=100",expTS,100,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=0.0,p=(0.9,0.1),phi=0.9,T=100",supTS,100,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=0.0,p=(0.9,0.1),phi=0.9,T=100",expTS,100,1,0.0,0.0,X,0,
+"dmu=0.0,dsig=1.0,p=(0.9,0.9),phi=0.9,T=100",supTS,100,1,0.0,0.0,X,0,
+"dmu=0.0,dsig=1.0,p=(0.9,0.9),phi=0.9,T=100",expTS,100,1,0.0,0.0,X,0,
+"dmu=0.0,dsig=1.0,p=(0.9,0.5),phi=0.9,T=100",supTS,100,1,1.0,0.0,X,0,
+"dmu=0.0,dsig=1.0,p=(0.9,0.5),phi=0.9,T=100",expTS,100,1,1.0,0.0,X,0,
+"dmu=0.0,dsig=1.0,p=(0.9,0.1),phi=0.9,T=100",supTS,100,1,0.0,0.0,X,0,
+"dmu=0.0,dsig=1.0,p=(0.9,0.1),phi=0.9,T=100",expTS,100,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=1.0,p=(0.9,0.9),phi=0.9,T=100",supTS,100,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=1.0,p=(0.9,0.9),phi=0.9,T=100",expTS,100,1,1.0,0.0,X,0,
+"dmu=2.0,dsig=1.0,p=(0.9,0.5),phi=0.9,T=100",supTS,100,1,1.0,0.0,X,0,
+"dmu=2.0,dsig=1.0,p=(0.9,0.5),phi=0.9,T=100",expTS,100,1,1.0,0.0,X,0,
+"dmu=2.0,dsig=1.0,p=(0.9,0.1),phi=0.9,T=100",supTS,100,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=1.0,p=(0.9,0.1),phi=0.9,T=100",expTS,100,1,1.0,0.0,X,0,
+"null,phi=0.9,T=200",supTS,200,1,0.0,0.0,X,0,
+"null,phi=0.9,T=200",expTS,200,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=0.0,p=(0.9,0.9),phi=0.9,T=200",supTS,200,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=0.0,p=(0.9,0.9),phi=0.9,T=200",expTS,200,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=0.0,p=(0.9,0.5),phi=0.9,T=200",supTS,200,1,1.0,0.0,X,0,
+"dmu=2.0,dsig=0.0,p=(0.9,0.5),phi=0.9,T=200",expTS,200,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=0.0,p=(0.9,0.1),phi=0.9,T=200",supTS,200,1,0.0,0.0,X,0,
+"dmu=2.0,dsig=0.0,p=(0.9,0.1),phi=0.9,T=200",expTS,200,1,0.0,0.0,X,0,
+"dmu=0.0,dsig=1.0,p=(0.9,0.9),phi=0.9,T=200",supTS,200,1,0.0,0.0,X,0,
+"dmu=0.0,dsig=1.0,p=(0.9,0.9),phi=0.9,T=200",expTS,200,1,0.0,0.0,X,0,
+"dmu=0.0,dsig=1.0,p=(0.9,0.5),phi=0.9,T=200",supTS,200,1,0.0,0.0,X,0,
+"dmu=0.0,dsig=1.0,p=(0.9,0.5),phi=0.9,T=200",expTS,200,1,0.0,0.0,X,0,
+"dmu=0.0,dsig=1.0,p=(0.9,0.1),phi=0.9,T=200",supTS,200,1,0.0,0.0,X,0,
+"dmu=0.0,dsig=1.0,p=(0.9,0.1),phi=0.9,T=200",expTS,200,1,1.0,0.0,X,0,
+"dmu=2.0,dsig=1.0,p=(0.9,0.9),phi=0.9,T=200",supTS,200,1,1.0,0.0,X,0,
+"dmu=2.0,dsig=1.0,p=(0.9,0.9),phi=0.9,T=200",expTS,200,1,1.0,0.0,X,0,
+"dmu=2.0,dsig=1.0,p=(0.9,0.5),phi=0.9,T=200",supTS,200,1,1.0,0.0,X,0,
+"dmu=2.0,dsig=1.0,p=(0.9,0.5),phi=0.9,T=200",expTS,200,1,1.0,0.0,X,0,
+"dmu=2.0,dsig=1.0,p=(0.9,0.1),phi=0.9,T=200",supTS,200,1,1.0,0.0,X,0,
+"dmu=2.0,dsig=1.0,p=(0.9,0.1),phi=0.9,T=200",expTS,200,1,1.0,0.0,X,0,
 """,
     "test": """\
 # regimetest=0.1.0 seed=7 config_sha=4d9826a70a00
@@ -131,7 +219,7 @@ def test_run_writes_the_pinned_file(command, tmp_path, monkeypatch, capsys):
     with open("out.csv", newline="") as fh:
         text = fh.read()
     assert "\r" not in text
-    if command == "study":
+    if command.startswith("study"):
         text, masked = re.subn(r",\d+\.\d{3},([01]),$", r",X,\1,", text, flags=re.M)
-        assert masked == 40
+        assert masked == text.count("\n") - 2  # every row below the meta line and header
     assert text == EXPECTED[command]
