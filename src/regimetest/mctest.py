@@ -373,6 +373,20 @@ class NullEnsemble:
             out[rule] = (f0, *_rank_lookup(f0, *replicates))
         return out
 
+    def pvalue_bounds(self, s: np.ndarray, k: np.ndarray, rules) -> dict[str, np.ndarray]:
+        """``{rule: p-value bounds}`` of data rows from their finite S and K
+        alone, under each of ``rules``: the rank p-values with the M and V
+        marginal p-values at 1, their largest value.  The bound's combined
+        statistic is never above the row's own (the minimum is exact, and
+        every factor of the product is at most 1, so each rounded partial
+        product can only shrink), and a rank p-value never rises with the
+        statistic, so no row's p-value under :meth:`rank` exceeds its bound."""
+        Q = np.zeros((len(s), 4))
+        Q[:, 2], Q[:, 3] = s, k
+        G = approx_pvalue_matrix(Q, self.table, self.T)
+        G[:, :2] = 1.0
+        return {rule: _rank_lookup(combine_matrix(G, rule), *self.replicates[rule])[1] for rule in rules}
+
 
 def null_ensemble(
     T: int, N: int, rules, table: LogisticCoeffTable | None, master_seed: int

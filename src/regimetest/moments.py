@@ -23,10 +23,16 @@ Every masked or moment sum (the partition means, the partition square sums,
 the V partition sums and the skewness and kurtosis sums) is a row dot
 product, ``einsum("ij,ij->i", ...)``, taken directly against the partition
 flags: one pass over the block, where a product written out and then summed
-took two.  The buffers stay two float and two flag arrays.  einsum adds
+took two.  The buffers stay one float and two flag arrays.  einsum adds
 along each row in its own order rather than numpy's pairwise one, so M, V,
 S and K moved by a few ulps when the sums changed form; ranks and p-values
 did not move on any pinned case.
+
+The part of the kernel that reads no partition, the mean square and the S
+and K columns, is one helper that the kernel calls, so a caller can take
+those columns alone and get the kernel's bits; the linearity pass does, to
+bound a row's p-value before it pays for M and V.  Witnesses among a row's
+first entries prove M and V defined without computing them.
 """
 
 from __future__ import annotations
@@ -133,10 +139,10 @@ def _rows(X) -> np.ndarray:
 
 def _quartet_work(elements: int) -> tuple[np.ndarray, ...]:
     """Scratch for :func:`_quartets` on blocks of up to ``elements`` values:
-    two float buffers and two flag buffers.  A pass over many blocks
+    one float buffer and two flag buffers.  A pass over many blocks
     allocates it once and spares every later block the page faults of
     fresh temporaries."""
-    return np.empty(elements), np.empty(elements), np.empty(elements, bool), np.empty(elements, bool)
+    return np.empty(elements), np.empty(elements, bool), np.empty(elements, bool)
 
 
 def _quartets(E: np.ndarray, work: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
@@ -145,23 +151,22 @@ def _quartets(E: np.ndarray, work: tuple[np.ndarray, ...] | None = None) -> np.n
     ``E`` is written into ``work`` (from :func:`_quartet_work`, at least
     ``E.size`` elements per buffer), fresh when it is not given; the
     buffers move no number."""
-    T = E.shape[1]
-    E2, tmp, pos, neg = (w[: E.size].reshape(E.shape) for w in (work or _quartet_work(E.size)))
+    E2, pos, neg = (w[: E.size].reshape(E.shape) for w in (work or _quartet_work(E.size)))
     np.greater(E, 0, out=pos)
     np.less(E, 0, out=neg)
     n2 = pos.sum(axis=1)
     n1 = neg.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        floor = _dispersion_floor(np.abs(E, out=tmp).max(axis=1))
+        # E2 holds the M statistic's temporaries until the squares overwrite them
+        floor = _dispersion_floor(np.abs(E, out=E2).max(axis=1))
         m2 = np.where(n2 > 0, _row_dots(E, pos) / n2, np.nan)
         m1 = np.where(n1 > 0, _row_dots(E, neg) / n1, np.nan)
-        s22 = np.where(n2 > 0, _partition_square_sum(E, m2, pos, tmp) / n2, np.nan)
-        s12 = np.where(n1 > 0, _partition_square_sum(E, m1, neg, tmp) / n1, np.nan)
+        s22 = np.where(n2 > 0, _partition_square_sum(E, m2, pos, E2) / n2, np.nan)
+        s12 = np.where(n1 > 0, _partition_square_sum(E, m1, neg, E2) / n1, np.nan)
         pooled = np.where(s22 + s12 > floor, s22 + s12, np.nan)
         m = np.abs(m2 - m1) / np.sqrt(pooled)
 
-        np.square(E, out=E2)
-        sig2 = E2.mean(axis=1)
+        sig2, s, k = _skew_kurt(E, E2)
         big = np.greater(E2, sig2[:, None], out=pos)
         small = np.less(E2, sig2[:, None], out=neg)
         nb = big.sum(axis=1)
@@ -170,15 +175,60 @@ def _quartets(E: np.ndarray, work: tuple[np.ndarray, ...] | None = None) -> np.n
         v1 = np.where(ns > 0, _row_dots(E2, small) / ns, np.nan)
         v = v2 / np.where(v1 > floor, v1, np.nan)
 
+    Q = np.column_stack([m, v, s, k])
+    Q[~np.isfinite(Q)] = np.nan
+    return Q
+
+
+def _skew_kurt(E: np.ndarray, E2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(sig2, S, K)`` of demeaned rows ``E``, their squares written into
+    ``E2``: the part of the kernel that reads no partition, so the same
+    values whether :func:`_quartets` computes them or a caller takes them
+    alone.  S and K are not yet cleared of non-finite values."""
+    T = E.shape[1]
+    np.square(E, out=E2)
+    sig2 = E2.mean(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
         # products of E2, not E**3 / E**4: libm pow was about 80% of this kernel;
         # sig2 * sqrt(sig2), not sig2**1.5: numpy picks its pow loop per CPU,
         # while products and square roots round correctly on every CPU
         s = np.abs(_row_dots(E2, E) / (T * sig2 * np.sqrt(sig2)))
         k = np.abs(_row_dots(E2, E2) / (T * sig2**2) - 3.0)
+    return sig2, s, k
 
-    Q = np.column_stack([m, v, s, k])
-    Q[~np.isfinite(Q)] = np.nan
-    return Q
+
+#: Leading entries of a row in which :func:`_mv_witnessed` looks for its witnesses.
+_WITNESS_COLUMNS = 32
+
+
+def _mv_witnessed(E: np.ndarray, E2: np.ndarray, sig2: np.ndarray) -> np.ndarray:
+    """Which rows of demeaned ``E`` (squares ``E2``, mean square ``sig2``,
+    from :func:`_skew_kurt`) provably get a finite M and V from
+    :func:`_quartets`, by witnesses among their first ``_WITNESS_COLUMNS``
+    entries:
+
+    * M: a negative entry, and two positive entries a > b with
+      (a - b)^2 > 8 T level;
+    * V: a square above ``sig2``, and one below it but above 2 T level;
+
+    where level, the dispersion floor at sqrt(2 T sig2), is at least the
+    kernel's floor at max|E|, since max E^2 <= sum E^2 = T sig2.  A rounded
+    sum of non-negative terms is at least its largest term, so the positive
+    partition's square sum is at least ((a - b)/2)^2 and the small
+    partition's E2 sum at least its witness; a count of at most T divides
+    them, which leaves both partition dispersions above the floor with a
+    factor 2 to spare for rounding.  The proof holds for rows with a finite
+    S and K, whose ``sig2`` is a normal number and whose squares are finite."""
+    T = E.shape[1]
+    E, E2 = E[:, :_WITNESS_COLUMNS], E2[:, :_WITNESS_COLUMNS]
+    level = _dispersion_floor(np.sqrt(2 * T * sig2))
+    with np.errstate(invalid="ignore", over="ignore"):
+        a = E.max(axis=1)
+        b = np.min(E, axis=1, where=E > 0, initial=np.inf)  # the smallest positive entry
+        m_defined = (E.min(axis=1) < 0) & (a > b) & ((a - b) ** 2 > 8 * T * level)
+        w = np.max(E2, axis=1, where=E2 < sig2[:, None], initial=0.0)
+        v_defined = (E2.max(axis=1) > sig2) & (w > 2 * T * level)
+    return m_defined & v_defined
 
 
 def _row_dots(A, B) -> np.ndarray:

@@ -24,7 +24,7 @@ from regimetest.linearity import (
     ols_ar_fit,
 )
 from regimetest.chp import chp_bootstrap_test
-from regimetest.mctest import mc_mixture_test
+from regimetest.mctest import mc_mixture_test, null_ensemble
 from regimetest.moments import DegenerateSampleError, quartet_matrix, raise_if_degenerate
 from regimetest.msar import (
     MSARSpec,
@@ -530,7 +530,7 @@ class TestBlockPass:
         for y in (hamilton_growth, extended_growth):
             fit = ols_ar_fit(y, 4)
             rows = np.vstack([fit.phi[None, :], build_grid(fit, 9).points])
-            blocked = np.vstack([Q for _, Q in _quartet_blocks(y, rows)])
+            blocked = np.vstack([Q for _, _, Q in _quartet_blocks(y, rows)])
             assert _same_bits(blocked, quartet_matrix(ar_filter(y, rows)))
 
     def test_degenerate_row_after_the_first_block(self):
@@ -611,14 +611,32 @@ class TestStreamingPass:
         monkeypatch.setattr(lin, "_quartets", counted)
         return rows
 
+    @staticmethod
+    def _filtered_rows(monkeypatch):
+        import regimetest.linearity as lin
+
+        rows = [0]
+        real = lin._filter_rows
+
+        def counted(y, P, out):
+            rows[0] += len(P)
+            return real(y, P, out)
+
+        monkeypatch.setattr(lin, "_filter_rows", counted)
+        return rows
+
     def test_stop_skips_the_grid_after_its_block(self, monkeypatch, hamilton_growth, extended_growth):
         # Hamilton seed 0: both rules reach p = 1 within the first block of
-        # 1000 rows (131 observations each); the extended series never does
-        for y, ranked in ((hamilton_growth, 1000), (extended_growth, 6562)):
-            rows = self._kernel_rows(monkeypatch)
+        # 1000 rows (131 observations each); the extended series never does,
+        # and of its 6005 rows after the first block of 557 the S/K bound
+        # settles all but 230
+        for y, ranked, kernel in ((hamilton_growth, 1000, 1000), (extended_growth, 6562, 787)):
+            filtered, rows = self._filtered_rows(monkeypatch), self._kernel_rows(monkeypatch)
             reports = linearity_tests(y, 4, METHODS, N=100, master_seed=0)
-            assert rows[0] == ranked
+            assert filtered[0] == ranked
+            assert rows[0] == kernel
             assert [report.rows_ranked for report in reports] == [ranked] * 4
+            assert [report.rows_bounded for report in reports] == [ranked - kernel] * 4
             assert [report.grid_points_evaluated for report in reports] == [1, 1, 6561, 6561]
 
     @staticmethod
@@ -699,6 +717,73 @@ class TestStreamingPass:
         assert _same_bits(report.phi_at_report, phis[ones[0]])
         assert report.rows_ranked == 4
         assert report.grid_points_evaluated == len(grid)
+
+
+class TestBoundedPass:
+    """After the first block the pass reduces each row to its S and K
+    first, and leaves out of the full kernel the rows whose p-value bound is
+    at or below every MMC rule's running maximum and whose M and V witnesses
+    prove those statistics defined.  The reports stay those of ranking every
+    row."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("innovations", [
+        lambda rng, n: rng.standard_t(3, n),
+        lambda rng, n: rng.standard_normal(n) ** 3,
+    ], ids=["student-t", "cubed-normal"])
+    def test_reports_equal_the_full_grid_oracle(self, monkeypatch, r, innovations):
+        # heavy tails keep the MMC p-values low, so the bound settles rows;
+        # blocks of 1-40 rows put most of each grid after the first block
+        rng = np.random.default_rng(100 + r)
+        points_per_dim = {1: 41, 2: 9, 3: 7, 4: 5}[r]
+        bounded = 0
+        for case, (N, methods) in enumerate([(20, METHODS), (100, METHODS),
+                                             (20, ("MMC_min",)), (100, ("MMC_prod",))]):
+            T = int(rng.integers(60, 200))
+            e = innovations(rng, T + 50)
+            y = np.zeros(T + 50)
+            for t in range(1, T + 50):
+                y[t] = 0.3 * y[t - 1] + e[t]
+            y = y[50:]
+            monkeypatch.setattr(moments, "BLOCK_ELEMENTS", int(rng.integers(1, 41)) * (T - r))
+            reports = linearity_tests(y, r, methods, N=N, master_seed=case, points_per_dim=points_per_dim)
+            for report in reports:
+                _assert_report(report, linearity_oracle.report(y, r, report.method, N, case, points_per_dim))
+            bounded += reports[0].rows_bounded
+        assert bounded > 0
+
+    @pytest.mark.parametrize("statistic, y", [
+        # two-valued at phi = 0: each partition of M holds one value
+        ("M", np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0] * 20)),
+        # sparse at phi = 0: every square below the variance is an exact zero
+        ("V", np.array(([0.0] * 14 + [1.0, 1.25] + [0.0] * 14 + [-1.0, -1.25]) * 4)),
+    ])
+    @pytest.mark.parametrize("rule", ["min", "prod"])
+    def test_degenerate_row_the_bound_would_settle_still_raises(self, monkeypatch, statistic, y, rule):
+        Tz = len(y) - 1
+        grid = np.insert(np.linspace(0.05, 0.9, 15), 10, 0.0)[:, None]
+        Q = quartet_matrix(ar_filter(y, grid))
+        assert np.isnan(Q[10]).tolist() == [c == statistic for c in "MVSK"]
+        assert not np.isnan(np.delete(Q, 10, axis=0)).any()
+        # blocks of 8 rows: grid row 10 is pass row 11, in the second block;
+        # the first block's largest p-value bounds the row's from above
+        monkeypatch.setattr(moments, "BLOCK_ELEMENTS", 8 * Tz)
+        (first_block,) = linearity_tests(y, 1, (f"MMC_{rule}",), grid=NuisanceBox(grid[:7]), N=20)
+        assert first_block.p_value < 1.0
+        E = ar_filter(y, grid[10])[None, :]
+        E -= E.mean()
+        _, s, k = moments._skew_kurt(E, np.empty_like(E))
+        bound = null_ensemble(Tz, 20, (rule,), None, 0).pvalue_bounds(s, k, (rule,))[rule]
+        assert bound[0] <= first_block.p_value
+        # only the witnesses keep the row in the kernel, which raises
+        with pytest.raises(DegenerateSampleError) as raised:
+            linearity_tests(y, 1, (f"MMC_{rule}",), grid=NuisanceBox(grid), N=20)
+        assert raised.value.statistic == statistic
+
+    def test_one_block_bounds_nothing(self, extended_growth):
+        reports = linearity_tests(extended_growth, 1, METHODS, N=100, master_seed=0)
+        assert [report.rows_ranked for report in reports] == [42] * 4
+        assert [report.rows_bounded for report in reports] == [0] * 4
 
 
 def test_readme_quickstart_pvalues(hamilton_growth):
