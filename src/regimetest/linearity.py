@@ -22,32 +22,41 @@ row 0 of one coefficient matrix above the grid points.  The pass draws its
 null ensemble and tie-breakers first (:func:`~regimetest.mctest.null_ensemble`),
 then filters, demeans and reduces the rows to their statistic quartets over
 the row-major blocks of :func:`~regimetest.moments.row_blocks`, in one
-scratch allocated for the first block, and ranks each block as soon as it is
-computed, keeping a running maximum and its first row per MMC rule.  A
-block's filter is one einsum contraction of ``[1, -phi_1, ..., -phi_r]``
-with the lagged series: one pass over the block, with the values of
-subtracting one lag at a time, and no BLAS call, whose rows would depend on
-the block's row count.  A rank p-value k/N is at most 1, so once every
-requested MMC rule has reached p = 1 its first maximizer is final, and the
-pass stops after that block; ``LinearityReport.rows_ranked`` says how many
-rows it reached.
+scratch grown to the largest set of rows computed at once, and ranks each
+block as soon as it is computed, keeping a running maximum and its first row
+per MMC rule.  A filter is one einsum contraction of
+``[1, -phi_1, ..., -phi_r]`` with the lagged series: one pass over the
+rows, with the values of subtracting one lag at a time, and no BLAS call,
+whose rows would depend on the row count.  A rank p-value k/N is at most 1,
+so once every requested MMC rule has reached p = 1 its first maximizer is
+final, and the pass stops after that block; ``LinearityReport.rows_ranked``
+says how many rows it reached.
 
-Every block after the first is a branch-and-bound step.  Each row is first
-reduced to its S and K alone, by the kernel's own code
-(:func:`~regimetest.moments._skew_kurt`), and
-:meth:`~regimetest.mctest.NullEnsemble.pvalue_bounds` ranks its combined
-statistic with the M and V marginal p-values at 1: that statistic is never
-above the row's own, and a rank p-value never rises with the statistic, so
-the result bounds the row's p-value from above.  A row whose bound is at or
-below every requested MMC rule's running maximum from the earlier blocks
-can never become a first maximizer.  When witnesses among its first entries
-also prove its M and V defined (:func:`~regimetest.moments._mv_witnessed`),
-so that the full kernel could not raise on it, the row skips the rest of
-the kernel and the ranking; ``LinearityReport.rows_bounded`` counts those
-rows.  The other rows are compacted in the scratch and go through the
-unchanged kernel and ranking.  On the extended GNP series at r=4 and
-seeds 0-19, 1,480 of the 6,562 rows (557 of them the first block's) go
-through the full kernel on average.
+A pass of more than one block is a branch and bound over the grid.  Once
+per pass, :class:`~regimetest.moments._LagMoments` takes the moment tensors
+of orders 2, 3 and 4 of the centred lag stack ``[y_t, ..., y_{t-r}]``, by
+einsum and without BLAS; each row's central moments are forms in
+``c = [1, -phi]`` of them, and a certificate (Higham's gamma_n error
+bounds, with ``|c|_1 max|y|`` bounding every filtered value, and a fixed
+relative slack) turns them into lower bounds on the kernel's S and K
+without filtering the row.
+:meth:`~regimetest.mctest.NullEnsemble.pvalue_bounds` ranks the combined
+statistic with the M and V marginal p-values at 1 and the S and K ones at
+those bounds, raised by a relative 2^-30 for ``np.exp``'s rounding, which
+numpy picks per CPU: the result is at least the row's rank p-value under
+both rules.  A row is settled, never filtered, and counted in
+``LinearityReport.rows_bounded``, when two things hold: its bound cannot
+beat any requested MMC rule's running maximum (it is strictly below it for
+a row before the current first maximizer, at or below it for a row after),
+and witnesses among its first 32 filtered entries, taken from the centred
+stack, prove its M and V defined, so that the kernel could not raise on it.
+The first block seeds the maxima: its OLS row and the 16 grid rows of the
+largest bound per MMC rule are ranked first, and the rest of it is bounded
+against them.  Every other row goes through the unchanged filter, kernel
+and ranking.  On the extended GNP series at r=4 and seeds 0-19, 1,036 of
+the 6,562 rows go through the full kernel on average (447 of the Hamilton
+series' 2,228 rows reached).  A one-block pass, such as every desk-study
+cell, ranks every row in one call, with no tensors.
 
 The reports equal those of ranking every row, except that a degenerate grid
 row after the stopping block is never computed and so raises nothing.  The LMC
@@ -65,8 +74,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mctest import LogisticCoeffTable, null_ensemble
-from .moments import (_mv_witnessed, _quartet_work, _quartets, _rows, _skew_kurt, finite_series,
-                      row_blocks)
+from .moments import _LagMoments, _quartet_work, _quartets, _rows, finite_series, row_blocks
 from .msar import min_root_modulus, stationary_rows
 
 __all__ = [
@@ -82,6 +90,13 @@ __all__ = [
 ]
 
 METHODS = ("LMC_min", "LMC_prod", "MMC_min", "MMC_prod")
+
+#: Grid rows of the largest bounds per MMC rule that a multi-block pass
+#: ranks first, with the OLS row, to seed its running maxima.
+_SEEDS = 16
+
+#: Fewest rows whose bounds :class:`_RowBounds` computes at a time.
+_BOUND_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -109,8 +124,9 @@ class LinearityReport:
     """Result of an LMC or MMC linearity test.  ``grid_points_evaluated`` is
     the grid size (1 for LMC); ``rows_ranked`` counts the coefficient rows,
     the OLS row included, that the pass reached before it stopped, and
-    ``rows_bounded`` those of them whose S and K alone settled them (0 on a
-    one-block pass)."""
+    ``rows_bounded`` those of them that bounds from the series' lag moments
+    settled without filtering them: on a multi-block pass the first block's
+    included, and 0 on a one-block pass."""
 
     method: str
     p_value: float
@@ -193,59 +209,60 @@ def _filter_rows(y: np.ndarray, P: np.ndarray, out: np.ndarray) -> np.ndarray:
     coef = np.empty((len(P), r + 1))
     coef[:, 0] = 1.0
     np.negative(P, out=coef[:, 1:])
-    lags = np.stack([y[r - k : len(y) - k] for k in range(r + 1)])
-    return np.einsum("ik,kt->it", coef, lags, out=out)
+    return np.einsum("ik,kt->it", coef, _lag_stack(y, r), out=out)
 
 
-def _quartet_blocks(y: np.ndarray, rows: np.ndarray, settled=None):
-    """``(block, kept, Q)`` for each of the ``row_blocks`` of the coefficient
-    rows, in order, where ``Q`` equals
-    ``quartet_matrix(ar_filter(y, rows[block]))[kept]`` bit for bit.  The
-    rows are filtered, demeaned and reduced in one scratch, allocated for the
-    first (largest) block and reused by every later one.
+class _RowQuartets:
+    """The quartets of chosen coefficient rows, at most one of the
+    ``row_blocks`` of the rows at a time, filtered, demeaned and reduced in
+    one scratch that grows to the largest call and is reused by every
+    other.  Each row's quartet equals ``quartet_matrix(ar_filter(y, row))``
+    bit for bit, whichever rows are computed beside it."""
 
-    ``kept`` indexes every row of the block, unless ``settled`` is given:
-    then on every block after the first it leaves out the rows that
-    :func:`_unsettled_rows` finds settled, and only the kept rows, compacted
-    into the scratch, go through the full kernel."""
-    Tz = len(y) - rows.shape[1]
-    blocks = row_blocks(len(rows), Tz)
-    size = blocks[0].stop * Tz
-    Z = np.empty(size)
-    work = _quartet_work(size)
-    for block in blocks:
-        n = block.stop - block.start
-        E = _rows(_filter_rows(y, rows[block], Z[: n * Tz].reshape(n, Tz)))
+    def __init__(self, y: np.ndarray, rows: np.ndarray):
+        self.y, self.rows = y, rows
+        self.Tz = len(y) - rows.shape[1]
+        self.blocks = row_blocks(len(rows), self.Tz)
+        self.Z = np.empty(0)
+
+    def __call__(self, idx: np.ndarray) -> np.ndarray:
+        n = len(idx)
+        if n * self.Tz > len(self.Z):
+            self.Z, self.work = np.empty(n * self.Tz), _quartet_work(n * self.Tz)
+        E = _rows(_filter_rows(self.y, self.rows[idx], self.Z[: n * self.Tz].reshape(n, self.Tz)))
         E -= E.mean(axis=1, keepdims=True)
-        if settled is None or block.start == 0:
-            kept = np.arange(n)
-        else:
-            kept = _unsettled_rows(E, work[0][: E.size].reshape(E.shape), settled)
-        if len(kept) == n:
-            yield block, kept, _quartets(E, work)
-        elif len(kept):
-            # the kept rows move into the kernel's float buffer, and E's own
-            # buffer takes its place; with mode="raise", np.take would write
-            # into a fresh block-sized copy first
-            Ek = np.take(E, kept, axis=0, mode="clip", out=work[0][: len(kept) * Tz].reshape(-1, Tz))
-            yield block, kept, _quartets(Ek, (Z, *work[1:]))
-        else:
-            yield block, kept, np.empty((0, 4))
+        return _quartets(E, self.work)
 
 
-def _unsettled_rows(E: np.ndarray, E2: np.ndarray, settled) -> np.ndarray:
-    """The rows of demeaned ``E`` that still need the full kernel: all but
-    those with a finite S and K that ``settled(S, K)``, given those rows' S
-    and K, marks, and whose M and V witnesses prove defined
-    (:func:`~regimetest.moments._mv_witnessed`).  Their squares are written
-    into ``E2``."""
-    sig2, s, k = _skew_kurt(E, E2)
-    rows = np.flatnonzero(np.isfinite(s) & np.isfinite(k))
-    rows = rows[settled(s[rows], k[rows])]
-    keep = np.ones(len(E), bool)
-    if len(rows):
-        keep[rows] = ~_mv_witnessed(E, E2, sig2)[rows]
-    return np.flatnonzero(keep)
+class _RowBounds:
+    """The p-value bounds of the coefficient rows under the MMC rules, and
+    which rows the witnesses prove M- and V-defined, from the series' lag
+    moments (:class:`~regimetest.moments._LagMoments`).  They are computed
+    for runs of whole blocks of at least ``_BOUND_ROWS`` rows, as the pass
+    reaches them, so small blocks share the fixed cost of the calls."""
+
+    def __init__(self, y: np.ndarray, rows: np.ndarray, ensemble, rules):
+        self.rows, self.ensemble, self.rules = rows, ensemble, rules
+        self.lag_moments = _LagMoments(_lag_stack(y, rows.shape[1]))
+        self.start = self.stop = 0
+
+    def __call__(self, block: slice) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        """``({rule: bounds}, witnessed)`` of the rows of ``block``."""
+        if block.stop > self.stop:
+            step = block.stop - block.start
+            self.start = block.start
+            self.stop = min(block.start + -(-_BOUND_ROWS // step) * step, len(self.rows))
+            P = self.rows[self.start : self.stop]
+            s, k, lo, hi = self.lag_moments.skew_kurt_bounds(P)
+            self.bounds = self.ensemble.pvalue_bounds(s, k, self.rules)
+            self.witnessed = self.lag_moments.mv_witnessed(P, lo, hi)
+        run = slice(block.start - self.start, block.stop - self.start)
+        return {rule: bound[run] for rule, bound in self.bounds.items()}, self.witnessed[run]
+
+
+def _lag_stack(y: np.ndarray, r: int) -> np.ndarray:
+    """The (r + 1, T - r) stack of ``y[r-k : T-k]``, k = 0 ... r."""
+    return np.stack([y[r - k : len(y) - k] for k in range(r + 1)])
 
 
 def linearity_tests(
@@ -302,30 +319,54 @@ def linearity_tests(
     rules = dict.fromkeys(rule for _, _, rule in requested)
     mmc_rules = dict.fromkeys(rule for _, kind, rule in requested if kind == "MMC")
     ensemble = null_ensemble(len(y) - r, N, rules, table, master_seed)
+    quartets = _RowQuartets(y, rows)
+    # a one-block pass (every desk-study cell) ranks every row in one call
+    row_bounds = _RowBounds(y, rows, ensemble, mmc_rules) if len(quartets.blocks) > 1 else None
     best = dict.fromkeys(mmc_rules, (-1.0, 0))  # rule: (largest grid p-value so far, its row)
+    lmc_p = {}
 
-    def settled(s, k):
-        # a row whose bound is at or below every rule's running maximum can
-        # never be a first maximizer
-        out = np.ones(len(s), bool)
-        for rule, bound in ensemble.pvalue_bounds(s, k, mmc_rules).items():
-            out &= bound <= best[rule][0]
-        return out
-
-    rows_bounded = 0
-    for block, kept, Qz in _quartet_blocks(y, rows, settled):
-        rows_bounded += block.stop - block.start - len(kept)
-        if not len(kept):
-            continue
-        ranked = ensemble.rank(Qz)
-        first = int(block.start == 0)  # row 0 is the OLS row, not a grid row
-        if first:
-            lmc_p = {rule: p[0] for rule, (_, _, p) in ranked.items()}
+    def rank(idx, Q):
+        """Rank the rows ``idx`` (ascending), given their quartets ``Q``, and
+        take in their p-values."""
+        ranked = ensemble.rank(Q)
+        if idx[0] == 0:  # the OLS row, not a grid row
+            lmc_p.update((rule, p[0]) for rule, (_, _, p) in ranked.items())
+        first = int(idx[0] == 0)
         for rule in mmc_rules:
             p = ranked[rule][2][first:]
-            if len(p) and p.max() > best[rule][0]:
-                i = int(np.argmax(p))
-                best[rule] = (p[i], block.start + int(kept[first + i]))
+            if len(p):
+                i = int(np.argmax(p))  # the first of its ties: idx ascends
+                row = int(idx[first + i])
+                if p[i] > best[rule][0] or (p[i] == best[rule][0] and row < best[rule][1]):
+                    best[rule] = (p[i], row)
+
+    rows_bounded = 0
+    for block in quartets.blocks:
+        idx = np.arange(block.start, block.stop)
+        if row_bounds is not None:
+            bounds, witnessed = row_bounds(block)
+            live = np.ones(len(idx), bool)
+            if block.start == 0:
+                # seed the running maxima with the OLS row and the grid rows
+                # of the largest bounds; a degenerate one leaves the block to
+                # be ranked in row order, which raises as ranking every row does
+                seeded = idx == 0
+                for bound in bounds.values():
+                    seeded[1 + np.argsort(-bound[1:], kind="stable")[:_SEEDS]] = True
+                Q = quartets(idx[seeded])
+                if not np.isnan(Q).any():
+                    rank(idx[seeded], Q)
+                    live = ~seeded
+            # a settled row's bound cannot beat any rule's first maximizer (an
+            # earlier row could tie it, a later one must exceed it), and its
+            # M and V are witnessed defined
+            settled = live & witnessed
+            for rule, (p, row) in best.items():
+                settled &= (bounds[rule] < p) | ((bounds[rule] == p) & (idx > row))
+            rows_bounded += int(settled.sum())
+            idx = idx[live & ~settled]
+        if len(idx):
+            rank(idx, quartets(idx))
         # a p-value is at most 1, so a rule at p = 1 keeps its first maximizer
         if all(p == 1.0 for p, _ in best.values()):
             break

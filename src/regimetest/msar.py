@@ -21,6 +21,7 @@ arithmetic, so a root on the unit circle always counts as non-stationary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -294,9 +295,20 @@ def min_root_modulus(phi: np.ndarray) -> float:
     """Smallest modulus of the roots of ``1 - phi_1 z - ... - phi_r z^r``
     from ``np.roots`` once trailing zero coefficients are dropped (``inf``
     for an empty or all-zero vector).  The autoregression is stationary iff
-    it exceeds one, up to the rounding of the roots."""
+    it exceeds one, up to the rounding of the roots.
+
+    Where the last coefficient is so small that ``np.roots``' companion
+    matrix (the other coefficients over it) overflows, the modulus is
+    ``1 / max|lambda|`` over the roots of the reciprocal polynomial
+    ``w^q - phi_1 w^(q-1) - ... - phi_q``, whose companion holds the
+    coefficients themselves (``inf`` where that quotient overflows)."""
     phi = np.ravel(np.asarray(phi, dtype=float))
     nz = np.flatnonzero(phi)
     if len(nz) == 0:
         return float("inf")
-    return float(np.abs(np.roots(np.r_[-phi[nz[-1] :: -1], 1.0])).min())
+    p = np.append(-phi[nz[-1] :: -1], 1.0)
+    lead, *rest = p.tolist()  # Python floats divide as numpy does, without a warning
+    if all(math.isfinite(c / lead) for c in rest):
+        return float(np.abs(np.roots(p)).min())
+    with np.errstate(over="ignore", divide="ignore"):
+        return float(1.0 / np.abs(np.roots(p[::-1])).max())

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 import linearity_oracle
+from probe import dispatched_cpu_features, run_probe
 from regimetest.harness import default_study_grid
 import regimetest.moments as moments
 import regimetest.msar as msar
 from regimetest.linearity import (
     METHODS,
     NuisanceBox,
-    _quartet_blocks,
+    _RowQuartets,
     ar_filter,
     build_grid,
     linearity_tests,
@@ -404,6 +405,15 @@ class TestMmcTest:
         with pytest.raises(ValueError, match=f"grid row {bad} .* is not stationary"):
             mmc_test(hamilton_growth, 1, grid=NuisanceBox(np.array(points)))
 
+    def test_tiny_last_coefficient_in_a_user_grid(self, hamilton_growth):
+        # stationary, but its companion matrix overflows in np.roots; the
+        # reported row's root modulus comes from the reciprocal polynomial
+        grid = np.array([[0.5, 1e-310]])
+        assert stationary_rows(grid)[0]
+        (report,) = linearity_tests(hamilton_growth, 2, ("MMC_min",), grid=NuisanceBox(grid))
+        assert _same_bits(report.phi_at_report, grid[0])
+        assert report.min_root_modulus == 2.0
+
     def test_grid_dimension_mismatch(self, hamilton_growth):
         fit = ols_ar_fit(hamilton_growth, 4)
         box = build_grid(fit, points_per_dim=3)
@@ -520,18 +530,27 @@ class TestSinglePass:
 
 
 class TestBlockPass:
-    """The single pass filters and reduces the coefficient rows in blocks;
-    the result equals one unblocked call bit for bit."""
+    """The single pass filters and reduces the coefficient rows in blocks,
+    and a bounded pass only some rows of a block; the result equals one
+    unblocked call bit for bit."""
 
     @pytest.mark.parametrize("budget", [None, 1, 7 * 131])
     def test_gnp_r4_quartets_match_unblocked(self, monkeypatch, hamilton_growth, extended_growth, budget):
         if budget is not None:
             monkeypatch.setattr(moments, "BLOCK_ELEMENTS", budget)
+        rng = np.random.default_rng(0)
         for y in (hamilton_growth, extended_growth):
             fit = ols_ar_fit(y, 4)
             rows = np.vstack([fit.phi[None, :], build_grid(fit, 9).points])
-            blocked = np.vstack([Q for _, _, Q in _quartet_blocks(y, rows)])
-            assert _same_bits(blocked, quartet_matrix(ar_filter(y, rows)))
+            unblocked = quartet_matrix(ar_filter(y, rows))
+            quartets = _RowQuartets(y, rows)
+            blocked = np.vstack([quartets(np.arange(b.start, b.stop)) for b in quartets.blocks])
+            assert _same_bits(blocked, unblocked)
+            # scattered rows of a block, in one scratch grown and reused
+            for block in quartets.blocks[:50]:
+                idx = np.flatnonzero(rng.random(block.stop - block.start) < 0.3) + block.start
+                if len(idx):
+                    assert _same_bits(quartets(idx), unblocked[idx])
 
     def test_degenerate_row_after_the_first_block(self):
         # a two-valued series: the filter at phi = 0 leaves it two-valued, so
@@ -627,13 +646,14 @@ class TestStreamingPass:
 
     def test_stop_skips_the_grid_after_its_block(self, monkeypatch, hamilton_growth, extended_growth):
         # Hamilton seed 0: both rules reach p = 1 within the first block of
-        # 1000 rows (131 observations each); the extended series never does,
-        # and of its 6005 rows after the first block of 557 the S/K bound
-        # settles all but 230
-        for y, ranked, kernel in ((hamilton_growth, 1000, 1000), (extended_growth, 6562, 787)):
+        # 1000 rows (131 observations each), and the bound settles 746 of
+        # them; the extended series never stops, and the bound settles all
+        # but 247 of its 6562 rows, the first block's 557 included; a
+        # settled row is never filtered
+        for y, ranked, kernel in ((hamilton_growth, 1000, 254), (extended_growth, 6562, 247)):
             filtered, rows = self._filtered_rows(monkeypatch), self._kernel_rows(monkeypatch)
             reports = linearity_tests(y, 4, METHODS, N=100, master_seed=0)
-            assert filtered[0] == ranked
+            assert filtered[0] == kernel
             assert rows[0] == kernel
             assert [report.rows_ranked for report in reports] == [ranked] * 4
             assert [report.rows_bounded for report in reports] == [ranked - kernel] * 4
@@ -752,33 +772,85 @@ class TestBoundedPass:
             bounded += reports[0].rows_bounded
         assert bounded > 0
 
-    @pytest.mark.parametrize("statistic, y", [
+    _degenerate_rows = pytest.mark.parametrize("statistic, y", [
         # two-valued at phi = 0: each partition of M holds one value
         ("M", np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0] * 20)),
         # sparse at phi = 0: every square below the variance is an exact zero
         ("V", np.array(([0.0] * 14 + [1.0, 1.25] + [0.0] * 14 + [-1.0, -1.25]) * 4)),
     ])
+
+    @_degenerate_rows
     @pytest.mark.parametrize("rule", ["min", "prod"])
     def test_degenerate_row_the_bound_would_settle_still_raises(self, monkeypatch, statistic, y, rule):
+        # grid row 10 is pass row 11, in the second block of 8 rows
+        self._assert_degenerate_row_raises(monkeypatch, statistic, y, rule, 8, 16, 10)
+
+    @_degenerate_rows
+    @pytest.mark.parametrize("rule", ["min", "prod"])
+    def test_degenerate_first_block_row_still_raises(self, monkeypatch, statistic, y, rule):
+        # grid row 30 is pass row 31, after the 17 seeds of a first block of 40 rows
+        self._assert_degenerate_row_raises(monkeypatch, statistic, y, rule, 40, 50, 30)
+
+    @staticmethod
+    def _assert_degenerate_row_raises(monkeypatch, statistic, y, rule, block_rows, grid_rows, at):
+        """Grid row ``at`` of ``grid_rows``, at phi = 0, is the one degenerate
+        row; with blocks of ``block_rows`` rows its bound would settle it."""
         Tz = len(y) - 1
-        grid = np.insert(np.linspace(0.05, 0.9, 15), 10, 0.0)[:, None]
+        grid = np.insert(np.linspace(0.05, 0.9, grid_rows - 1), at, 0.0)[:, None]
         Q = quartet_matrix(ar_filter(y, grid))
-        assert np.isnan(Q[10]).tolist() == [c == statistic for c in "MVSK"]
-        assert not np.isnan(np.delete(Q, 10, axis=0)).any()
-        # blocks of 8 rows: grid row 10 is pass row 11, in the second block;
-        # the first block's largest p-value bounds the row's from above
-        monkeypatch.setattr(moments, "BLOCK_ELEMENTS", 8 * Tz)
-        (first_block,) = linearity_tests(y, 1, (f"MMC_{rule}",), grid=NuisanceBox(grid[:7]), N=20)
-        assert first_block.p_value < 1.0
-        E = ar_filter(y, grid[10])[None, :]
-        E -= E.mean()
-        _, s, k = moments._skew_kurt(E, np.empty_like(E))
-        bound = null_ensemble(Tz, 20, (rule,), None, 0).pvalue_bounds(s, k, (rule,))[rule]
-        assert bound[0] <= first_block.p_value
-        # only the witnesses keep the row in the kernel, which raises
+        assert np.isnan(Q[at]).tolist() == [c == statistic for c in "MVSK"]
+        assert not np.isnan(np.delete(Q, at, axis=0)).any()
+        monkeypatch.setattr(moments, "BLOCK_ELEMENTS", block_rows * Tz)
+        witnessed = {}
+        real = moments._LagMoments.mv_witnessed
+
+        def spy(self, P, lo, hi):
+            out = real(self, P, lo, hi)
+            witnessed.update(zip(P[:, 0].tolist(), out.tolist()))
+            return out
+
+        monkeypatch.setattr(moments._LagMoments, "mv_witnessed", spy)
         with pytest.raises(DegenerateSampleError) as raised:
             linearity_tests(y, 1, (f"MMC_{rule}",), grid=NuisanceBox(grid), N=20)
         assert raised.value.statistic == statistic
+        # the row's bound would settle it; only the witnesses keep it in the kernel
+        assert witnessed[0.0] is False
+
+    def test_degenerate_seed_raises_as_ranking_every_row(self, monkeypatch):
+        # blocks of 17 rows: the OLS row and the 16 grid rows of the first
+        # block are all its seeds, the degenerate grid row 3 among them
+        y = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0] * 20)
+        grid = np.insert(np.linspace(0.05, 0.9, 29), 3, 0.0)[:, None]
+        rows = np.vstack([ols_ar_fit(y, 1).phi[None, :], grid])
+        with pytest.raises(DegenerateSampleError) as unblocked:
+            raise_if_degenerate(quartet_matrix(ar_filter(y, rows)))
+        monkeypatch.setattr(moments, "BLOCK_ELEMENTS", 17 * (len(y) - 1))
+        with pytest.raises(DegenerateSampleError) as bounded:
+            linearity_tests(y, 1, METHODS, grid=NuisanceBox(grid), N=20)
+        assert str(bounded.value) == str(unblocked.value)
+
+    def test_reports_do_not_depend_on_the_cpu(self):
+        # the bound's float code (einsum forms, np.exp in its marginal
+        # p-values) decides rows_bounded; with every SIMD feature numpy
+        # dispatches on this CPU switched off, the reports keep their bytes
+        features = dispatched_cpu_features()
+        if not features:
+            pytest.skip("numpy dispatches no CPU feature here")
+        code = """
+from importlib.resources import files
+from regimetest.harness import ingest_series
+from regimetest.linearity import linearity_tests
+for name in ("hamilton", "extended"):
+    path = files("regimetest").joinpath(f"data/gnp_{name}_levels.csv")
+    y = ingest_series(str(path), "logdiff100").values
+    for seed in (0, 7):
+        for r in linearity_tests(y, 4, N=100, master_seed=seed):
+            print(r.method, r.p_value.hex(), *(x.hex() for x in r.phi_at_report),
+                  r.min_root_modulus.hex(), r.rows_ranked, r.rows_bounded)
+"""
+        default = run_probe(code)
+        assert len(default.splitlines()) == 16
+        assert run_probe(code, NPY_DISABLE_CPU_FEATURES=" ".join(features)) == default
 
     def test_one_block_bounds_nothing(self, extended_growth):
         reports = linearity_tests(extended_growth, 1, METHODS, N=100, master_seed=0)

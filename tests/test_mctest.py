@@ -154,6 +154,41 @@ class TestCombine:
         with pytest.raises(ValueError):
             combine_min([0.5, 0.5, 0.5, 1.5])
 
+    def test_column_forms_equal_the_row_reductions(self):
+        # np.minimum over the columns and ((G0 G1) G2) G3 give the bytes of
+        # G.min(axis=1) and G.prod(axis=1)
+        rng = np.random.default_rng(1)
+        G = rng.random((100_000, 4))
+        G[rng.random(G.shape) < 0.1] = 1.0
+        assert combine_matrix(G, "min").tobytes() == (1.0 - G.min(axis=1)).tobytes()
+        assert combine_matrix(G, "prod").tobytes() == (1.0 - G.prod(axis=1)).tobytes()
+
+
+class TestPvalueBounds:
+    def test_marginals_exceed_the_exact_survival(self, monkeypatch):
+        # the bound's S and K marginal p-values exceed the exact logistic
+        # survival at the rounded argument by more than np.exp's rounding,
+        # so they are at least any row's own at a larger statistic
+        if np.finfo(np.longdouble).nmant < 60:
+            pytest.skip("no extended precision here")
+        import regimetest.mctest as mctest
+
+        captured = []
+        real = mctest.combine_matrix
+        monkeypatch.setattr(mctest, "combine_matrix", lambda G, rule: captured.append(G.copy()) or real(G, rule))
+        rng = np.random.default_rng(0)
+        s, k = rng.uniform(0, 3, 4000), rng.uniform(0, 12, 4000)
+        mctest.null_ensemble(120, 20, ("min",), None, 0).pvalue_bounds(s, k, ("min",))
+        G = captured[-1]
+        assert (G[:, :2] == 1.0).all()
+        table = LogisticCoeffTable.default()
+        for column, statistic, x in ((2, "S", s), (3, "K", k)):
+            c = table.coeffs_for(statistic, 120)
+            z = (-(c.gamma0 + c.gamma1 * x)).astype(np.longdouble)
+            e = np.exp(-np.abs(z))
+            exact = np.where(z >= 0, 1, e) / (1 + e)
+            assert (G[:, column] >= np.minimum(exact * (1 + np.longdouble(2.0**-45)), 1)).all()
+
 
 class TestMCPvalue:
     def test_extreme_ranks(self):

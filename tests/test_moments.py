@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -12,12 +13,18 @@ from scipy.stats import ks_2samp
 
 import moments_oracle
 from probe import dispatched_cpu_features, run_probe
+from regimetest.harness import ingest_series
+from regimetest.linearity import _lag_stack, ar_filter, build_grid, ols_ar_fit
+from regimetest.mctest import null_ensemble
 from regimetest.moments import (
     BLOCK_ELEMENTS,
     DegenerateSampleError,
+    _LagMoments,
+    _mv_witnessed,
     _quartet_work,
     _quartets,
     _rows,
+    _skew_kurt_floor,
     compute_quartet,
     demean,
     quartet_matrix,
@@ -402,3 +409,156 @@ class TestRowBlocks:
         assert [i for block in blocks for i in range(n)[block]] == list(range(n))
         assert all(block.stop - block.start == step for block in blocks[:-1])
         assert all(0 < block.stop - block.start <= step for block in blocks)
+
+
+def _ar_path(rng, phi, T, innovations):
+    """An AR path of length T with the given innovations, after a burn-in."""
+    r = len(phi)
+    e = innovations(rng, T + 50)
+    y = np.zeros(T + 50)
+    for t in range(r, T + 50):
+        y[t] = e[t] + sum(phi[k] * y[t - 1 - k] for k in range(r))
+    return y[50:]
+
+
+@st.composite
+def _bound_cases(draw):
+    """A series and coefficient rows for the lag-moment bound: random and
+    adversarial series (offsets up to 1e7, scales of 1e-50 to 1e50,
+    two-valued, sparse with exact zeros, a geometric level that one row
+    filters to almost nothing) and rows (random, near a unit root, the
+    path's own coefficients, zero)."""
+    r = draw(st.integers(1, 4))
+    T = draw(st.integers(r + 8, 90))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phi = rng.uniform(-0.5, 0.5, r) / r
+    kind = draw(st.sampled_from(["normal", "student-t", "two-valued", "sparse", "geometric"]))
+    if kind == "two-valued":
+        y = np.where(rng.random(T) < 0.5, -1.0, 1.0)
+    elif kind == "sparse":
+        y = np.where(rng.random(T) < 0.8, 0.0, rng.standard_normal(T))
+    elif kind == "geometric":
+        phi = np.r_[0.97, np.zeros(r - 1)]
+        y = 0.97 ** np.arange(T) + 1e-9 * rng.standard_normal(T)
+    else:
+        innovations = {"normal": lambda g, n: g.standard_normal(n),
+                       "student-t": lambda g, n: g.standard_t(3, n)}[kind]
+        y = _ar_path(rng, phi, T, innovations)
+    y = y * 10.0 ** draw(st.sampled_from([-50, -3, 0, 3, 50])) + draw(st.sampled_from([0.0, 1.0, 1e7]))
+    unit = rng.dirichlet(np.ones(r)) * (1 - 10.0 ** -rng.uniform(1, 12))  # sum just below 1
+    P = np.vstack([rng.uniform(-1.2, 1.2, (6, r)), unit, -unit, phi, np.zeros(r)])
+    return y, P
+
+
+class TestLagMomentBounds:
+    """``_LagMoments`` bounds the kernel's S and K of filtered rows from moment
+    tensors of the lag stack, and witnesses their M and V; the pass settles a
+    row on these alone."""
+
+    @staticmethod
+    def _kernel(y, P):
+        """The kernel's quartets and sig2 of the filtered, demeaned rows, and
+        the rows' first 32 entries."""
+        E = ar_filter(y, P)
+        E -= E.mean(axis=1, keepdims=True)
+        return _quartets(E), np.square(E).mean(axis=1), E[:, :32].copy()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_bound_cases())
+    def test_bounds_hold_for_the_kernel(self, case):
+        y, P = case
+        r = P.shape[1]
+        lag_moments = _LagMoments(_lag_stack(y, r))
+        s, k, lo, hi = lag_moments.skew_kurt_bounds(P)
+        witnessed = lag_moments.mv_witnessed(P, lo, hi)
+        Q, sig2, head = self._kernel(y, P)
+        # the witnesses' entries lie within half their margin of the kernel's
+        C = lag_moments._coefficients(P)
+        W = np.einsum("kt,km->mt", lag_moments.head, C)
+        assert (np.abs(W - head) <= 0.5 * lag_moments.delta * lag_moments._bound(C)[:, None]).all()
+        certified = lo > 0
+        # a certified row has a finite S and K, a sig2 inside its interval
+        # and bounds at or below its S and K
+        assert np.isfinite(Q[certified, 2:]).all()
+        assert (lo[certified] <= sig2[certified]).all() and (sig2[certified] <= hi[certified]).all()
+        assert (s[certified] <= Q[certified, 2]).all() and (k[certified] <= Q[certified, 3]).all()
+        assert (s[~certified] == 0).all() and (k[~certified] == 0).all()
+        # a witnessed row gets a finite M and V
+        assert np.isfinite(Q[witnessed, :2]).all()
+        # the p-value bound is at least the row's rank p-value under both rules
+        ensemble = null_ensemble(len(y) - r, 20, ("min", "prod"), None, 0)
+        bounds = ensemble.pvalue_bounds(s, k, ("min", "prod"))
+        defined = np.isfinite(Q).all(axis=1)
+        for rule, (_, _, p) in ensemble.rank(Q[defined]).items():
+            assert (bounds[rule][defined] >= p).all()
+
+    def test_gnp_rows_are_certified_and_witnessed(self):
+        # on the real series the bound is tight: every r=4 grid row is
+        # certified and witnessed, its S and K within 1e-7 of the kernel's
+        path = files("regimetest").joinpath("data/gnp_extended_levels.csv")
+        y = ingest_series(str(path), "logdiff100").values
+        P = build_grid(ols_ar_fit(y, 4), 9).points
+        lag_moments = _LagMoments(_lag_stack(y, 4))
+        s, k, lo, hi = lag_moments.skew_kurt_bounds(P)
+        Q, _, _ = self._kernel(y, P)
+        assert (lo > 0).all() and lag_moments.mv_witnessed(P, lo, hi).all()
+        assert (Q[:, 2:] - np.column_stack([s, k]) <= 1e-7).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-3, 1e3), st.floats(0, 1e-2), st.one_of(st.just(0.0), st.floats(1e-30, 10)),
+           st.floats(0.1, 50), st.floats(0, 1e-2))
+    def test_floor_stays_below_the_kernel_arithmetic(self, m2, w2, m3, x, w4):
+        # at the ends of its moment intervals, the kernel's S = |m3| / sig2^1.5
+        # and K = |m4 / sig2^2 - 3| round by at most a relative gamma_4; the
+        # floor stays below them in exact arithmetic by its slack (a lower
+        # cube bound is 0 or far above the subnormals: it exceeds eta_3)
+        lo, hi = m2 * (1 - w2), m2 * (1 + w2)
+        m4_lo = x * m2 * m2
+        m4_hi = m4_lo * (1 + w4)
+        s, k = _skew_kurt_floor(np.array([lo]), np.array([hi]), np.array([m3]),
+                                np.array([m4_lo]), np.array([m4_hi]))
+        g = Fraction(4 * 2**-53) / (1 - 4 * 2**-53)
+        lo, hi, m3, m4_lo, m4_hi, s, k = map(Fraction, (lo, hi, m3, m4_lo, m4_hi, s[0], k[0]))
+        assert s * s * hi**3 <= (1 - g) ** 2 * m3 * m3
+        x_lo, x_hi = (1 - g) * m4_lo / hi**2, (1 + g) * m4_hi / lo**2
+        assert k <= (1 - g) * max(x_lo - 3, 3 - x_hi, 0)
+
+    @staticmethod
+    def _witness_cases():
+        """(name, E, W): kernel rows E of 32 entries with an undefined M or V,
+        and leading entries W within 1e-3 of E that meet every witness
+        condition but the margin the name gives."""
+        d = 1e-3
+        spread = np.r_[np.zeros(16), np.linspace(1.0, 3.0, 16)]  # no negative entry
+        two = np.r_[np.full(8, 2.0), np.full(16, -1.0), np.zeros(8)]  # single-valued partitions
+        sparse = np.r_[np.zeros(20), np.tile([2.0, 2.5, -2.0, -2.5], 3)]  # small squares all 0
+        upper = np.r_[np.zeros(19), np.tile([2.0, 2.5, -2.0, -2.5], 3), 0.0]
+        for _ in range(5):  # its last entry just above sqrt(sig2): a big square
+            upper[-1] = np.sqrt(np.square(upper).mean()) + 0.5 * d
+        cases = {
+            "negative": (spread, np.where(spread == 0, -0.5 * d, spread)),
+            "gap": (two, two + np.r_[0.9 * d, -0.9 * d, np.zeros(30)]),
+            "positive": (two, two + np.r_[np.zeros(24), 0.5 * d, np.zeros(7)]),
+            "small-lower": (sparse, np.where(sparse == 0, 0.9 * d, sparse)),
+            "small-upper": (upper, upper - np.r_[np.zeros(31), 0.9 * d]),
+        }
+        return d, cases
+
+    @pytest.mark.parametrize("name", ["negative", "gap", "positive", "small-lower", "small-upper"])
+    def test_witness_margins_cover_the_entries_distance(self, name):
+        d, cases = self._witness_cases()
+        E, W = cases[name]
+        assert np.abs(W - E).max() <= d
+        Q = _quartets(E[None, :])[0]
+        assert np.isnan(Q[:2]).any()
+        sig2 = np.square(E).mean()
+        assert not _mv_witnessed(W[:, None], np.array([d]), np.array([sig2]), np.array([sig2]), 32)[0]
+
+    def test_witness_accepts_a_plain_row(self):
+        rng = np.random.default_rng(4)
+        E = rng.standard_normal((40, 32))
+        W = E + rng.uniform(-1e-6, 1e-6, E.shape)
+        sig2 = np.square(E).mean(axis=1)
+        witnessed = _mv_witnessed(W.T.copy(), np.full(40, 1e-6), sig2, sig2, 32)
+        assert witnessed.sum() >= 35
+        assert np.isfinite(_quartets(E)[witnessed, :2]).all()

@@ -262,6 +262,24 @@ class TestMinRootModulus:
         value = min_root_modulus(np.array([0.31, 0.13, -0.12, -0.09]))
         assert value == pytest.approx(1.50, abs=0.01)
 
+    @pytest.mark.parametrize("phi, expected", [
+        ([5e-324], np.inf),  # the one root, 1/5e-324, overflows
+        ([0.5, 1e-310], 2.0),
+        ([0.3, -0.2, 4e-320], 0.2**-0.5),
+    ])
+    def test_tiny_last_coefficient(self, phi, expected):
+        # np.roots' companion matrix divides by the last coefficient and
+        # overflows; the reciprocal polynomial's roots give the modulus
+        with np.errstate(all="raise"):
+            assert min_root_modulus(np.array(phi)) == pytest.approx(expected, rel=1e-12)
+
+    def test_np_roots_values_keep_their_bits(self):
+        # where the companion is finite the value is np.roots' own
+        rng = np.random.default_rng(3)
+        for phi in rng.uniform(-0.6, 0.6, (50, 4)).tolist() + [[0.5], [0.5, 1e-300]]:
+            p = np.r_[-np.array(phi)[::-1], 1.0]
+            assert min_root_modulus(np.array(phi)) == float(np.abs(np.roots(p)).min())
+
 
 def exact_step_down(phi) -> bool:
     """Stationarity of one row by the step-down recursion in ``Fraction``
