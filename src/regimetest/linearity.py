@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mctest import LogisticCoeffTable, null_ensemble
-from .moments import _LagMoments, _quartet_work, _quartets, _rows, finite_series, row_blocks
+from .moments import _LagMoments, _coefficients, _quartet_work, _quartets, _rows, finite_series, row_blocks
 from .msar import min_root_modulus, stationary_rows
 
 __all__ = [
@@ -206,10 +206,8 @@ def _filter_rows(y: np.ndarray, P: np.ndarray, out: np.ndarray) -> np.ndarray:
     if r == 0:
         out[:] = y
         return out
-    coef = np.empty((len(P), r + 1))
-    coef[:, 0] = 1.0
-    np.negative(P, out=coef[:, 1:])
-    return np.einsum("ik,kt->it", coef, _lag_stack(y, r), out=out)
+    # einsum's loop runs fastest with the coefficients row-major
+    return np.einsum("ik,kt->it", _coefficients(P).T.copy(), _lag_stack(y, r), out=out)
 
 
 class _RowQuartets:
@@ -239,7 +237,9 @@ class _RowBounds:
     which rows the witnesses prove M- and V-defined, from the series' lag
     moments (:class:`~regimetest.moments._LagMoments`).  They are computed
     for runs of whole blocks of at least ``_BOUND_ROWS`` rows, as the pass
-    reaches them, so small blocks share the fixed cost of the calls."""
+    reaches them, so that the small blocks of a long series (under 512 rows
+    once it has more than 256 observations) share the fixed cost of the
+    calls."""
 
     def __init__(self, y: np.ndarray, rows: np.ndarray, ensemble, rules):
         self.rows, self.ensemble, self.rules = rows, ensemble, rules

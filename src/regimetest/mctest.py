@@ -26,6 +26,7 @@ import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from importlib.resources import as_file, files
 from pathlib import Path
 from typing import Mapping
@@ -177,21 +178,22 @@ def combine_prod(pvals) -> float:
 
 def _combine(pvals, method: str) -> float:
     p = np.asarray(pvals, dtype=float)
+    if p.size == 0:
+        raise ValueError("no p-values to combine")
     if np.any((p < 0.0) | (p > 1.0)):
         raise ValueError("p-values must lie in [0, 1]")
     return float(combine_matrix(p[None, :], method)[0])
 
 
 def combine_matrix(G: np.ndarray, method: str) -> np.ndarray:
-    """Row-wise combination of a (n, 4) matrix of marginal p-values: the
-    column-wise forms of ``G.min(axis=1)`` and ``G.prod(axis=1)``, which
-    they equal bit for bit (the product taken as ((G0 G1) G2) G3), without
-    a reduction's per-row overhead."""
-    g = G.T
+    """Row-wise combination of a (n, k) matrix of marginal p-values: the
+    minimum and the product folded over the columns from the left, which
+    equal ``G.min(axis=1)`` and ``G.prod(axis=1)`` bit for bit, without a
+    reduction's per-row overhead."""
     if method == "min":
-        return 1.0 - np.minimum(np.minimum(g[0], g[1]), np.minimum(g[2], g[3]))
+        return 1.0 - reduce(np.minimum, G.T)
     if method == "prod":
-        return 1.0 - g[0] * g[1] * g[2] * g[3]
+        return 1.0 - reduce(np.multiply, G.T)
     raise ValueError(f"unknown combination method {method!r}; use 'min' or 'prod'")
 
 

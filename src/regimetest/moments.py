@@ -208,6 +208,14 @@ def _gamma(m: int) -> float:
     return mu / (1.0 - mu)
 
 
+def _coefficients(P: np.ndarray) -> np.ndarray:
+    """The columns ``c = [1, -phi_1, ..., -phi_r]`` of coefficient rows ``P``."""
+    C = np.empty((P.shape[1] + 1, len(P)))
+    C[0] = 1.0
+    np.negative(P.T, out=C[1:])
+    return C
+
+
 class _LagMoments:
     """Bounds on the kernel's S and K of filtered rows, from moment tensors of
     the lag stack, and witnesses that their M and V are defined.
@@ -264,7 +272,7 @@ class _LagMoments:
         ``[lo, hi]`` that holds its ``sig2`` (``lo`` is 0 for a row that is
         not certified).  The rows' forms run along the last axis."""
         t2, t3, t4 = self.forms
-        C = self._coefficients(P)
+        C = _coefficients(P)
         i, j = self.pairs
         C2 = C[i] * C[j]
         m2 = np.einsum("a,am->m", t2, C2) / self.n
@@ -285,17 +293,9 @@ class _LagMoments:
         ``_WITNESS_COLUMNS`` entries ``c . (L_t - mean L)``, which lie within
         gamma_{n+2r+6} B of the exact entries, and so within ``delta`` (twice
         that and the kernel's own gamma_{n+2r+5} B) of the kernel's."""
-        C = self._coefficients(P)
+        C = _coefficients(P)
         W = np.einsum("kt,km->tm", self.head, C)
         return _mv_witnessed(W, self.delta * self._bound(C), lo, hi, self.n)
-
-    @staticmethod
-    def _coefficients(P: np.ndarray) -> np.ndarray:
-        """The columns ``c = [1, -phi_1, ..., -phi_r]`` of coefficient rows ``P``."""
-        C = np.empty((P.shape[1] + 1, len(P)))
-        C[0] = 1.0
-        np.negative(P.T, out=C[1:])
-        return C
 
     def _bound(self, C: np.ndarray) -> np.ndarray:
         """``B = |c|_1 max|y|`` of each coefficient column."""

@@ -17,6 +17,8 @@ from regimetest.linearity import (
     METHODS,
     NuisanceBox,
     _RowQuartets,
+    _SEEDS,
+    _lag_stack,
     ar_filter,
     build_grid,
     linearity_tests,
@@ -800,6 +802,23 @@ class TestBoundedPass:
         Q = quartet_matrix(ar_filter(y, grid))
         assert np.isnan(Q[at]).tolist() == [c == statistic for c in "MVSK"]
         assert not np.isnan(np.delete(Q, at, axis=0)).any()
+        ensemble = null_ensemble(Tz, 20, (rule,), None, 0)
+        lag_moments = moments._LagMoments(_lag_stack(y, 1))
+
+        def bounds(rows):
+            s, k, _, _ = lag_moments.skew_kurt_bounds(rows)
+            return ensemble.pvalue_bounds(s, k, (rule,))[rule]
+
+        # the grid rows ranked before the row is bounded: the whole first
+        # block, or, for a row in it, the seeds of the largest bounds
+        before = np.arange(block_rows - 1)
+        if at in before:
+            before = np.sort(np.argsort(-bounds(grid[before]), kind="stable")[:_SEEDS])
+            assert at not in before
+        p = ensemble.rank(Q[before])[rule][2]
+        first_maximizer = before[np.argmax(p)]
+        bound = bounds(grid[at : at + 1])[0]
+        assert bound < p.max() or (bound == p.max() and at > first_maximizer)
         monkeypatch.setattr(moments, "BLOCK_ELEMENTS", block_rows * Tz)
         witnessed = {}
         real = moments._LagMoments.mv_witnessed
@@ -810,10 +829,10 @@ class TestBoundedPass:
             return out
 
         monkeypatch.setattr(moments._LagMoments, "mv_witnessed", spy)
+        # only the witnesses keep the row in the kernel, which raises
         with pytest.raises(DegenerateSampleError) as raised:
             linearity_tests(y, 1, (f"MMC_{rule}",), grid=NuisanceBox(grid), N=20)
         assert raised.value.statistic == statistic
-        # the row's bound would settle it; only the witnesses keep it in the kernel
         assert witnessed[0.0] is False
 
     def test_degenerate_seed_raises_as_ranking_every_row(self, monkeypatch):

@@ -154,14 +154,24 @@ class TestCombine:
         with pytest.raises(ValueError):
             combine_min([0.5, 0.5, 0.5, 1.5])
 
-    def test_column_forms_equal_the_row_reductions(self):
-        # np.minimum over the columns and ((G0 G1) G2) G3 give the bytes of
-        # G.min(axis=1) and G.prod(axis=1)
+    @pytest.mark.parametrize("k", [1, 2, 4, 5, 9])
+    def test_column_forms_equal_the_row_reductions(self, k):
+        # the minimum and ((G0 G1) G2) ... folded over the columns give the
+        # bytes of G.min(axis=1) and G.prod(axis=1)
         rng = np.random.default_rng(1)
-        G = rng.random((100_000, 4))
+        G = rng.random((100_000, k))
         G[rng.random(G.shape) < 0.1] = 1.0
         assert combine_matrix(G, "min").tobytes() == (1.0 - G.min(axis=1)).tobytes()
         assert combine_matrix(G, "prod").tobytes() == (1.0 - G.prod(axis=1)).tobytes()
+
+    @pytest.mark.parametrize("p", [[0.3], [0.9, 0.4], [0.9] * 4 + [0.01], [0.5] * 7])
+    def test_any_number_of_pvalues(self, p):
+        assert combine_min(p) == 1.0 - min(p)
+        assert combine_prod(p) == 1.0 - np.prod(p)
+
+    def test_rejects_no_pvalues(self):
+        with pytest.raises(ValueError, match="no p-values"):
+            combine_prod([])
 
 
 class TestPvalueBounds:

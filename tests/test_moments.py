@@ -20,6 +20,7 @@ from regimetest.moments import (
     BLOCK_ELEMENTS,
     DegenerateSampleError,
     _LagMoments,
+    _coefficients,
     _mv_witnessed,
     _quartet_work,
     _quartets,
@@ -473,7 +474,7 @@ class TestLagMomentBounds:
         witnessed = lag_moments.mv_witnessed(P, lo, hi)
         Q, sig2, head = self._kernel(y, P)
         # the witnesses' entries lie within half their margin of the kernel's
-        C = lag_moments._coefficients(P)
+        C = _coefficients(P)
         W = np.einsum("kt,km->mt", lag_moments.head, C)
         assert (np.abs(W - head) <= 0.5 * lag_moments.delta * lag_moments._bound(C)[:, None]).all()
         certified = lo > 0
