@@ -48,8 +48,11 @@ both rules.  A row is settled, never filtered, and counted in
 ``LinearityReport.rows_bounded``, when two things hold: its bound cannot
 beat any requested MMC rule's running maximum (it is strictly below it for
 a row before the current first maximizer, at or below it for a row after),
-and witnesses among its first 32 filtered entries, taken from the centred
-stack, prove its M and V defined, so that the kernel could not raise on it.
+and witnesses among its first 8 filtered entries, or failing those its
+first 32, taken from the centred stack, prove its M and V defined, so that
+the kernel could not raise on it.  The bounds and witnesses are computed
+for runs of whole blocks of at least 1,000 rows as the pass reaches them,
+so that small blocks share the fixed cost of a call.
 The first block seeds the maxima: its OLS row and the 16 grid rows of the
 largest bound per MMC rule are ranked first, and the rest of it is bounded
 against them.  Every other row goes through the unchanged filter, kernel
@@ -96,7 +99,7 @@ METHODS = ("LMC_min", "LMC_prod", "MMC_min", "MMC_prod")
 _SEEDS = 16
 
 #: Fewest rows whose bounds :class:`_RowBounds` computes at a time.
-_BOUND_ROWS = 512
+_BOUND_ROWS = 1000
 
 
 @dataclass(frozen=True)
@@ -237,9 +240,11 @@ class _RowBounds:
     which rows the witnesses prove M- and V-defined, from the series' lag
     moments (:class:`~regimetest.moments._LagMoments`).  They are computed
     for runs of whole blocks of at least ``_BOUND_ROWS`` rows, as the pass
-    reaches them, so that the small blocks of a long series (under 512 rows
-    once it has more than 256 observations) share the fixed cost of the
-    calls."""
+    reaches them, so that blocks of under 1,000 rows (those of more than 131
+    filtered values) share the fixed cost of the calls: two
+    557-row blocks per call on the extended GNP series at r=4, one 1,000-row
+    block on the Hamilton series, whose pass often stops after one to
+    three."""
 
     def __init__(self, y: np.ndarray, rows: np.ndarray, ensemble, rules):
         self.rows, self.ensemble, self.rules = rows, ensemble, rules

@@ -160,7 +160,13 @@ def _logistic(z):
 
 def approx_pvalue_matrix(Q: np.ndarray, table: LogisticCoeffTable, T: int) -> np.ndarray:
     """Column-wise approximate p-values for a batch of quartets (n, 4)."""
-    coeffs = [table.coeffs_for(stat, T) for stat in STATISTICS]
+    return _approx_pvalues(Q, table, T, STATISTICS)
+
+
+def _approx_pvalues(Q: np.ndarray, table: LogisticCoeffTable, T: int, statistics) -> np.ndarray:
+    """Approximate p-values of the columns of ``Q``, one column per name in
+    ``statistics``; each entry is the same whichever columns are given."""
+    coeffs = [table.coeffs_for(stat, T) for stat in statistics]
     gamma0 = np.array([c.gamma0 for c in coeffs])
     gamma1 = np.array([c.gamma1 for c in coeffs])
     return _logistic(-(gamma0 + gamma1 * np.asarray(Q, dtype=float)))
@@ -392,12 +398,10 @@ class NullEnsemble:
         (the minimum is exact, and each rounded partial product can only
         grow with its factors), and a rank p-value never rises with the
         statistic, so no row's p-value under :meth:`rank` exceeds its
-        bound."""
-        Q = np.zeros((len(s), 4))
-        Q[:, 2], Q[:, 3] = s, k
-        G = approx_pvalue_matrix(Q, self.table, self.T)
-        np.minimum(G * (1.0 + 2.0**-30), 1.0, out=G)
-        G[:, :2] = 1.0
+        bound.  The logistic runs on the S and K columns only."""
+        G = np.ones((len(s), 4))
+        SK = _approx_pvalues(np.column_stack([s, k]), self.table, self.T, STATISTICS[2:])
+        np.minimum(SK * (1.0 + 2.0**-30), 1.0, out=G[:, 2:])
         return {rule: _rank_lookup(combine_matrix(G, rule), *self.replicates[rule])[1] for rule in rules}
 
 

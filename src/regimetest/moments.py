@@ -23,7 +23,9 @@ Every masked or moment sum (the partition means, the partition square sums,
 the V partition sums and the skewness and kurtosis sums) is a row dot
 product, ``einsum("ij,ij->i", ...)``, taken directly against the partition
 flags: one pass over the block, where a product written out and then summed
-took two.  The buffers stay one float and two flag arrays.  einsum adds
+took two.  The buffers stay one float and two flag arrays; their flags are
+counted as bytes into 32-bit sums, not through bool sums, which widen
+every flag to 64 bits.  einsum adds
 along each row in its own order rather than numpy's pairwise one, so M, V,
 S and K moved by a few ulps when the sums changed form; ranks and p-values
 did not move on any pinned case.
@@ -37,7 +39,9 @@ an interval around each of the three moments that holds the kernel's own
 (:class:`_LagMoments` states the counts), and :func:`_skew_kurt_floor`
 turns the intervals into bounds with a relative slack for the last
 divisions.  :func:`_mv_witnessed` proves M and V defined from a row's
-first entries, each within a margin of the kernel's.
+first entries, each within a margin of the kernel's, in two stages: the
+first 8 entries of every row, then all 32 of the rows that 8 do not
+witness, which witnesses the same rows as 32 entries alone.
 """
 
 from __future__ import annotations
@@ -160,8 +164,8 @@ def _quartets(E: np.ndarray, work: tuple[np.ndarray, ...] | None = None) -> np.n
     E2, pos, neg = (w[: E.size].reshape(E.shape) for w in (work or _quartet_work(E.size)))
     np.greater(E, 0, out=pos)
     np.less(E, 0, out=neg)
-    n2 = pos.sum(axis=1)
-    n1 = neg.sum(axis=1)
+    n2 = _counts(pos)
+    n1 = _counts(neg)
     with np.errstate(invalid="ignore", divide="ignore"):
         # E2 holds the M statistic's temporaries until the squares overwrite them
         floor = _dispersion_floor(np.abs(E, out=E2).max(axis=1))
@@ -176,8 +180,8 @@ def _quartets(E: np.ndarray, work: tuple[np.ndarray, ...] | None = None) -> np.n
         sig2 = E2.mean(axis=1)
         big = np.greater(E2, sig2[:, None], out=pos)
         small = np.less(E2, sig2[:, None], out=neg)
-        nb = big.sum(axis=1)
-        ns = small.sum(axis=1)
+        nb = _counts(big)
+        ns = _counts(small)
         v2 = np.where(nb > 0, _row_dots(E2, big) / nb, np.nan)
         v1 = np.where(ns > 0, _row_dots(E2, small) / ns, np.nan)
         v = v2 / np.where(v1 > floor, v1, np.nan)
@@ -193,8 +197,10 @@ def _quartets(E: np.ndarray, work: tuple[np.ndarray, ...] | None = None) -> np.n
     return Q
 
 
-#: Leading entries of a row in which :meth:`_LagMoments.mv_witnessed` looks for its witnesses.
-_WITNESS_COLUMNS = 32
+#: Leading entries of a row in which :meth:`_LagMoments.mv_witnessed` looks
+#: for its witnesses: the first 8 of every row, then all 32 of the rows that
+#: 8 do not witness.
+_FIRST_WITNESS_COLUMNS, _WITNESS_COLUMNS = 8, 32
 
 #: Relative slack of :func:`_skew_kurt_floor`: it covers the kernel's last
 #: roundings of S and K and the bound's own, a few u each.
@@ -289,13 +295,29 @@ class _LagMoments:
     def mv_witnessed(self, P: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Which coefficient rows ``P`` provably get a finite M and V from the
         kernel, given the interval ``[lo, hi]`` of their ``sig2`` from
-        :meth:`skew_kurt_bounds`: :func:`_mv_witnessed` on their first
-        ``_WITNESS_COLUMNS`` entries ``c . (L_t - mean L)``, which lie within
-        gamma_{n+2r+6} B of the exact entries, and so within ``delta`` (twice
-        that and the kernel's own gamma_{n+2r+5} B) of the kernel's."""
+        :meth:`skew_kurt_bounds`: :func:`_mv_witnessed` on their first 32
+        entries ``c . (L_t - mean L)``, which lie within gamma_{n+2r+6} B of
+        the exact entries, and so within ``delta`` (twice that and the
+        kernel's own gamma_{n+2r+5} B) of the kernel's.
+
+        The first 8 entries of every row are tested first, and all 32 only
+        of the rows they do not witness.  That witnesses the same rows:
+        more entries can only raise the largest entry, the positive gap, the
+        largest modulus and the largest small modulus, and only lower the
+        smallest entry.  A row with a non-finite entry, which would turn them
+        to NaN, is not certified, and a row that is not (``lo = 0``) has no
+        modulus below ``sqrt(lo) - delta`` and so no witness either way.
+        einsum adds each entry's r + 1 products in one order whichever
+        entries and rows it is given, so every entry keeps its bits."""
         C = _coefficients(P)
-        W = np.einsum("kt,km->tm", self.head, C)
-        return _mv_witnessed(W, self.delta * self._bound(C), lo, hi, self.n)
+        delta = self.delta * self._bound(C)
+        W = np.einsum("kt,km->tm", self.head[:, :_FIRST_WITNESS_COLUMNS], C)
+        witnessed = _mv_witnessed(W, delta, lo, hi, self.n)
+        rest = np.flatnonzero(~witnessed)
+        if len(rest):
+            W = np.einsum("kt,km->tm", self.head, C[:, rest])
+            witnessed[rest] = _mv_witnessed(W, delta[rest], lo[rest], hi[rest], self.n)
+        return witnessed
 
     def _bound(self, C: np.ndarray) -> np.ndarray:
         """``B = |c|_1 max|y|`` of each coefficient column."""
@@ -348,6 +370,13 @@ def _mv_witnessed(W: np.ndarray, delta, lo, hi, T: int) -> np.ndarray:
         w = A.max(axis=0) - delta
         v_defined = (np.maximum(top, -bottom) - delta > np.sqrt(hi)) & (w > 0) & (w**2 > 2 * T * level)
     return m_defined & v_defined
+
+
+def _counts(flags: np.ndarray) -> np.ndarray:
+    """The number of set flags in each row, summed as bytes into 32-bit
+    counts: the same integers as ``flags.sum(axis=1)``, which widens every
+    flag to 64 bits first, for rows of under 2^32 flags."""
+    return flags.view(np.uint8).sum(axis=1, dtype=np.uint32)
 
 
 def _row_dots(A, B) -> np.ndarray:

@@ -10,11 +10,12 @@ with ``e_t`` i.i.d. standard normal, independent of the two-state chain
 normal mixture weighted by the chain's ergodic probabilities.
 
 Stationarity is one rule over coefficient matrices: :func:`stationary_rows`
-runs the Levinson step-down recursion (the inverse of the partial
-autocorrelation map of Barndorff-Nielsen & Schou, 1973) over every row and
 keeps the rows whose reflection coefficients all lie strictly inside
-(-1, 1).  Rows that rounding cannot decide are settled in exact rational
-arithmetic, so a root on the unit circle always counts as non-stationary.
+(-1, 1), by the Levinson step-down recursion (the inverse of the partial
+autocorrelation map of Barndorff-Nielsen & Schou, 1973).  A row whose
+``sum |phi_k|`` is certainly below one is stationary without it.  Rows that
+rounding cannot decide are settled in exact rational arithmetic, so a root
+on the unit circle always counts as non-stationary.
 ``min_root_modulus`` reports the smallest AR-root modulus of one vector by
 ``np.roots``.
 """
@@ -224,15 +225,35 @@ def stationary_rows(P: np.ndarray) -> np.ndarray:
     stationary autoregression (every root of ``1 - phi_1 z - ... - phi_r z^r``
     strictly outside the unit circle).
 
-    The Levinson step-down recursion takes ``a_k = phi_k^(k)`` and
+    A row whose computed ``sum |phi_k|`` lies below ``1 - (r + 1) u``
+    (u = 2^-53, so the bound is a float) is stationary: the sum of r
+    non-negative terms, added in any order, has at most r - 1 roundings, so
+    it is at least ``(1 - (r - 1) u)`` times the exact sum, which is then
+    below ``(1 - (r + 1) u) / (1 - (r - 1) u) < 1``; and where
+    ``sum |phi_k| < 1``, ``|phi_1 z + ... + phi_r z^r| < 1`` on the closed
+    unit disc, so no root lies on or inside it.  Every other row goes
+    through the exact :func:`_step_down`, which accepts every row the
+    certificate accepts, so the certificate moves no decision.  Rows with a
+    non-finite entry are non-stationary; an all-zero row or a zero-width
+    matrix is stationary.
+    """
+    P = np.asarray(P, dtype=float)
+    keep = sum(np.abs(P.T), np.zeros(len(P))) < 1.0 - (P.shape[1] + 1) * _U
+    rest = np.flatnonzero(~keep)
+    keep[rest] = _step_down(P[rest])
+    return keep
+
+
+def _step_down(P: np.ndarray) -> np.ndarray:
+    """:func:`stationary_rows` by the Levinson step-down recursion alone.
+
+    The recursion takes ``a_k = phi_k^(k)`` and
     ``phi_j^(k-1) = (phi_j^(k) + a_k phi_{k-j}^(k)) / (1 - a_k^2)`` from
     ``k = r`` down to 1; a row is stationary iff every ``|a_k| < 1``.  The
     decision is exact for the rational numbers a row's floats hold: a row
     whose rounded ``|a_k|`` lies within the recursion's error bound of one
-    is re-run in ``Fraction`` arithmetic.  Rows with a non-finite entry are
-    non-stationary; an all-zero row or a zero-width matrix is stationary.
+    is re-run in ``Fraction`` arithmetic.
     """
-    P = np.asarray(P, dtype=float)
     keep = np.isfinite(P).all(axis=1)
     live = np.flatnonzero(keep)
     phi = list(np.ascontiguousarray(P[live].T))  # columns phi_1 ... phi_k of the live rows

@@ -19,8 +19,10 @@ from regimetest.mctest import null_ensemble
 from regimetest.moments import (
     BLOCK_ELEMENTS,
     DegenerateSampleError,
+    _FIRST_WITNESS_COLUMNS,
     _LagMoments,
     _coefficients,
+    _counts,
     _mv_witnessed,
     _quartet_work,
     _quartets,
@@ -399,6 +401,15 @@ class TestKernelWork:
             nan_rows += int(np.isnan(expected).any(axis=1).sum())
         assert nan_rows > 0  # the degenerate rows were exercised
 
+    @pytest.mark.parametrize("T", [4, 255, 256, 70_000])
+    def test_flag_counts_equal_bool_sums(self, T):
+        # the kernel counts flags as bytes into 32-bit sums: the same integers
+        # as bool sums, past a byte's and a 16-bit count's range
+        rng = np.random.default_rng(T)
+        flags = np.vstack([np.ones(T, bool), np.zeros(T, bool), rng.random((3, T)) < 0.5])
+        assert _counts(flags).tolist() == flags.sum(axis=1).tolist()
+        assert _counts(flags)[0] == T
+
 
 class TestRowBlocks:
     @pytest.mark.parametrize(
@@ -492,6 +503,40 @@ class TestLagMomentBounds:
         defined = np.isfinite(Q).all(axis=1)
         for rule, (_, _, p) in ensemble.rank(Q[defined]).items():
             assert (bounds[rule][defined] >= p).all()
+
+    @staticmethod
+    def _witnessed_by_all_entries(lag_moments, P, lo, hi):
+        """The witness on all 32 leading entries of every row at once."""
+        C = _coefficients(P)
+        W = np.einsum("kt,km->tm", lag_moments.head, C)
+        return _mv_witnessed(W, lag_moments.delta * lag_moments._bound(C), lo, hi, lag_moments.n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_bound_cases())
+    def test_two_stage_witness_equals_all_entries(self, case):
+        y, P = case
+        lag_moments = _LagMoments(_lag_stack(y, P.shape[1]))
+        _, _, lo, hi = lag_moments.skew_kurt_bounds(P)
+        expected = self._witnessed_by_all_entries(lag_moments, P, lo, hi)
+        assert np.array_equal(lag_moments.mv_witnessed(P, lo, hi), expected)
+
+    @pytest.mark.parametrize("r", [1, 4])
+    def test_second_stage_decides_rows_with_small_first_entries(self, r):
+        # the first 8 centred entries all lie below sigma in modulus, so no
+        # square among them exceeds sig2 and only all 32 can witness V
+        rng = np.random.default_rng(r)
+        y = rng.standard_normal(160)
+        y[: _FIRST_WITNESS_COLUMNS + r] *= 0.05
+        P = np.vstack([np.zeros(r), rng.uniform(-0.05, 0.05, (40, r))])
+        lag_moments = _LagMoments(_lag_stack(y, r))
+        _, _, lo, hi = lag_moments.skew_kurt_bounds(P)
+        C = _coefficients(P)
+        first = np.einsum("kt,km->tm", lag_moments.head[:, :_FIRST_WITNESS_COLUMNS], C)
+        assert (np.abs(first) < np.sqrt(lo)).all()
+        assert not _mv_witnessed(first, lag_moments.delta * lag_moments._bound(C), lo, hi, lag_moments.n).any()
+        witnessed = lag_moments.mv_witnessed(P, lo, hi)
+        assert witnessed.all()
+        assert np.array_equal(witnessed, self._witnessed_by_all_entries(lag_moments, P, lo, hi))
 
     def test_gnp_rows_are_certified_and_witnessed(self):
         # on the real series the bound is tight: every r=4 grid row is

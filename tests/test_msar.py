@@ -13,6 +13,8 @@ from regimetest.msar import (
     MSARSpec,
     RegimeParams,
     TransitionMatrix,
+    _exact_stationary,
+    _step_down,
     ergodic_probabilities,
     min_root_modulus,
     mixture_moments,
@@ -313,7 +315,56 @@ _dyadic_rows = st.integers(1, 4).flatmap(lambda r: st.lists(
     min_size=1, max_size=30))
 
 
+U = 2.0**-53
+
+
+@st.composite
+def _near_unit_l1_rows(draw):
+    """(n, r) rows for r = 1 ... 6 around the certificate's threshold: rows
+    scaled to a sum of |phi_k| within 64 u of one, dyadic rows whose exact
+    sum is one, and rows with a NaN or an infinite entry."""
+    r = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((12, r)) * (rng.random((12, r)) < 0.8)  # some exact zeros
+    x[:, 0] += 1.0  # no all-zero row
+    scaled = x / np.abs(x).sum(axis=1, keepdims=True) * (1.0 + rng.integers(-64, 65, (12, 1)) * U)
+    # a sum of one in dyadic parts: a random split of 1 into 2^-8 steps, signed
+    parts = np.diff(np.r_[0, np.sort(rng.integers(0, 257, r - 1)), 256]) / 256
+    dyadic = parts * rng.choice([-1.0, 1.0], (4, r))
+    bad = rng.uniform(-0.1, 0.1, (2, r))
+    bad[0, rng.integers(r)] = np.nan
+    bad[1, rng.integers(r)] = rng.choice([-np.inf, np.inf])
+    return np.vstack([scaled, dyadic, bad])
+
+
 class TestStationaryRows:
+    @given(_near_unit_l1_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_certificate_keeps_the_step_down_decision(self, P):
+        kept = stationary_rows(P)
+        assert np.array_equal(kept, _step_down(P))
+        finite = np.isfinite(P).all(axis=1)
+        assert kept.tolist() == [bool(f) and _exact_stationary(row) for f, row in zip(finite, P)]
+
+    @pytest.mark.parametrize("phi,stationary", [([0.5, 0.25, 0.25], False), ([0.5, -0.5], True),
+                                                ([-0.5, -0.25, 0.25], True), ([0.25] * 4, False)])
+    def test_dyadic_rows_of_unit_sum(self, phi, stationary):
+        # sum |phi_k| = 1 exactly: the certificate leaves the row to the step-down
+        P = np.array([phi])
+        assert stationary_rows(P)[0] == _step_down(P)[0] == _exact_stationary(P[0]) == stationary
+
+    def test_float_sum_below_one_is_not_enough(self):
+        # exactly, 1 - u + 3b > 1, so 1 - phi(z) has a root in (0, 1]; but
+        # every partial sum from the left rounds back to 1 - u < 1
+        b = np.nextafter(2.0**-54, 0.0)
+        P = np.array([[1.0 - U, b, b, b]])
+        assert np.abs(P).sum() < 1.0 and not _exact_stationary(P[0])
+        assert not stationary_rows(P)[0]
+
+    def test_certificate_on_empty_shapes(self):
+        for P in (np.zeros((3, 0)), np.zeros((0, 2)), np.zeros((0, 0))):
+            assert np.array_equal(stationary_rows(P), _step_down(P))
+
     def test_dyadic_grid_matches_exact_arithmetic(self):
         axis = np.linspace(-2.0, 2.0, 9)
         P = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 4)
