@@ -9,17 +9,19 @@ for any degree of parallelism.
 Two helpers give the streams.  :func:`substream` builds the generator of one
 path.  :func:`normal_rows` draws the standard normals of many sibling paths
 ``(master_seed, *path, i)``, i = 0, 1, ..., at once: it runs SeedSequence's
-hash mix over every index in vectorised uint32 arithmetic and PCG64's
-seeding in Python integers, then sets each state on one reused ``PCG64``.
-Both seeding algorithms are fixed by numpy's stream-compatibility policy
-(NEP 19), so row ``i`` equals ``substream(master_seed, *path,
-i).standard_normal(T)`` bit for bit; ``tests/test_seeding.py`` checks this
-against the installed numpy.
+hash over every index in vectorised uint32 arithmetic (the words that do not
+depend on the index hashed once, as Python integers) and hands each row's
+four hashed uint64 words to ``np.random.PCG64``, which seeds itself from
+them in numpy's own code, as from the SeedSequence.  The hash is fixed by
+numpy's stream-compatibility policy (NEP 19), so row ``i`` equals
+``substream(master_seed, *path, i).standard_normal(T)`` bit for bit;
+``tests/test_seeding.py`` checks this against the installed numpy.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # Domain tags keep streams for different purposes disjoint.
 DOMAIN_SIMULATE = 0    # the path emitted by the ``simulate`` command
@@ -33,14 +35,12 @@ DOMAIN_TABLE = 7       # draws used to regenerate the coefficient table
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 
-# SeedSequence (numpy/random/bit_generator.pyx) and PCG64 (pcg64.h) constants
+# SeedSequence constants (numpy/random/bit_generator.pyx)
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy mix
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # state generation
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
@@ -72,34 +72,43 @@ def normal_rows(master_seed: int, *path: int, rows: int, T: int) -> np.ndarray:
     rows = int(rows)
     if not 0 <= rows <= 1 << 32:
         raise ValueError(f"rows must lie in [0, 2**32], got {rows}")
-    bit_generator = np.random.PCG64(0)
-    normals = np.random.Generator(bit_generator)
     out = np.empty((rows, T))
-    for row, (state, inc) in zip(out, _pcg64_states(master_seed, path, np.arange(rows))):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        normals.standard_normal(out=row)
+    for row, words in zip(out, _seed_words(master_seed, path, np.arange(rows))):
+        np.random.Generator(np.random.PCG64(_HashedWords(words))).standard_normal(out=row)
     return out
 
 
-def _pcg64_states(master_seed: int, path: tuple[int, ...], indices: np.ndarray) -> list[tuple[int, int]]:
-    """``(state, inc)`` of ``PCG64(seed_sequence(master_seed, *path, i))`` for
+class _HashedWords(ISeedSequence):
+    """The words ``generate_state(4, np.uint64)`` of one stream's
+    SeedSequence, computed beforehand: all that ``PCG64`` asks of its seed.
+    PCG64 reads the returned buffer's data pointer, so each answer is a
+    fresh C-contiguous ``uint64`` array of shape (4,); any other request is
+    a ``ValueError``."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        # PCG64 passes the type itself, which is the check's fast path
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+            raise ValueError(f"holds 4 uint64 words, asked for {n_words} of {np.dtype(dtype)}")
+        return self.words.copy()
+
+
+def _seed_words(master_seed: int, path: tuple[int, ...], indices: np.ndarray) -> np.ndarray:
+    """The (len(indices), 4) words
+    ``seed_sequence(master_seed, *path, i).generate_state(4, np.uint64)`` of
     every index ``i``, each in ``[0, 2**32)`` so that it is one entropy word."""
     indices = np.asarray(indices)
     if indices.size and not (indices.min() >= 0 and indices.max() <= _MASK32):
         raise ValueError("stream indices must lie in [0, 2**32)")
-    prefix = [w for value in (int(master_seed) & _MASK64, *map(int, path)) for w in _words(value)]
-    entropy = [np.full(len(indices), w, dtype=np.uint32) for w in prefix]
+    entropy = [w for value in (int(master_seed) & _MASK64, *map(int, path)) for w in _words(value)]
     entropy.append(indices.astype(np.uint32))
 
-    # SeedSequence.mix_entropy with an empty spawn key
+    # SeedSequence.mix_entropy with an empty spawn key; a pool word stays a
+    # Python int, hashed once for every row, until the index mixes into it
     hashmix = _hash(_INIT_A, _MULT_A)
-    zero = np.zeros(len(indices), dtype=np.uint32)
-    pool = [hashmix(entropy[k] if k < len(entropy) else zero) for k in range(_POOL_SIZE)]
+    pool = [hashmix(entropy[k] if k < len(entropy) else 0) for k in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
@@ -108,19 +117,14 @@ def _pcg64_states(master_seed: int, path: tuple[int, ...], indices: np.ndarray) 
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(word))
 
-    # generate_state(4, uint64): eight words cycled from the pool, paired
-    # little-endian; PCG64 takes the first two as the seed, the last two as
-    # the increment, and seeds with two steps of its 128-bit LCG
+    # generate_state(4, uint64): eight uint32 words cycled from the pool,
+    # paired little-endian
     state_hash = _hash(_INIT_B, _MULT_B)
-    words = [state_hash(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(2 * _POOL_SIZE)]
-    s_hi, s_lo, i_hi, i_lo = (
-        (words[k] | (words[k + 1] << np.uint64(32))).tolist() for k in range(0, len(words), 2)
-    )
-    states = []
-    for seed_hi, seed_lo, inc_hi, inc_lo in zip(s_hi, s_lo, i_hi, i_lo):
-        inc = (((inc_hi << 64) | inc_lo) << 1 | 1) & _MASK128
-        states.append(((((inc + ((seed_hi << 64) | seed_lo)) * _PCG64_MULT) + inc) & _MASK128, inc))
-    return states
+    halves = [np.asarray(state_hash(pool[k % _POOL_SIZE]), dtype=np.uint64) for k in range(2 * _POOL_SIZE)]
+    words = np.empty((len(indices), 4), dtype=np.uint64)
+    for k in range(4):
+        words[:, k] = halves[2 * k] | (halves[2 * k + 1] << np.uint64(32))
+    return words
 
 
 def _words(value: int) -> list[int]:
@@ -138,16 +142,23 @@ def _hash(init: int, mult: int):
     constant, steps the constant, multiplies by it and folds the high half."""
     const = init
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
+    def hashmix(value):
         nonlocal const
-        value = value ^ np.uint32(const)
+        value = value ^ const
         const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
+        value = _low32(value * const)
+        return value ^ (value >> 16)
 
     return hashmix
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return result ^ (result >> np.uint32(16))
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 words."""
+    result = _low32(_low32(_MIX_MULT_L * x) - _low32(_MIX_MULT_R * y))
+    return result ^ (result >> 16)
+
+
+def _low32(value):
+    """The low 32 bits of a word: a Python int, hashed once for every row,
+    or a ``uint32`` array, whose arithmetic already wraps."""
+    return value & _MASK32 if isinstance(value, int) else value

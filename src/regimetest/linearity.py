@@ -18,13 +18,13 @@ Two procedures deal with the unknown AR coefficients:
   step-down rule ``stationary_rows`` decides.
 
 Both are computed in one pass (:func:`linearity_tests`): the OLS point is
-row 0 of one coefficient matrix above the grid points.  The pass draws its
-null ensemble and tie-breakers first (:func:`~regimetest.mctest.null_ensemble`),
-then filters, demeans and reduces the rows to their statistic quartets over
-the row-major blocks of :func:`~regimetest.moments.row_blocks`, in one
-scratch grown to the largest set of rows computed at once, and ranks each
-block as soon as it is computed, keeping a running maximum and its first row
-per MMC rule.  A filter is one einsum contraction of
+row 0 of one coefficient matrix above the grid points.  A pass of more
+than one block draws its null ensemble and tie-breakers first
+(:func:`~regimetest.mctest.null_ensemble`), then filters, demeans and
+reduces the rows to their statistic quartets over the row-major blocks of
+:func:`~regimetest.moments.row_blocks`, in one scratch grown to the largest
+set of rows computed at once, and ranks each block as soon as it is
+computed, keeping a running maximum and its first row per MMC rule.  A filter is one einsum contraction of
 ``[1, -phi_1, ..., -phi_r]`` with the lagged series: one pass over the
 rows, with the values of subtracting one lag at a time, and no BLAS call,
 whose rows would depend on the row count.  A rank p-value k/N is at most 1,
@@ -59,7 +59,10 @@ against them.  Every other row goes through the unchanged filter, kernel
 and ranking.  On the extended GNP series at r=4 and seeds 0-19, 1,036 of
 the 6,562 rows go through the full kernel on average (447 of the Hamilton
 series' 2,228 rows reached).  A one-block pass, such as every desk-study
-cell, ranks every row in one call, with no tensors.
+cell, ranks every row at once, with no tensors: it filters the rows first,
+and one kernel call reduces them with the demeaned null replicates
+(:func:`~regimetest.mctest._ensemble_and_quartets`), so that the kernel's
+fixed cost is paid once, not twice.
 
 The reports equal those of ranking every row, except that a degenerate grid
 row after the stopping block is never computed and so raises nothing.  The LMC
@@ -76,9 +79,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mctest import LogisticCoeffTable, null_ensemble
+from .mctest import LogisticCoeffTable, _ensemble_and_quartets, null_ensemble
 from .moments import _LagMoments, _coefficients, _quartet_work, _quartets, _rows, finite_series, row_blocks
-from .msar import min_root_modulus, stationary_rows
+from .msar import _min_root_moduli, min_root_modulus, stationary_rows
 
 __all__ = [
     "ARFit",
@@ -323,10 +326,7 @@ def linearity_tests(
         rows = np.vstack([rows, grid.points])
     rules = dict.fromkeys(rule for _, _, rule in requested)
     mmc_rules = dict.fromkeys(rule for _, kind, rule in requested if kind == "MMC")
-    ensemble = null_ensemble(len(y) - r, N, rules, table, master_seed)
     quartets = _RowQuartets(y, rows)
-    # a one-block pass (every desk-study cell) ranks every row in one call
-    row_bounds = _RowBounds(y, rows, ensemble, mmc_rules) if len(quartets.blocks) > 1 else None
     best = dict.fromkeys(mmc_rules, (-1.0, 0))  # rule: (largest grid p-value so far, its row)
     lmc_p = {}
 
@@ -346,9 +346,18 @@ def linearity_tests(
                     best[rule] = (p[i], row)
 
     rows_bounded = 0
-    for block in quartets.blocks:
-        idx = np.arange(block.start, block.stop)
-        if row_bounds is not None:
+    if len(quartets.blocks) == 1:
+        # a one-block pass (every desk-study cell) ranks every row at once,
+        # reduced in the replicates' kernel call
+        Z = _filter_rows(y, rows, np.empty((len(rows), quartets.Tz)))
+        ensemble, Q = _ensemble_and_quartets(quartets.Tz, N, rules, table, master_seed, Z)
+        rank(np.arange(len(rows)), Q)
+        rows_ranked = len(rows)
+    else:
+        ensemble = null_ensemble(quartets.Tz, N, rules, table, master_seed)
+        row_bounds = _RowBounds(y, rows, ensemble, mmc_rules)
+        for block in quartets.blocks:
+            idx = np.arange(block.start, block.stop)
             bounds, witnessed = row_bounds(block)
             live = np.ones(len(idx), bool)
             if block.start == 0:
@@ -370,17 +379,18 @@ def linearity_tests(
                 settled &= (bounds[rule] < p) | ((bounds[rule] == p) & (idx > row))
             rows_bounded += int(settled.sum())
             idx = idx[live & ~settled]
-        if len(idx):
-            rank(idx, quartets(idx))
-        # a p-value is at most 1, so a rule at p = 1 keeps its first maximizer
-        if all(p == 1.0 for p, _ in best.values()):
-            break
-    rows_ranked = block.stop
+            if len(idx):
+                rank(idx, quartets(idx))
+            # a p-value is at most 1, so a rule at p = 1 keeps its first maximizer
+            if all(p == 1.0 for p, _ in best.values()):
+                break
+        rows_ranked = block.stop
 
     reported = [(method, kind, *((lmc_p[rule], 0) if kind == "LMC" else best[rule]))
                 for method, kind, rule in requested]
-    # one np.roots call per distinct reported row: the LMC reports share row 0
-    moduli = {row: min_root_modulus(rows[row]) for row in {row for *_, row in reported}}
+    # the distinct reported rows' moduli in one batch: the LMC reports share row 0
+    distinct = sorted({row for *_, row in reported})
+    moduli = dict(zip(distinct, _min_root_moduli(rows[distinct]).tolist()))
     return [
         LinearityReport(
             method=method,

@@ -12,7 +12,9 @@ p-value is exact at any N, however crude the approximations, since data and
 replicate statistics share them.
 :func:`mc_mixture_test` is that test on one series, ranked as a one-row
 block; the linearity tests build their data rows (the OLS point and the
-nuisance grid) and stream them through the same ensemble.
+nuisance grid) and stream them through the same ensemble.  Where all the
+data rows are ranked at once (one series, or a one-block linearity pass),
+:func:`_ensemble_and_quartets` reduces them in the replicates' kernel call.
 
 The module also holds the rank rule itself, the one draw of its
 tie-breakers, critical ranks, and the regeneration of the logistic
@@ -34,7 +36,7 @@ from typing import Mapping
 import numpy as np
 
 from ._seeding import DOMAIN_REPLICATE, DOMAIN_TIEBREAK, normal_rows, substream
-from .moments import finite_series, quartet_matrix, raise_if_degenerate
+from .moments import _quartets, _rows, finite_series, quartet_matrix, raise_if_degenerate
 
 logger = logging.getLogger(__name__)
 
@@ -333,10 +335,24 @@ def simulate_null_quartets(T: int, N: int, master_seed: int) -> tuple[np.ndarray
 
     Returns the (N - 1, 4) quartet matrix and the resample count.
     """
-    eta = normal_rows(master_seed, DOMAIN_REPLICATE, rows=N - 1, T=T)
-    Q = quartet_matrix(eta)
+    return _null_quartets(T, N, master_seed, np.empty((0, T)))
+
+
+def _null_quartets(T: int, N: int, master_seed: int, X: np.ndarray) -> tuple[np.ndarray, int]:
+    """:func:`simulate_null_quartets`, with the rows of ``X`` (series of
+    length ``T``, demeaned here) stacked under the replicates and reduced in
+    the same kernel call: the quartets of the N - 1 replicates, then those of
+    the rows of ``X``, and the resample count.  The kernel reduces every row
+    on its own, so each quartet equals :func:`~regimetest.moments.quartet_matrix`
+    of its row alone, bit for bit."""
+    E = _rows(np.concatenate([normal_rows(master_seed, DOMAIN_REPLICATE, rows=N - 1, T=T), X]))
+    # demeaned in place, not copied: at T = 199 a copy is one array too many,
+    # and glibc trims the heap after every call and faults it back in (170
+    # minor faults per T = 200 desk-study replication with the copy, 78 without)
+    E -= E.mean(axis=1, keepdims=True)
+    Q = _quartets(E)
     resampled = 0
-    bad = np.isnan(Q).any(axis=1)
+    bad = np.isnan(Q[: N - 1]).any(axis=1)
     attempt = 0
     while bad.any():
         attempt += 1
@@ -346,9 +362,9 @@ def simulate_null_quartets(T: int, N: int, master_seed: int) -> tuple[np.ndarray
         resampled += len(idx)
         logger.warning("resampling %d degenerate MC replicate(s)", len(idx))
         for i in idx:
-            eta[i] = substream(master_seed, DOMAIN_REPLICATE, int(i), attempt).standard_normal(T)
-        Q[idx] = quartet_matrix(eta[idx])
-        bad = np.isnan(Q).any(axis=1)
+            E[i] = substream(master_seed, DOMAIN_REPLICATE, int(i), attempt).standard_normal(T)
+        Q[idx] = quartet_matrix(E[idx])
+        bad = np.isnan(Q[: N - 1]).any(axis=1)
     return Q, resampled
 
 
@@ -411,15 +427,25 @@ def null_ensemble(
     """The one null ensemble of a pass: ``N - 1`` replicates of length ``T``
     and ``N`` tie-breakers, all drawn from ``master_seed``, with the
     replicates' combined statistics under each of ``rules``."""
+    return _ensemble_and_quartets(T, N, rules, table, master_seed, np.empty((0, T)))[0]
+
+
+def _ensemble_and_quartets(
+    T: int, N: int, rules, table: LogisticCoeffTable | None, master_seed: int, X: np.ndarray
+) -> tuple[NullEnsemble, np.ndarray]:
+    """:func:`null_ensemble`, and the quartets of the data rows ``X``
+    (series of length ``T``) from the replicates' kernel call
+    (:func:`_null_quartets`): a pass that ranks all its rows at once pays
+    the kernel's fixed cost once."""
     if N < 2:
         raise ValueError("N must be at least 2")
     if table is None:
         table = LogisticCoeffTable.default()
-    Q, resampled = simulate_null_quartets(T, N, master_seed)
-    G = approx_pvalue_matrix(Q, table, T)
+    Q, resampled = _null_quartets(T, N, master_seed, X)
+    G = approx_pvalue_matrix(Q[: N - 1], table, T)
     u = tie_breaker_uniforms(N, master_seed)
     replicates = {rule: _sorted_replicates(combine_matrix(G, rule), u[0], u[1:]) for rule in rules}
-    return NullEnsemble(T, table, replicates, resampled)
+    return NullEnsemble(T, table, replicates, resampled), Q[N - 1 :]
 
 
 def mc_mixture_test(
@@ -438,10 +464,11 @@ def mc_mixture_test(
 
     Degenerate-sample errors on the data path propagate; degenerate simulated
     replicates are resampled (and counted in the report).  A non-finite
-    value is a ``ValueError``.
+    value or a series that is not one-dimensional is a ``ValueError``.
     """
     z = finite_series(z)
-    Qz = quartet_matrix(z[None, :])
-    ensemble = null_ensemble(len(z), N, (method,), table, master_seed)
+    if z.ndim != 1:
+        raise ValueError(f"need a one-dimensional series, got shape {z.shape}")
+    ensemble, Qz = _ensemble_and_quartets(len(z), N, (method,), table, master_seed, z[None, :])
     f0, ranks, p = ensemble.rank(Qz)[method]
     return _report(f0[0], ensemble.replicates[method][0], ranks, p, master_seed, ensemble.resampled)

@@ -16,13 +16,13 @@ autocorrelation map of Barndorff-Nielsen & Schou, 1973).  A row whose
 ``sum |phi_k|`` is certainly below one is stationary without it.  Rows that
 rounding cannot decide are settled in exact rational arithmetic, so a root
 on the unit circle always counts as non-stationary.
-``min_root_modulus`` reports the smallest AR-root modulus of one vector by
-``np.roots``.
+``min_root_modulus`` reports the smallest AR-root modulus of one vector as
+``np.roots`` gives it, a thin wrapper over ``_min_root_moduli``, which
+takes those of many rows from one stacked ``np.linalg.eigvals`` call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -240,7 +240,8 @@ def stationary_rows(P: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     keep = sum(np.abs(P.T), np.zeros(len(P))) < 1.0 - (P.shape[1] + 1) * _U
     rest = np.flatnonzero(~keep)
-    keep[rest] = _step_down(P[rest])
+    if len(rest):
+        keep[rest] = _step_down(P[rest])
     return keep
 
 
@@ -322,14 +323,44 @@ def min_root_modulus(phi: np.ndarray) -> float:
     matrix (the other coefficients over it) overflows, the modulus is
     ``1 / max|lambda|`` over the roots of the reciprocal polynomial
     ``w^q - phi_1 w^(q-1) - ... - phi_q``, whose companion holds the
-    coefficients themselves (``inf`` where that quotient overflows)."""
-    phi = np.ravel(np.asarray(phi, dtype=float))
-    nz = np.flatnonzero(phi)
-    if len(nz) == 0:
-        return float("inf")
-    p = np.append(-phi[nz[-1] :: -1], 1.0)
-    lead, *rest = p.tolist()  # Python floats divide as numpy does, without a warning
-    if all(math.isfinite(c / lead) for c in rest):
-        return float(np.abs(np.roots(p)).min())
-    with np.errstate(over="ignore", divide="ignore"):
-        return float(1.0 / np.abs(np.roots(p[::-1])).max())
+    coefficients themselves (``inf`` where that quotient overflows).
+
+    A thin wrapper over the batch :func:`_min_root_moduli` on one row."""
+    return float(_min_root_moduli(np.ravel(np.asarray(phi, dtype=float))[None, :])[0])
+
+
+def _min_root_moduli(P: np.ndarray) -> np.ndarray:
+    """:func:`min_root_modulus` of every row of the ``(n, r)`` matrix ``P``,
+    bit for bit: the rows of each order q (the index of their last non-zero
+    coefficient) build the companion matrices ``np.roots`` builds, and one
+    stacked ``np.linalg.eigvals`` call per order and path takes their
+    eigenvalues, each from the LAPACK call ``np.roots`` makes on its own.
+    Where ``np.roots`` returns real roots and the stack complex ones, their
+    imaginary parts are exact zeros, which leave the moduli as they are."""
+    out = np.full(len(P), np.inf)
+    order = ((P != 0) * np.arange(1, P.shape[1] + 1)).max(axis=1, initial=0)
+    for q in set(order.tolist()) - {0}:
+        rows = np.flatnonzero(order == q)
+        phi = P[rows, :q]
+        # np.roots' companion of p = [-phi_q, ..., -phi_1, 1] has the first
+        # row -p[1:] / p[0]; that of the reciprocal polynomial, phi itself
+        top = np.full((len(rows), q), -1.0)
+        top[:, :-1] = phi[:, -2::-1]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            top /= -phi[:, -1:]
+        direct = np.isfinite(top).all(axis=1)
+        out[rows[direct]] = np.abs(_companion_eigvals(top[direct])).min(axis=1)
+        if not direct.all():
+            with np.errstate(over="ignore", divide="ignore"):
+                out[rows[~direct]] = 1.0 / np.abs(_companion_eigvals(phi[~direct])).max(axis=1)
+    return out
+
+
+def _companion_eigvals(top: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the companion matrices of ``np.roots``, first rows
+    ``top`` and ones below the diagonal, in one stacked call."""
+    m, q = top.shape
+    A = np.zeros((m, q, q))
+    A[:, 0] = top
+    A.reshape(m, q * q)[:, q :: q + 1] = 1.0  # the entries (k + 1, k)
+    return np.linalg.eigvals(A)

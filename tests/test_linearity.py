@@ -306,6 +306,11 @@ class TestMcMixtureTest:
         with pytest.raises(ValueError, match="at least 4 observations"):
             mc_mixture_test(np.zeros(n), N=20)
 
+    @pytest.mark.parametrize("shape", [(1, 50), (50, 1), ()])
+    def test_series_of_other_dimensions_rejected(self, shape):
+        with pytest.raises(ValueError, match="need a one-dimensional series"):
+            mc_mixture_test(np.ones(shape), N=20)
+
     def test_degenerate_data_propagates(self):
         with pytest.raises(DegenerateSampleError):
             mc_mixture_test(np.array([-1.0, -1.0, 1.0, 1.0] * 10), N=20)
@@ -500,8 +505,9 @@ class TestSinglePass:
         import regimetest.linearity as lin
         import regimetest.mctest as mct
 
-        calls = {"simulate_null_quartets": 0, "build_grid": 0}
-        for module, name in ((mct, "simulate_null_quartets"), (lin, "build_grid")):
+        # every null ensemble draws its replicates through _null_quartets
+        calls = {"_null_quartets": 0, "build_grid": 0}
+        for module, name in ((mct, "_null_quartets"), (lin, "build_grid")):
             real = getattr(module, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
@@ -510,23 +516,25 @@ class TestSinglePass:
 
             monkeypatch.setattr(module, name, counted)
         linearity_tests(_ar1_path(0.3, 100, seed=33), 1, METHODS, master_seed=8)
-        assert calls == {"simulate_null_quartets": 1, "build_grid": 1}
+        assert calls == {"_null_quartets": 1, "build_grid": 1}
 
     def test_one_root_modulus_per_distinct_reported_row(self, monkeypatch, hamilton_growth):
         import regimetest.linearity as lin
 
         calls = []
 
-        def counted(phi):
-            calls.append(phi.copy())
-            return min_root_modulus(phi)
+        def counted(P):
+            calls.append(P.copy())
+            return real(P)
 
-        monkeypatch.setattr(lin, "min_root_modulus", counted)
+        real = lin._min_root_moduli
+        monkeypatch.setattr(lin, "_min_root_moduli", counted)
         reports = linearity_tests(hamilton_growth, 2, METHODS, master_seed=8, points_per_dim=5)
         distinct = {tuple(rep.phi_at_report) for rep in reports}
-        # the two LMC reports share row 0, so four reports take at most three calls
-        assert len(calls) == len(distinct) <= 3
-        assert {tuple(phi) for phi in calls} == distinct
+        # one batch of the distinct reported rows: the two LMC reports share row 0
+        assert len(calls) == 1
+        assert len(calls[0]) == len(distinct) <= 3
+        assert {tuple(phi) for phi in calls[0]} == distinct
         for rep in reports:
             assert _same_bits(rep.min_root_modulus, min_root_modulus(rep.phi_at_report))
 
@@ -599,6 +607,92 @@ def gnp_oracle(hamilton_growth, extended_growth):
                 for kind, rule in (method.split("_") for method in METHODS)
             ]
     return out
+
+
+class TestOneKernelCall:
+    """A one-block pass and ``mc_mixture_test`` reduce the null replicates
+    and the data rows in one kernel call; every number equals that of
+    reducing them apart."""
+
+    @staticmethod
+    def _captured(monkeypatch):
+        import regimetest.linearity as lin
+
+        calls = []
+        real = lin._ensemble_and_quartets
+
+        def spy(*args):
+            calls.append((args, real(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(lin, "_ensemble_and_quartets", spy)
+        return calls
+
+    @pytest.mark.parametrize("T", [99, 199])
+    def test_ensemble_and_row_quartets_equal_apart(self, monkeypatch, T):
+        calls = self._captured(monkeypatch)
+        rules = ("min", "prod")
+        for seed in range(25):
+            y = _ar1_path(0.4, T + 1, seed=seed)
+            fit = ols_ar_fit(y, 1)
+            rows = np.vstack([fit.phi[None, :], build_grid(fit, 41).points])
+            linearity_tests(y, 1, METHODS, master_seed=seed)
+            (args, (ensemble, Q)), = calls
+            calls.clear()
+            assert args[0] == T and len(Q) == len(rows)
+            apart = null_ensemble(T, 100, rules, None, seed)
+            assert ensemble.resampled == apart.resampled == 0
+            for rule in rules:
+                for got, want in zip(ensemble.replicates[rule], apart.replicates[rule]):
+                    assert _same_bits(got, want)
+            assert _same_bits(Q, quartet_matrix(ar_filter(y, rows)))
+
+    def test_degenerate_replicate_is_redrawn_and_counted(self, monkeypatch):
+        import regimetest.mctest as mct
+        from regimetest._seeding import DOMAIN_REPLICATE
+
+        real = mct.normal_rows
+
+        def one_flat_row(*args, **kwargs):
+            eta = real(*args, **kwargs)
+            eta[3] = 1.0  # no dispersion: every statistic undefined
+            return eta
+
+        monkeypatch.setattr(mct, "normal_rows", one_flat_row)
+        y = _ar1_path(0.4, 100, seed=5)
+        X = ar_filter(y, np.array([[0.4], [0.1]]))
+        Q, resampled = mct._null_quartets(99, 20, 7, X)
+        assert resampled == 1
+        redrawn = substream(7, DOMAIN_REPLICATE, 3, 1).standard_normal(99)
+        assert _same_bits(Q[3], quartet_matrix(redrawn[None])[0])
+        assert _same_bits(Q[19:], quartet_matrix(X))
+        for report in linearity_tests(y, 1, METHODS, N=20, master_seed=7):
+            assert report.degenerate_resamples == 1
+
+    def test_degenerate_data_row_raises_the_same_error(self):
+        # a two-valued series: the filter at phi = 0 leaves it two-valued
+        y = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0] * 20)
+        grid = NuisanceBox(np.array([[0.2], [0.0]]))
+        with pytest.raises(DegenerateSampleError) as apart:
+            raise_if_degenerate(quartet_matrix(ar_filter(y, grid.points)))
+        with pytest.raises(DegenerateSampleError) as merged:
+            linearity_tests(y, 1, ("MMC_min",), grid=grid)
+        assert str(merged.value) == str(apart.value) == (
+            "M: undefined on this sample (empty partition or zero dispersion)")
+        assert merged.value.statistic == "M"
+
+    @pytest.mark.parametrize("method", ["min", "prod"])
+    def test_mc_mixture_reports_equal_apart(self, method):
+        from regimetest.mctest import MCTestReport, _report
+
+        for seed in range(20):
+            z = substream(seed, 98).standard_normal(40 + 5 * seed) ** 3
+            ensemble = null_ensemble(len(z), 50, (method,), None, seed)
+            f0, ranks, p = ensemble.rank(quartet_matrix(z[None, :]))[method]
+            want = _report(f0[0], ensemble.replicates[method][0], ranks, p, seed, ensemble.resampled)
+            got = mc_mixture_test(z, N=50, method=method, master_seed=seed)
+            assert isinstance(got, MCTestReport)
+            assert repr(got) == repr(want) and _same_bits(got.statistic_value, want.statistic_value)
 
 
 class TestStreamingPass:

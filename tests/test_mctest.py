@@ -25,6 +25,7 @@ from regimetest.mctest import (
     simulate_null_quartets,
     tie_breaker_uniforms,
 )
+from regimetest.moments import quartet_matrix
 
 unit4 = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)
 
@@ -380,20 +381,17 @@ class TestNullQuartetSimulation:
     def test_degenerate_replicates_are_resampled(self, monkeypatch):
         import regimetest.mctest as mct
 
-        real = mct.quartet_matrix
-        calls = {"n": 0}
+        real = mct.normal_rows
 
-        def flaky(X):
-            Q = real(X)
-            calls["n"] += 1
-            if calls["n"] == 1:  # poison one replicate on the first pass
-                Q[3] = np.nan
-            return Q
+        def flaky(*args, **kwargs):
+            eta = real(*args, **kwargs)
+            eta[3] = 2.0  # poison one replicate of the first draw: no dispersion
+            return eta
 
-        monkeypatch.setattr(mct, "quartet_matrix", flaky)
+        monkeypatch.setattr(mct, "normal_rows", flaky)
         Q, resampled = simulate_null_quartets(30, 10, master_seed=5)
         assert resampled == 1
         assert np.isfinite(Q).all()
         # the resample comes from the one stream of (replicate 3, attempt 1)
-        want = real(substream(5, DOMAIN_REPLICATE, 3, 1).standard_normal(30)[None])[0]
+        want = quartet_matrix(substream(5, DOMAIN_REPLICATE, 3, 1).standard_normal(30)[None])[0]
         np.testing.assert_array_equal(Q[3], want)

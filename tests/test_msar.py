@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probe import run_probe
+import regimetest.msar as msar
 from regimetest.msar import (
     MSARSpec,
     RegimeParams,
     TransitionMatrix,
     _exact_stationary,
+    _min_root_moduli,
     _step_down,
     ergodic_probabilities,
     min_root_modulus,
@@ -283,6 +285,64 @@ class TestMinRootModulus:
             assert min_root_modulus(np.array(phi)) == float(np.abs(np.roots(p)).min())
 
 
+def np_roots_modulus(phi) -> float:
+    """The documented modulus of one row from ``np.roots`` itself: of the
+    polynomial with trailing zero coefficients dropped, or, where its
+    companion matrix overflows, of the reciprocal polynomial."""
+    phi = np.asarray(phi, dtype=float)
+    nz = np.flatnonzero(phi)
+    if len(nz) == 0:
+        return float("inf")
+    p = np.r_[-phi[nz[-1] :: -1], 1.0]
+    with np.errstate(over="ignore", divide="ignore"):
+        if np.isfinite(-p[1:] / p[0]).all():
+            return float(np.abs(np.roots(p)).min())
+        return float(1.0 / np.abs(np.roots(p[::-1])).max())
+
+
+# coefficients of every size and sign, zeros (trailing ones drop the order)
+# and last coefficients small enough to overflow np.roots' companion matrix
+_coefficient = st.one_of(
+    st.floats(-4.0, 4.0, allow_subnormal=False),
+    st.just(0.0),
+    st.sampled_from([1e-310, -4e-320, 5e-324, 1e-300]),
+)
+
+
+class TestMinRootModuli:
+    @given(st.integers(1, 4).flatmap(lambda r: st.lists(st.lists(_coefficient, min_size=r, max_size=r),
+                                                        min_size=1, max_size=8)))
+    @settings(max_examples=300, deadline=None)
+    def test_batch_equals_np_roots_per_row(self, rows):
+        P = np.array(rows)
+        want = np.array([np_roots_modulus(row) for row in P])
+        got = _min_root_moduli(P)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(np.array([min_root_modulus(row) for row in P]).view(np.int64),
+                              want.view(np.int64))
+
+    def test_orders_and_paths_mixed_in_one_batch(self):
+        # orders 0 to 4, the reciprocal path (the user-grid row [0.5, 1e-310])
+        # beside the direct one, and complex roots beside real ones
+        P = np.array([[0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [0.5, 1e-310, 0.0, 0.0],
+                      [0.3, -0.2, 4e-320, 0.0], [0.31, 0.13, -0.12, -0.09], [0.0, -0.5, 0.0, 0.0],
+                      [1.2, -0.8, 0.0, 0.0], [5e-324, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.2]])
+        got = _min_root_moduli(P)
+        assert np.array_equal(got.view(np.int64), np.array([np_roots_modulus(p) for p in P]).view(np.int64))
+        assert got[0] == got[7] == np.inf and got[2] == 2.0
+
+    def test_one_eigvals_call_per_order_and_path(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda A: calls.append(A.shape) or real(A))
+        _min_root_moduli(np.array([[0.5, 0.1], [0.2, -0.3], [0.4, 0.0], [0.5, 1e-310]]))
+        assert sorted(calls) == [(1, 1, 1), (1, 2, 2), (2, 2, 2)]
+
+    def test_empty_batches(self):
+        assert _min_root_moduli(np.zeros((0, 3))).shape == (0,)
+        assert _min_root_moduli(np.zeros((2, 0))).tolist() == [np.inf, np.inf]
+
+
 def exact_step_down(phi) -> bool:
     """Stationarity of one row by the step-down recursion in ``Fraction``
     arithmetic: every reflection coefficient strictly inside (-1, 1)."""
@@ -364,6 +424,19 @@ class TestStationaryRows:
     def test_certificate_on_empty_shapes(self):
         for P in (np.zeros((3, 0)), np.zeros((0, 2)), np.zeros((0, 0))):
             assert np.array_equal(stationary_rows(P), _step_down(P))
+
+    def test_step_down_runs_only_on_rows_the_certificate_leaves(self, monkeypatch):
+        seen = []
+        real = msar._step_down
+        monkeypatch.setattr(msar, "_step_down", lambda P: seen.append(P.copy()) or real(P))
+        inside = np.array([[0.5, 0.25], [-0.3, 0.1], [0.0, 0.0]])
+        for P in (inside, np.zeros((0, 2)), np.zeros((3, 0))):
+            assert stationary_rows(P).all()
+        assert seen == []
+        # a unit root and a stationary row of l1 norm above one
+        P = np.vstack([inside[:1], [[0.5, 0.5]], inside[1:], [[1.5, -0.6]]])
+        assert stationary_rows(P).tolist() == [True, False, True, True, True]
+        assert len(seen) == 1 and np.array_equal(seen[0], P[[1, 4]])
 
     def test_dyadic_grid_matches_exact_arithmetic(self):
         axis = np.linspace(-2.0, 2.0, 9)

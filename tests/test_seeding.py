@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from regimetest._seeding import _pcg64_states, normal_rows
+from regimetest._seeding import _HashedWords, _seed_words, normal_rows
 
 SEEDS = [0, 1, 12345, 2**32 + 7, 2**64 - 1, -3, 3**39]  # -3 and 3**39 exercise the 64-bit mask
 PATHS = [(1,), (4, 2), (4, 2**32 + 5)]
@@ -38,10 +38,34 @@ def test_rows_equal_numpy_streams_bit_for_bit(seed, path):
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_states_at_the_end_indices_equal_numpy(seed, path):
-    for index in (0, 2**32 - 1):
-        state, inc = _pcg64_states(seed, path, np.array([index]))[0]
-        bit_generator = np.random.PCG64(np.random.SeedSequence([seed & (2**64 - 1), *path, index]))
-        assert bit_generator.state["state"] == {"state": state, "inc": inc}
+    # the hashed words PCG64 seeds itself from, at the first and last index
+    indices = np.array([0, 2**32 - 1])
+    words = _seed_words(seed, path, indices)
+    assert words.dtype == np.uint64 and words.shape == (2, 4)
+    for index, got in zip(indices.tolist(), words):
+        want = np.random.SeedSequence([seed & (2**64 - 1), *path, index]).generate_state(4, np.uint64)
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("request_", [(4, np.uint32), (2, np.uint64), (8, np.uint64), (4, np.int64), (4, float)])
+def test_hashed_words_refuse_other_requests(request_):
+    words = _HashedWords(np.arange(4, dtype=np.uint64))
+    with pytest.raises(ValueError, match="holds 4 uint64 words"):
+        words.generate_state(*request_)
+
+
+def test_hashed_words_hand_back_a_fresh_buffer():
+    # PCG64 reads the buffer's data pointer: each answer is a new C-contiguous array
+    held = _seed_words(3, (1,), np.arange(2))[1]
+    words = _HashedWords(held)
+    first, second = (words.generate_state(4, dtype) for dtype in (np.uint64, "uint64"))
+    for got in (first, second):
+        assert got.dtype == np.uint64 and got.shape == (4,) and got.flags.c_contiguous
+        assert not np.shares_memory(got, held)
+        np.testing.assert_array_equal(got, held)
+    assert not np.shares_memory(first, second)
+    bit_generator = np.random.PCG64(np.random.SeedSequence([3, 1, 1]))
+    assert np.random.PCG64(words).state == bit_generator.state
 
 
 def test_scalar_draw_then_vector_is_one_row():
@@ -58,7 +82,7 @@ def test_zero_rows():
 @pytest.mark.parametrize("index", [-1, 2**32, 2**40])
 def test_index_outside_one_word_is_rejected(index):
     with pytest.raises(ValueError, match="stream indices"):
-        _pcg64_states(0, (1,), np.array([0, index]))
+        _seed_words(0, (1,), np.array([0, index]))
 
 
 @pytest.mark.parametrize("rows", [-1, 2**32 + 1])
