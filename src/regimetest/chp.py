@@ -249,20 +249,6 @@ def _criteria(Gam: np.ndarray, ss: np.ndarray, total: np.ndarray) -> tuple[np.nd
     return sup_criteria, psi
 
 
-def _criteria_kernel(
-    scores: np.ndarray, curv: np.ndarray, Q: np.ndarray, T: int, H: np.ndarray,
-    rhos: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-draw supremum criterion and exponential weight Psi for every
-    series of one block; two (k, d) arrays.  :func:`_row_statistics` runs
-    the same two steps, the sums per kernel block and the criteria per row
-    chunk."""
-    n, k, _ = scores.shape
-    work = np.empty((2, n * k * len(rhos)))
-    sums = _projection_sums(scores, curv, Q, T, *_draw_matrices(H), np.tile(rhos, k), work)
-    return _criteria(*sums)
-
-
 def sample_nuisance_draws(count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample (h, rho) pairs: h uniform on the unit circle in the (mean,
     variance) coordinates, rho uniform on [-0.7, 0.7]."""

@@ -84,6 +84,8 @@ class ExperimentConfig:
             raise ValueError("chp_draws must be at least 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if not self.methods:
+            raise ValueError(f"no methods given; use some of {', '.join(STUDY_METHODS)}")
         unknown = set(self.methods) - set(STUDY_METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")

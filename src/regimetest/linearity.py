@@ -61,7 +61,7 @@ the 6,562 rows go through the full kernel on average (447 of the Hamilton
 series' 2,228 rows reached).  A one-block pass, such as every desk-study
 cell, ranks every row at once, with no tensors: it filters the rows first,
 and one kernel call reduces them with the demeaned null replicates
-(:func:`~regimetest.mctest._ensemble_and_quartets`), so that the kernel's
+(:func:`~regimetest.mctest.null_ensemble`), so that the kernel's
 fixed cost is paid once, not twice.
 
 The reports equal those of ranking every row, except that a degenerate grid
@@ -79,7 +79,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mctest import LogisticCoeffTable, _ensemble_and_quartets, null_ensemble
+from .mctest import null_ensemble
 from .moments import _LagMoments, _coefficients, _quartet_work, _quartets, _rows, finite_series, row_blocks
 from .msar import _min_root_moduli, min_root_modulus, stationary_rows
 
@@ -278,7 +278,6 @@ def linearity_tests(
     r: int,
     methods=METHODS,
     N: int = 100,
-    table: LogisticCoeffTable | None = None,
     grid: NuisanceBox | None = None,
     master_seed: int = 0,
     points_per_dim: int | None = None,
@@ -293,11 +292,13 @@ def linearity_tests(
     largest over the grid rows (the first maximizer in row-major grid
     order); the pass stops after the block in which every requested MMC
     rule reaches p = 1, the largest p-value there is.  The grid defaults to 41
-    points for one lag and 9 points per dimension otherwise.  Unknown
-    methods, ``N < 2``, an even or non-positive ``points_per_dim`` and a
+    points for one lag and 9 points per dimension otherwise.  No methods,
+    unknown methods, ``N < 2``, an even or non-positive ``points_per_dim`` and a
     ``points_per_dim`` given with ``grid`` are rejected before any work, an
     LMC method at a non-stationary OLS point after the fit.
     """
+    if not methods:
+        raise ValueError(f"no methods given; use some of {', '.join(METHODS)}")
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; use {', '.join(METHODS)}")
@@ -350,11 +351,11 @@ def linearity_tests(
         # a one-block pass (every desk-study cell) ranks every row at once,
         # reduced in the replicates' kernel call
         Z = _filter_rows(y, rows, np.empty((len(rows), quartets.Tz)))
-        ensemble, Q = _ensemble_and_quartets(quartets.Tz, N, rules, table, master_seed, Z)
+        ensemble, Q = null_ensemble(quartets.Tz, N, rules, master_seed, Z)
         rank(np.arange(len(rows)), Q)
         rows_ranked = len(rows)
     else:
-        ensemble = null_ensemble(quartets.Tz, N, rules, table, master_seed)
+        ensemble, _ = null_ensemble(quartets.Tz, N, rules, master_seed)
         row_bounds = _RowBounds(y, rows, ensemble, mmc_rules)
         for block in quartets.blocks:
             idx = np.arange(block.start, block.stop)
@@ -426,19 +427,10 @@ def _check_points_per_dim(points_per_dim: int) -> None:
         raise ValueError("points_per_dim must be odd and at least 1")
 
 
-def lmc_test(
-    y: np.ndarray,
-    r: int,
-    N: int = 100,
-    method: str = "min",
-    table: LogisticCoeffTable | None = None,
-    master_seed: int = 0,
-) -> LinearityReport:
+def lmc_test(y: np.ndarray, r: int, N: int = 100, method: str = "min", master_seed: int = 0) -> LinearityReport:
     """Local MC linearity test at the OLS point estimate of the AR
     coefficients."""
-    return linearity_tests(
-        y, r, (f"LMC_{method}",), N=N, table=table, master_seed=master_seed
-    )[0]
+    return linearity_tests(y, r, (f"LMC_{method}",), N=N, master_seed=master_seed)[0]
 
 
 def build_grid(fit: ARFit, points_per_dim: int) -> NuisanceBox:
@@ -488,7 +480,6 @@ def mmc_test(
     r: int,
     N: int = 100,
     method: str = "min",
-    table: LogisticCoeffTable | None = None,
     grid: NuisanceBox | None = None,
     master_seed: int = 0,
     points_per_dim: int | None = None,
@@ -500,7 +491,5 @@ def mmc_test(
     reported alongside their minimum AR-polynomial root modulus.  Defaults:
     41 points for one lag, 9 points per dimension otherwise.
     """
-    return linearity_tests(
-        y, r, (f"MMC_{method}",), N=N, table=table, grid=grid,
-        master_seed=master_seed, points_per_dim=points_per_dim,
-    )[0]
+    return linearity_tests(y, r, (f"MMC_{method}",), N=N, grid=grid, master_seed=master_seed,
+                           points_per_dim=points_per_dim)[0]

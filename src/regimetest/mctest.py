@@ -14,11 +14,10 @@ replicate statistics share them.
 block; the linearity tests build their data rows (the OLS point and the
 nuisance grid) and stream them through the same ensemble.  Where all the
 data rows are ranked at once (one series, or a one-block linearity pass),
-:func:`_ensemble_and_quartets` reduces them in the replicates' kernel call.
+:func:`null_ensemble` reduces them in the replicates' kernel call.
 
-The module also holds the rank rule itself, the one draw of its
-tie-breakers, critical ranks, and the regeneration of the logistic
-coefficients by non-linear least squares.
+The module also holds the rank rule itself, critical ranks, and the
+regeneration of the logistic coefficients by non-linear least squares.
 """
 
 from __future__ import annotations
@@ -95,6 +94,8 @@ class LogisticCoeffTable:
 
     def _interpolate(self, statistic: str, T: int) -> LogisticCoeffs:
         sizes = self.supported_sizes(statistic)
+        if not sizes:
+            raise ValueError(f"unknown statistic {statistic!r}")
         if len(sizes) < 2:
             raise ValueError(f"cannot interpolate {statistic}: table has fewer than two sizes")
         # the bracketing sizes; outside the table, the two nearest (extrapolation)
@@ -198,10 +199,15 @@ def combine_matrix(G: np.ndarray, method: str) -> np.ndarray:
     minimum and the product folded over the columns from the left, which
     equal ``G.min(axis=1)`` and ``G.prod(axis=1)`` bit for bit, without a
     reduction's per-row overhead."""
+    return 1.0 - reduce(_fold(method), G.T)
+
+
+def _fold(method: str):
+    """The ufunc that folds a row of p-values under a combination rule."""
     if method == "min":
-        return 1.0 - reduce(np.minimum, G.T)
+        return np.minimum
     if method == "prod":
-        return 1.0 - reduce(np.multiply, G.T)
+        return np.multiply
     raise ValueError(f"unknown combination method {method!r}; use 'min' or 'prod'")
 
 
@@ -324,27 +330,18 @@ def fit_logistic_cdf(samples: np.ndarray, statistic: str = "?", T: int = 0) -> L
     return LogisticCoeffs(float(sol.x[0]), float(sol.x[1]), statistic=statistic, T=int(T))
 
 
-def simulate_null_quartets(T: int, N: int, master_seed: int) -> tuple[np.ndarray, int]:
-    """Quartets of N - 1 demeaned standard-normal vectors of length ``T``.
+def _null_quartets(T: int, N: int, master_seed: int, X: np.ndarray) -> tuple[np.ndarray, int]:
+    """Quartets of N - 1 demeaned standard-normal vectors of length ``T``,
+    then those of the rows of ``X`` (series of length ``T``, demeaned here),
+    from one kernel call, and the resample count.
 
     Replicate ``i`` is generated from the stream derived from
     ``(master_seed, replicate-domain, i)``, all of them seeded in one
     :func:`~regimetest._seeding.normal_rows` pass; a degenerate replicate (an event
     of probability zero for continuous data) is resampled from the next
-    sub-stream ``(master_seed, replicate-domain, i, attempt)``.
-
-    Returns the (N - 1, 4) quartet matrix and the resample count.
-    """
-    return _null_quartets(T, N, master_seed, np.empty((0, T)))
-
-
-def _null_quartets(T: int, N: int, master_seed: int, X: np.ndarray) -> tuple[np.ndarray, int]:
-    """:func:`simulate_null_quartets`, with the rows of ``X`` (series of
-    length ``T``, demeaned here) stacked under the replicates and reduced in
-    the same kernel call: the quartets of the N - 1 replicates, then those of
-    the rows of ``X``, and the resample count.  The kernel reduces every row
-    on its own, so each quartet equals :func:`~regimetest.moments.quartet_matrix`
-    of its row alone, bit for bit."""
+    sub-stream ``(master_seed, replicate-domain, i, attempt)``.  The kernel
+    reduces every row on its own, so each quartet equals
+    :func:`~regimetest.moments.quartet_matrix` of its row alone, bit for bit."""
     E = _rows(np.concatenate([normal_rows(master_seed, DOMAIN_REPLICATE, rows=N - 1, T=T), X]))
     # demeaned in place, not copied: at T = 199 a copy is one array too many,
     # and glibc trims the heap after every call and faults it back in (170
@@ -368,12 +365,6 @@ def _null_quartets(T: int, N: int, master_seed: int, X: np.ndarray) -> tuple[np.
     return Q, resampled
 
 
-def tie_breaker_uniforms(N: int, master_seed: int) -> np.ndarray:
-    """The N tie-breaking uniforms of an ensemble; index 0 belongs to the
-    data statistic."""
-    return substream(master_seed, DOMAIN_TIEBREAK).uniform(size=N)
-
-
 @dataclass(frozen=True)
 class NullEnsemble:
     """The null side of an exact MC test over ``T`` observations: under each
@@ -383,7 +374,6 @@ class NullEnsemble:
     block, as they arrive."""
 
     T: int
-    table: LogisticCoeffTable
     replicates: dict[str, tuple[np.ndarray, np.ndarray]]
     resampled: int
 
@@ -394,7 +384,7 @@ class NullEnsemble:
         degenerate data row raises
         :class:`~regimetest.moments.DegenerateSampleError`."""
         raise_if_degenerate(Qz)
-        G = approx_pvalue_matrix(Qz, self.table, self.T)
+        G = approx_pvalue_matrix(Qz, LogisticCoeffTable.default(), self.T)
         out = {}
         for rule, replicates in self.replicates.items():
             f0 = combine_matrix(G, rule)
@@ -416,59 +406,47 @@ class NullEnsemble:
         statistic, so no row's p-value under :meth:`rank` exceeds its
         bound.  The logistic runs on the S and K columns only."""
         G = np.ones((len(s), 4))
-        SK = _approx_pvalues(np.column_stack([s, k]), self.table, self.T, STATISTICS[2:])
+        SK = _approx_pvalues(np.column_stack([s, k]), LogisticCoeffTable.default(), self.T, STATISTICS[2:])
         np.minimum(SK * (1.0 + 2.0**-30), 1.0, out=G[:, 2:])
         return {rule: _rank_lookup(combine_matrix(G, rule), *self.replicates[rule])[1] for rule in rules}
 
 
 def null_ensemble(
-    T: int, N: int, rules, table: LogisticCoeffTable | None, master_seed: int
-) -> NullEnsemble:
-    """The one null ensemble of a pass: ``N - 1`` replicates of length ``T``
-    and ``N`` tie-breakers, all drawn from ``master_seed``, with the
-    replicates' combined statistics under each of ``rules``."""
-    return _ensemble_and_quartets(T, N, rules, table, master_seed, np.empty((0, T)))[0]
-
-
-def _ensemble_and_quartets(
-    T: int, N: int, rules, table: LogisticCoeffTable | None, master_seed: int, X: np.ndarray
+    T: int, N: int, rules, master_seed: int, X: np.ndarray | None = None
 ) -> tuple[NullEnsemble, np.ndarray]:
-    """:func:`null_ensemble`, and the quartets of the data rows ``X``
-    (series of length ``T``) from the replicates' kernel call
+    """The one null ensemble of a pass: ``N - 1`` replicates of length ``T``
+    and ``N`` tie-breakers (index 0 the data's), all drawn from
+    ``master_seed``, with the replicates' combined statistics under each of
+    ``rules``; and the quartets of the data rows ``X`` (series of length
+    ``T``, none by default) from the replicates' kernel call
     (:func:`_null_quartets`): a pass that ranks all its rows at once pays
     the kernel's fixed cost once."""
     if N < 2:
         raise ValueError("N must be at least 2")
-    if table is None:
-        table = LogisticCoeffTable.default()
-    Q, resampled = _null_quartets(T, N, master_seed, X)
-    G = approx_pvalue_matrix(Q[: N - 1], table, T)
-    u = tie_breaker_uniforms(N, master_seed)
+    Q, resampled = _null_quartets(T, N, master_seed, np.empty((0, T)) if X is None else X)
+    G = approx_pvalue_matrix(Q[: N - 1], LogisticCoeffTable.default(), T)
+    u = substream(master_seed, DOMAIN_TIEBREAK).uniform(size=N)
     replicates = {rule: _sorted_replicates(combine_matrix(G, rule), u[0], u[1:]) for rule in rules}
-    return NullEnsemble(T, table, replicates, resampled), Q[N - 1 :]
+    return NullEnsemble(T, replicates, resampled), Q[N - 1 :]
 
 
-def mc_mixture_test(
-    z: np.ndarray,
-    N: int = 100,
-    method: str = "min",
-    table: LogisticCoeffTable | None = None,
-    master_seed: int = 0,
-) -> MCTestReport:
+def mc_mixture_test(z: np.ndarray, N: int = 100, method: str = "min", master_seed: int = 0) -> MCTestReport:
     """Exact MC test that a series is i.i.d. normal against mixture features.
 
     The combined statistic of the demeaned data is ranked among the combined
     statistics of ``N - 1`` simulated standard-normal vectors of the same
-    length, all evaluated with the same coefficient table; the report is
+    length, all evaluated with the packaged coefficient table; the report is
     that one ranking's.
 
     Degenerate-sample errors on the data path propagate; degenerate simulated
-    replicates are resampled (and counted in the report).  A non-finite
-    value or a series that is not one-dimensional is a ``ValueError``.
+    replicates are resampled (and counted in the report).  An unknown
+    ``method``, a non-finite value or a series that is not one-dimensional
+    is a ``ValueError``, raised before any draw.
     """
+    _fold(method)  # an unknown rule raises here, before any draw
     z = finite_series(z)
     if z.ndim != 1:
         raise ValueError(f"need a one-dimensional series, got shape {z.shape}")
-    ensemble, Qz = _ensemble_and_quartets(len(z), N, (method,), table, master_seed, z[None, :])
+    ensemble, Qz = null_ensemble(len(z), N, (method,), master_seed, z[None, :])
     f0, ranks, p = ensemble.rank(Qz)[method]
     return _report(f0[0], ensemble.replicates[method][0], ranks, p, master_seed, ensemble.resampled)

@@ -4,7 +4,9 @@ This is the straightforward implementation the batched kernel in
 ``regimetest.chp`` replaced: one pass per sample, an ``lstsq`` AR(1) fit,
 the full (n, 3, 3) Hessian tensor contracted by ``einsum``, a Python loop
 over time for the rho accumulator, a plain QR projection and a scalar AR(1)
-simulation loop.  Tests compare the kernel against it.
+simulation loop.  Tests compare the kernel against it.  :func:`criteria_kernel`
+runs the kernel's own two steps on one block, for tests that drive the
+kernel on blocks of their choosing.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from regimetest._seeding import DOMAIN_BOOTSTRAP, DOMAIN_NUISANCE, substream
-from regimetest.chp import _psi_weight, sample_nuisance_draws
+from regimetest.chp import _criteria, _draw_matrices, _projection_sums, _psi_weight, sample_nuisance_draws
 
 
 def standardize(y: np.ndarray) -> np.ndarray:
@@ -69,6 +71,20 @@ def criteria(scores, hess, T, H, rhos) -> tuple[np.ndarray, np.ndarray]:
     sup_criteria[~nonzero] = 0.0
     psi = np.where(nonzero, _psi_weight(gnorm), 1.0)
     return sup_criteria, psi
+
+
+def criteria_kernel(
+    scores: np.ndarray, curv: np.ndarray, Q: np.ndarray, T: int, H: np.ndarray,
+    rhos: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-draw supremum criterion and exponential weight Psi for every
+    series of one kernel block; two (k, d) arrays.
+    ``regimetest.chp._row_statistics`` runs the same two steps, the sums per
+    kernel block and the criteria per row chunk."""
+    n, k, _ = scores.shape
+    work = np.empty((2, n * k * len(rhos)))
+    sums = _projection_sums(scores, curv, Q, T, *_draw_matrices(H), np.tile(rhos, k), work)
+    return _criteria(*sums)
 
 
 def simulate_ar1(c, phi, sigma2, T, rng, y1_fallback) -> np.ndarray:

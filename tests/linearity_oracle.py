@@ -21,13 +21,8 @@ import numpy as np
 
 from moments_oracle import compute_quartet
 from regimetest.linearity import ols_ar_fit
-from regimetest.mctest import (
-    LogisticCoeffTable,
-    approx_pvalue_matrix,
-    combine_matrix,
-    simulate_null_quartets,
-    tie_breaker_uniforms,
-)
+from regimetest._seeding import DOMAIN_TIEBREAK, substream
+from regimetest.mctest import LogisticCoeffTable, _null_quartets, approx_pvalue_matrix, combine_matrix
 from regimetest.moments import demean, quartet_matrix
 
 
@@ -86,9 +81,9 @@ def grid_points(fit, points_per_dim: int) -> np.ndarray:
 
 
 def _replicate_statistics(Tz: int, N: int, rule: str, seed: int):
-    table = LogisticCoeffTable.default()
-    Q, _ = simulate_null_quartets(Tz, N, seed)
-    return combine_matrix(approx_pvalue_matrix(Q, table, Tz), rule), tie_breaker_uniforms(N, seed)
+    Q, _ = _null_quartets(Tz, N, seed, np.empty((0, Tz)))
+    xi = combine_matrix(approx_pvalue_matrix(Q, LogisticCoeffTable.default(), Tz), rule)
+    return xi, substream(seed, DOMAIN_TIEBREAK).uniform(size=N)
 
 
 def lmc(y: np.ndarray, r: int, N: int, rule: str, seed: int):

@@ -26,7 +26,6 @@ from regimetest.chp import (
     _bootstrap_p,
     _bootstrap_paths,
     _bootstrap_statistics,
-    _criteria_kernel,
     _curvature_hessian,
     _draw_matrices,
     _mu2_block,
@@ -211,14 +210,14 @@ class TestCriteria:
         # zero residual variation means criterion 0 and weight 1
         y = _ar1_path(0.4, 100, seed=11)
         H = np.array([[1.0, 0.0, 0.0]])
-        sup_c, psi = _criteria_kernel(*_series_block(y[None]), len(y), H, np.array([0.0]))
+        sup_c, psi = chp_oracle.criteria_kernel(*_series_block(y[None]), len(y), H, np.array([0.0]))
         assert sup_c[0, 0] == 0.0
         assert psi[0, 0] == 1.0
 
     def test_sup_monotone_in_draw_set(self):
         y = _ar1_path(0.3, 80, seed=12)
         H, rhos = sample_nuisance_draws(100, substream(3, 3))
-        sup_all, _ = _criteria_kernel(*_series_block(y[None]), len(y), H, rhos)
+        sup_all, _ = chp_oracle.criteria_kernel(*_series_block(y[None]), len(y), H, rhos)
         assert sup_all[0, :50].max() <= sup_all[0].max()
 
     def test_psi_closed_form_at_unit_ratio(self):
@@ -434,7 +433,7 @@ class TestBatchedBootstrap:
 
         def in_chunks(chunk):
             parts = [
-                _criteria_kernel(*_series_block(Y[b0 : b0 + chunk]), T, H, rhos)
+                chp_oracle.criteria_kernel(*_series_block(Y[b0 : b0 + chunk]), T, H, rhos)
                 for b0 in range(0, B, chunk)
             ]
             return tuple(np.concatenate([p[i] for p in parts]) for i in (0, 1))
@@ -477,7 +476,7 @@ class TestTwoLevelPass:
         Y = np.vstack([ys, _standardize_rows(np.ascontiguousarray(paths.T))])
         sup, exp = _row_statistics(Y, H, rhos)
         for i in range(B + 1):
-            sup_c, psi = _criteria_kernel(*_series_block(Y[i : i + 1]), T, H, rhos)
+            sup_c, psi = chp_oracle.criteria_kernel(*_series_block(Y[i : i + 1]), T, H, rhos)
             assert sup[i] == sup_c.max(axis=1)[0]
             assert exp[i] == psi.mean(axis=1)[0]
 
@@ -595,8 +594,8 @@ class TestRankDeficientPanel:
     def test_duplicated_column_leaves_criteria_unchanged(self, caplog):
         y, scores, curv, basis, duplicated = self._bases(caplog)
         H, rhos = sample_nuisance_draws(60, substream(6, 6))
-        got = _criteria_kernel(scores, curv, duplicated, len(y), H, rhos)
-        want = _criteria_kernel(scores, curv, basis, len(y), H, rhos)
+        got = chp_oracle.criteria_kernel(scores, curv, duplicated, len(y), H, rhos)
+        want = chp_oracle.criteria_kernel(scores, curv, basis, len(y), H, rhos)
         np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0.0)
 

@@ -99,6 +99,7 @@ def test_fit_table_subcommand_rejects_tiny_draw_counts(tmp_path, capsys):
     (["chp", "--series", HAMILTON, "--reps", "1"], "B must be at least 2"),
     (["simulate", "--T", "0"], "T must be at least 1"),
     (["test", "--series", HAMILTON, "--methods", "FOO"], "unknown method 'FOO'"),
+    (["test", "--series", HAMILTON, "--methods", " "], "no methods given"),
     (["test", "--series", HAMILTON, "--mc", "1"], "N must be at least 2"),
     (["test", "--series", HAMILTON, "--lags", "1", "--methods", "LMC_min"],
      "LMC needs a stationary OLS point; [1.0034755679397172] has smallest root modulus 0.996536"),
@@ -109,8 +110,9 @@ def test_fit_table_subcommand_rejects_tiny_draw_counts(tmp_path, capsys):
     (["study", "--reps", "1", "--mc", "1", "--methods", "LMC_min"], "N must be at least 2"),
     (["study", "--reps", "1", "--mc", "20", "--methods", "LMC_min", "--workers", "0"],
      "workers must be at least 1"),
-], ids=["chp-reps", "simulate-T", "test-methods", "test-mc", "test-lmc-levels",
-        "test-grid-points", "test-grid-points-lmc", "study-mc", "study-workers"])
+    (["study", "--reps", "1", "--methods", ","], "no methods given"),
+], ids=["chp-reps", "simulate-T", "test-methods", "test-no-methods", "test-mc", "test-lmc-levels",
+        "test-grid-points", "test-grid-points-lmc", "study-mc", "study-workers", "study-no-methods"])
 def test_rejected_input_is_a_usage_error(argv, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main([*argv, "--out", str(out)]) == 2

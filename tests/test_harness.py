@@ -151,6 +151,7 @@ class TestStudy:
         ("N", 1, "N must be at least 2"),
         ("alpha", 1.0, "alpha must lie in"),
         ("methods", ("FOO",), "unknown methods"),
+        ("methods", (), "no methods given"),
         ("B", 1, "B must be at least 2"),
         ("chp_draws", 0, "chp_draws must be at least 1"),
     ])

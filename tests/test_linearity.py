@@ -315,6 +315,13 @@ class TestMcMixtureTest:
         with pytest.raises(DegenerateSampleError):
             mc_mixture_test(np.array([-1.0, -1.0, 1.0, 1.0] * 10), N=20)
 
+    def test_unknown_method_rejected_before_any_draw(self, monkeypatch):
+        import regimetest.mctest as mct
+
+        monkeypatch.setattr(mct, "normal_rows", lambda *args, **kwargs: pytest.fail("drew replicates"))
+        with pytest.raises(ValueError, match="unknown combination method 'max'"):
+            mc_mixture_test(substream(1, 2).standard_normal(50), method="max")
+
     def test_null_rejection_rate(self):
         # quick exactness check; the full-scale run lives in the acceptance suite
         trials, rejections = 1000, 0
@@ -489,6 +496,11 @@ class TestSinglePass:
         with pytest.raises(ValueError, match="N must be at least 2"):
             linearity_tests(np.ones(3), 4, ("LMC_min",), N=1)
 
+    def test_no_methods_rejected_before_any_work(self):
+        # an empty report list would be written as a header-only file
+        with pytest.raises(ValueError, match="no methods given"):
+            linearity_tests(np.ones(3), 4, ())
+
     @pytest.mark.parametrize("methods", [("LMC_min",), ("MMC_min",)], ids=["LMC", "MMC"])
     @pytest.mark.parametrize("points_per_dim", [4, 0, -1])
     def test_points_per_dim_checked_before_any_work(self, methods, points_per_dim):
@@ -619,13 +631,13 @@ class TestOneKernelCall:
         import regimetest.linearity as lin
 
         calls = []
-        real = lin._ensemble_and_quartets
+        real = lin.null_ensemble
 
         def spy(*args):
             calls.append((args, real(*args)))
             return calls[-1][1]
 
-        monkeypatch.setattr(lin, "_ensemble_and_quartets", spy)
+        monkeypatch.setattr(lin, "null_ensemble", spy)
         return calls
 
     @pytest.mark.parametrize("T", [99, 199])
@@ -640,7 +652,7 @@ class TestOneKernelCall:
             (args, (ensemble, Q)), = calls
             calls.clear()
             assert args[0] == T and len(Q) == len(rows)
-            apart = null_ensemble(T, 100, rules, None, seed)
+            apart, _ = null_ensemble(T, 100, rules, seed)
             assert ensemble.resampled == apart.resampled == 0
             for rule in rules:
                 for got, want in zip(ensemble.replicates[rule], apart.replicates[rule]):
@@ -687,7 +699,7 @@ class TestOneKernelCall:
 
         for seed in range(20):
             z = substream(seed, 98).standard_normal(40 + 5 * seed) ** 3
-            ensemble = null_ensemble(len(z), 50, (method,), None, seed)
+            ensemble, _ = null_ensemble(len(z), 50, (method,), seed)
             f0, ranks, p = ensemble.rank(quartet_matrix(z[None, :]))[method]
             want = _report(f0[0], ensemble.replicates[method][0], ranks, p, seed, ensemble.resampled)
             got = mc_mixture_test(z, N=50, method=method, master_seed=seed)
@@ -896,7 +908,7 @@ class TestBoundedPass:
         Q = quartet_matrix(ar_filter(y, grid))
         assert np.isnan(Q[at]).tolist() == [c == statistic for c in "MVSK"]
         assert not np.isnan(np.delete(Q, at, axis=0)).any()
-        ensemble = null_ensemble(Tz, 20, (rule,), None, 0)
+        ensemble, _ = null_ensemble(Tz, 20, (rule,), 0)
         lag_moments = moments._LagMoments(_lag_stack(y, 1))
 
         def bounds(rows):

@@ -8,10 +8,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import linearity_oracle
-from regimetest._seeding import DOMAIN_REPLICATE, substream
+from regimetest._seeding import DOMAIN_REPLICATE, DOMAIN_TIEBREAK, substream
 from regimetest.mctest import (
     LogisticCoeffTable,
     _logistic,
+    _null_quartets,
     LogisticCoeffs,
     approx_pvalue_matrix,
     combine_matrix,
@@ -22,8 +23,6 @@ from regimetest.mctest import (
     logistic_cdf,
     mc_pvalue,
     rank_pvalues,
-    simulate_null_quartets,
-    tie_breaker_uniforms,
 )
 from regimetest.moments import quartet_matrix
 
@@ -87,6 +86,10 @@ class TestLogisticCoeffTable:
         assert below.gamma1 > 0 and above.gamma1 > 0
         # extrapolation continues the local linear trend
         assert above.gamma1 > table.coeffs_for("K", 250).gamma1
+
+    def test_unknown_statistic_is_named(self):
+        with pytest.raises(ValueError, match="unknown statistic 'Q'"):
+            LogisticCoeffTable.default().coeffs_for("Q", 100)
 
     def test_csv_round_trip(self, tmp_path):
         table = LogisticCoeffTable.default()
@@ -189,7 +192,7 @@ class TestPvalueBounds:
         monkeypatch.setattr(mctest, "combine_matrix", lambda G, rule: captured.append(G.copy()) or real(G, rule))
         rng = np.random.default_rng(0)
         s, k = rng.uniform(0, 3, 4000), rng.uniform(0, 12, 4000)
-        mctest.null_ensemble(120, 20, ("min",), None, 0).pvalue_bounds(s, k, ("min",))
+        mctest.null_ensemble(120, 20, ("min",), 0)[0].pvalue_bounds(s, k, ("min",))
         G = captured[-1]
         assert (G[:, :2] == 1.0).all()
         table = LogisticCoeffTable.default()
@@ -300,7 +303,7 @@ class TestRankRule:
         rng = np.random.default_rng(N)
         for seed in range(5):
             if kind == "null":
-                Q, _ = simulate_null_quartets(50, N + 1, seed)
+                Q, _ = _null_quartets(50, N + 1, seed, np.empty((0, 50)))
                 x = combine_matrix(approx_pvalue_matrix(Q, LogisticCoeffTable.default(), 50), "min")
             else:
                 x = rng.integers(0, 3, N).astype(float) if kind == "discrete" else np.ones(N)
@@ -367,15 +370,15 @@ class TestFitLogisticCdf:
 
 class TestNullQuartetSimulation:
     def test_deterministic(self):
-        Qa, ra = simulate_null_quartets(60, 20, master_seed=123)
-        Qb, rb = simulate_null_quartets(60, 20, master_seed=123)
+        Qa, ra = _null_quartets(60, 20, 123, np.empty((0, 60)))
+        Qb, rb = _null_quartets(60, 20, 123, np.empty((0, 60)))
         np.testing.assert_array_equal(Qa, Qb)
         assert ra == rb == 0
         assert Qa.shape == (19, 4)
 
     def test_tie_uniforms_deterministic(self):
         np.testing.assert_array_equal(
-            tie_breaker_uniforms(50, 7), tie_breaker_uniforms(50, 7)
+            substream(7, DOMAIN_TIEBREAK).uniform(size=50), substream(7, DOMAIN_TIEBREAK).uniform(size=50)
         )
 
     def test_degenerate_replicates_are_resampled(self, monkeypatch):
@@ -389,7 +392,7 @@ class TestNullQuartetSimulation:
             return eta
 
         monkeypatch.setattr(mct, "normal_rows", flaky)
-        Q, resampled = simulate_null_quartets(30, 10, master_seed=5)
+        Q, resampled = _null_quartets(30, 10, 5, np.empty((0, 30)))
         assert resampled == 1
         assert np.isfinite(Q).all()
         # the resample comes from the one stream of (replicate 3, attempt 1)

@@ -498,7 +498,7 @@ class TestLagMomentBounds:
         # a witnessed row gets a finite M and V
         assert np.isfinite(Q[witnessed, :2]).all()
         # the p-value bound is at least the row's rank p-value under both rules
-        ensemble = null_ensemble(len(y) - r, 20, ("min", "prod"), None, 0)
+        ensemble, _ = null_ensemble(len(y) - r, 20, ("min", "prod"), 0)
         bounds = ensemble.pvalue_bounds(s, k, ("min", "prod"))
         defined = np.isfinite(Q).all(axis=1)
         for rule, (_, _, p) in ensemble.rank(Q[defined]).items():

@@ -14,8 +14,8 @@ import numpy as np
 
 import regimetest
 from regimetest import harness
-from regimetest.linearity import NuisanceBox, build_grid, ols_ar_fit
-from regimetest.mctest import rank_pvalues, simulate_null_quartets
+from regimetest.linearity import NuisanceBox, build_grid, linearity_tests, lmc_test, mmc_test, ols_ar_fit
+from regimetest.mctest import mc_mixture_test, null_ensemble, rank_pvalues
 from regimetest.moments import quartet_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,14 +58,18 @@ def test_names_the_benchmark_reads():
     grid = build_grid(fit=ols_ar_fit(y, 1), points_per_dim=3)
     assert isinstance(grid, NuisanceBox) and grid.points.shape[1] == 1
 
-    Q, resampled = simulate_null_quartets(20, 5, 0)
-    assert Q.shape == (4, 4) and isinstance(resampled, int)
-
     assert harness.STUDY_METHODS[-2:] == ("supTS", "expTS")
     assert "methods" in inspect.signature(harness.default_study_grid).parameters
     grid = harness.default_study_grid("desk", methods=harness.STUDY_METHODS[:1])
     assert {cfg.T for cfg in grid} == {100, 200}
     assert all(cfg.methods == harness.STUDY_METHODS[:1] for cfg in grid)
+
+
+def test_entry_points_take_no_coefficient_table():
+    # the exact tests always use the packaged table; only approx_pvalue_matrix
+    # and LogisticCoeffTable take one
+    for fn in (linearity_tests, lmc_test, mmc_test, mc_mixture_test, null_ensemble):
+        assert "table" not in inspect.signature(fn).parameters
 
 
 def test_readme_quickstart_prints_its_commented_values(monkeypatch):
